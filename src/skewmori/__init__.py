@@ -3,7 +3,7 @@ complete skew-forms: divisor/curve cones, Cox generator degrees, chamber
 and stable-base-locus decompositions, and the Pfaffian calculus behind them.
 """
 
-from .cones import Cone, cone_from_generators, dual, equal, intersect, nonneg_combination
+from .cones import Cone, nonneg_combination
 from .geometry import (
     CoxGenerator,
     CurveClass,
@@ -49,7 +49,6 @@ from .chambers import (
     decomposition_for,
     forced_groups,
     gkz_chambers,
-    sbl_regions,
 )
 
 __version__ = "0.1.0"

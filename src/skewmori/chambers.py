@@ -21,6 +21,7 @@ chambers into non-convex regions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from . import geometry
@@ -290,20 +291,9 @@ def chamber_of(config, w):
     return GKZChamber(cone, w, forced_groups(config, w), sbl_signature(config, w))
 
 
-def sbl_regions(decomposition):
-    """Chambers grouped by identical stable base locus, most merged first."""
-    return list(decomposition.regions)
-
-
-_DECOMPOSITIONS = {}
-
-
+@cache
 def decomposition_for(n):
-    dec = _DECOMPOSITIONS.get(n)
-    if dec is None:
-        dec = gkz_chambers(configuration_for(n))
-        _DECOMPOSITIONS[n] = dec
-    return dec
+    return gkz_chambers(configuration_for(n))
 
 
 def conjecture_counts(n):

@@ -208,8 +208,13 @@ def cmd_secant(args):
     return 0
 
 
+def point(text):
+    """Parse comma-separated integer coefficients; a ValueError is a usage error."""
+    return tuple(int(x) for x in text.split(","))
+
+
 def cmd_chamber(args):
-    w = tuple(int(x) for x in args.point.split(","))
+    w = args.point
     config_obj = chambers.configuration_for(args.n)
     ch = chambers.chamber_of(config_obj, w)
     config = {"n": args.n, "point": list(w)}
@@ -304,7 +309,7 @@ def build_parser():
 
     p = sub.add_parser("chamber", help="chamber of a given divisor class")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--point", required=True, help="comma-separated coefficients")
+    p.add_argument("--point", type=point, required=True, help="comma-separated coefficients")
     _add_common(p)
     p.set_defaults(fn=cmd_chamber)
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .linalg import Fraction as _F  # noqa: F401  (re-exported for callers)
 from .linalg import dot, primitive, sign_normalize, vec
 
 
@@ -255,40 +254,6 @@ class Cone:
     def __repr__(self):
         flag = "" if self.pointed else ", not pointed"
         return f"Cone(rank={self.ambient_rank}, rays={list(self.rays)}{flag})"
-
-
-# Functional aliases for the operations above.
-
-def cone_from_generators(vectors, ambient_rank=None):
-    return Cone.from_generators(vectors, ambient_rank)
-
-
-def dual(cone):
-    return cone.dual()
-
-
-def intersect(c1, c2):
-    return c1.intersect(c2)
-
-
-def contains(cone, v):
-    return cone.contains(v)
-
-
-def interior_contains(cone, v):
-    return cone.interior_contains(v)
-
-
-def extremal_rays(cone):
-    return list(cone.rays)
-
-
-def dim(cone):
-    return cone.dim()
-
-
-def equal(c1, c2):
-    return c1 == c2
 
 
 def nonneg_combination(vectors, target):

@@ -232,22 +232,27 @@ def _pairing_flip(v):
     return (v[0],) + tuple(-x for x in v[1:])
 
 
-def divisor_cone_dual_to(curve_cone):
-    """Divisor classes pairing >= 0 with every class of a curve cone."""
-    gens = list(curve_cone.rays)
-    for l in curve_cone.lineality:
+def _dual_under_pairing(cone):
+    """Classes pairing >= 0 with every class of the cone.
+
+    The pairing matrix diag(1, -1, ..., -1) is its own transpose, so the
+    same inequalities give the dual of a curve cone and of a divisor cone.
+    """
+    gens = list(cone.rays)
+    for l in cone.lineality:
         gens.append(l)
         gens.append(tuple(-x for x in l))
-    return Cone.from_inequalities([_pairing_flip(g) for g in gens], curve_cone.ambient_rank)
+    return Cone.from_inequalities([_pairing_flip(g) for g in gens], cone.ambient_rank)
+
+
+def divisor_cone_dual_to(curve_cone):
+    """Divisor classes pairing >= 0 with every class of a curve cone."""
+    return _dual_under_pairing(curve_cone)
 
 
 def curve_cone_dual_to(divisor_cone):
     """Curve classes pairing >= 0 with every class of a divisor cone."""
-    gens = list(divisor_cone.rays)
-    for l in divisor_cone.lineality:
-        gens.append(l)
-        gens.append(tuple(-x for x in l))
-    return Cone.from_inequalities([_pairing_flip(g) for g in gens], divisor_cone.ambient_rank)
+    return _dual_under_pairing(divisor_cone)
 
 
 def cox_generator_degrees(n):

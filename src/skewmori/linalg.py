@@ -24,14 +24,6 @@ def dot(u, v) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def vsub(u, v) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(u, c) -> Vector:
-    return tuple(Fraction(c) * a for a in u)
-
-
 def is_zero_vector(v) -> bool:
     return all(x == 0 for x in v)
 

@@ -355,14 +355,6 @@ def pfaffian_value(matrix, indices=None):
     return pf(idx)
 
 
-def evaluate(polynomial, matrix):
-    return polynomial.evaluate(matrix)
-
-
-def partial(polynomial, i, j=None):
-    return polynomial.partial(i, j)
-
-
 def rank(matrix):
     """Exact rank of a skew matrix; always even."""
     r = matrix.rank()
@@ -512,10 +504,6 @@ def terracini_dim(n, h, bound=100, seed=0):
     return best
 
 
-def k_subsets(m, k):
-    return list(combinations(range(m), k))
-
-
 def wedge_power(matrix, k):
     """Matrix of all k x k minors, rows and columns indexed by k-subsets.
 
@@ -525,7 +513,7 @@ def wedge_power(matrix, k):
     m = matrix.size
     if not 1 <= k <= m - 1:
         raise ValueError(f"wedge power {k} out of range 1..{m - 1}")
-    subsets = k_subsets(m, k)
+    subsets = list(combinations(range(m), k))
     rows = matrix.to_rows()
     out = []
     for I in subsets:

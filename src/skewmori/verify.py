@@ -9,9 +9,7 @@ property suites (seeded, reproducible).  No network, no external solver.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
 from . import chambers, cones, geometry, linalg, pfaffian
@@ -55,7 +53,7 @@ def check_chamber_counts(cfg):
     return ok, f"counts {got}, emergent A(7) ray (6,-3,-2) present: {(6, -3, -2) in rays7}"
 
 
-def check_sbl_regions(cfg):
+def check_base_locus_regions(cfg):
     expected = {6: 4, 7: 8, 8: 9}
     got = {n: len(chambers.decomposition_for(n).regions) for n in expected}
     dec8 = chambers.decomposition_for(8)
@@ -179,7 +177,6 @@ def check_conjecture(cfg):
     details = {}
     for n in (6, 7, 8):
         computed, predicted = chambers.conjecture_counts(n)
-        labels_ok = False
         comp, pred = chambers.conjecture_label_sets(n)
         labels_ok = comp == pred
         details[n] = (computed, predicted, labels_ok)
@@ -243,7 +240,7 @@ def check_properties(cfg):
 
 CRITERIA = [
     ("chamber-counts", "chambers", "GKZ chamber counts 2,3,5,9,15 for n=4..8", check_chamber_counts),
-    ("sbl-regions", "sbl", "stable-base-locus regions 4,8,9 and the A(8) merge pattern", check_sbl_regions),
+    ("sbl-regions", "sbl", "stable-base-locus regions 4,8,9 and the A(8) merge pattern", check_base_locus_regions),
     ("a8-chambers", "mcd8", "all 15 explicit A(8) chamber ray lists", check_a8_chamber_rays),
     ("movable-cones", "movable", "movable rays for n=6,7,8 and ray counts for n=4..13", check_movable),
     ("cone-dualities", "dualities", "Nef/Mori and Eff/moving-curve dualities, sandwich", check_dualities),
@@ -258,28 +255,15 @@ CRITERIA = [
 SUITES = sorted({suite for _, suite, _, _ in CRITERIA})
 
 
-def thread_cap():
-    raw = os.environ.get("SKEWMORI_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run(only=None, n=None, seed=0, bound=100, trials=5):
     """Run the suite (optionally one sub-suite); returns an ordered report."""
     if only is not None and only not in SUITES:
         raise ValueError(f"unknown suite {only!r}; choose from {', '.join(SUITES)}")
     cfg = {"n": n, "seed": seed, "bound": bound, "trials": trials}
     selected = [c for c in CRITERIA if only is None or c[1] == only]
-    workers = min(thread_cap(), len(selected))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda c: c[3](cfg), selected))
-    else:
-        outcomes = [fn(cfg) for _, _, _, fn in selected]
     checks = []
-    for (name, suite, description, _), (ok, detail) in zip(selected, outcomes):
+    for name, suite, description, fn in selected:
+        ok, detail = fn(cfg)
         checks.append({"name": name, "suite": suite, "description": description,
                        "ok": bool(ok), "detail": detail})
     return {"config": cfg, "checks": checks,

@@ -23,7 +23,7 @@ def test_criterion_01_chamber_counts():
 
 
 def test_criterion_02_sbl_region_counts():
-    _criterion(2, "SBL regions 4,8,9 with the A(8) merge pattern", verify.check_sbl_regions)
+    _criterion(2, "SBL regions 4,8,9 with the A(8) merge pattern", verify.check_base_locus_regions)
 
 
 def test_criterion_03_a8_chamber_ray_lists():

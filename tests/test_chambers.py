@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewmori import geometry
+from skewmori import chambers, geometry
 from skewmori.chambers import (
     blowup_one_decomposition,
     chamber_of,
@@ -17,7 +17,6 @@ from skewmori.chambers import (
     forced_groups,
     gkz_chambers,
     group_is_forced,
-    sbl_regions,
 )
 from skewmori.cones import Cone
 from skewmori.linalg import dot
@@ -273,6 +272,24 @@ def test_label_monotonicity_along_rank_two_ray():
 
 def test_region_listing_order_stable():
     dec = decomposition_for(6)
-    regions = sbl_regions(dec)
-    assert regions == sbl_regions(dec)
+    regions = dec.regions
+    assert regions == dec.regions
     assert sum(len(r.chambers) for r in regions) == len(dec.chambers)
+
+
+def test_one_decomposition_per_n(monkeypatch):
+    calls = []
+    original = chambers.gkz_chambers
+
+    def counting(config):
+        calls.append(config.rank)
+        return original(config)
+
+    monkeypatch.setattr(chambers, "gkz_chambers", counting)
+    decomposition_for.cache_clear()
+    first = decomposition_for(6)
+    second = decomposition_for(6)
+    conjecture_counts(6)
+    conjecture_label_sets(6)
+    assert len(calls) == 1
+    assert first is second

@@ -103,13 +103,15 @@ def test_domain_error_exit_code():
     assert code == 3
     code, _ = run_cli("sample", "--n", "4", "--h", "0")
     assert code == 3
+    code, _ = run_cli("chamber", "--n", "6", "--point", "1,3")
+    assert code == 3
 
 
 def test_usage_error_exit_code():
-    result = subprocess.run(
-        [sys.executable, "-m", "skewmori.cli", "cones", "--n", "6"],
-        capture_output=True, text=True)
-    assert result.returncode == 2
+    for argv in (["cones", "--n", "6"], ["chamber", "--n", "6", "--point", "a,b,c"]):
+        result = subprocess.run([sys.executable, "-m", "skewmori.cli", *argv],
+                                capture_output=True, text=True)
+        assert result.returncode == 2, argv
 
 
 def test_byte_identical_reports():
@@ -117,16 +119,6 @@ def test_byte_identical_reports():
     first = subprocess.run(cmd, capture_output=True).stdout
     second = subprocess.run(cmd, capture_output=True).stdout
     assert first == second and first
-
-
-def test_thread_cap_env(monkeypatch):
-    from skewmori import verify
-    monkeypatch.setenv("SKEWMORI_THREADS", "4")
-    assert verify.thread_cap() == 4
-    report = verify.run(only="cox")
-    assert report["passed"] == report["total"] == 1
-    monkeypatch.setenv("SKEWMORI_THREADS", "junk")
-    assert verify.thread_cap() == 1
 
 
 def test_verify_restricted_to_one_n():

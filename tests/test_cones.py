@@ -4,18 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewmori.cones import (
-    Cone,
-    cone_from_generators,
-    contains,
-    dim,
-    dual,
-    equal,
-    extremal_rays,
-    interior_contains,
-    intersect,
-    nonneg_combination,
-)
+from skewmori.cones import Cone, nonneg_combination
 from skewmori import geometry
 
 
@@ -23,34 +12,34 @@ OCTANT2 = Cone.from_generators([(1, 0), (0, 1)])
 
 
 def test_redundant_generator_dropped():
-    c = cone_from_generators([(1, 0), (0, 1), (1, 1)])
+    c = Cone.from_generators([(1, 0), (0, 1), (1, 1)])
     assert c.rays == ((0, 1), (1, 0))
 
 
 def test_simplicial_rank3():
-    c = cone_from_generators([(1, 0, 0), (2, -1, 0), (3, -2, -1)])
-    assert len(c.rays) == 3 and dim(c) == 3
+    c = Cone.from_generators([(1, 0, 0), (2, -1, 0), (3, -2, -1)])
+    assert len(c.rays) == 3 and c.dim() == 3
 
 
 def test_proportional_generators_collapse():
-    c = cone_from_generators([(1, 1), (2, 2)])
+    c = Cone.from_generators([(1, 1), (2, 2)])
     assert c.rays == ((1, 1),)
 
 
 def test_generator_dimension_mismatch():
     with pytest.raises(ValueError):
-        cone_from_generators([(1, 0), (1, 0, 0)])
+        Cone.from_generators([(1, 0), (1, 0, 0)])
 
 
 def test_dual_octant_self_dual():
-    assert equal(dual(OCTANT2), OCTANT2)
+    assert OCTANT2.dual() == OCTANT2
 
 
 def test_dual_halfquadrant():
     # facet systems solved by hand: normals of <(1,0),(1,1)> are (0,1), (1,-1)
     c = Cone.from_generators([(1, 0), (1, 1)])
-    assert set(dual(c).rays) == {(0, 1), (1, -1)}
-    assert equal(dual(dual(c)), c)
+    assert set(c.dual().rays) == {(0, 1), (1, -1)}
+    assert c.dual().dual() == c
 
 
 def test_dual_nef_is_mori_cone():
@@ -58,19 +47,18 @@ def test_dual_nef_is_mori_cone():
     # through the intersection pairing (sign flip on the e_i coordinates)
     flipped = {(c.coeffs[0],) + tuple(-x for x in c.coeffs[1:])
                for c in geometry.mori_generators(6)}
-    assert set(dual(geometry.nef_cone(6)).rays) == flipped
-    assert equal(geometry.nef_cone(6),
-                 geometry.divisor_cone_dual_to(geometry.mori_cone(6)))
+    assert set(geometry.nef_cone(6).dual().rays) == flipped
+    assert geometry.nef_cone(6) == geometry.divisor_cone_dual_to(geometry.mori_cone(6))
 
 
 def test_intersect_octant_halfplane():
     half = Cone.from_inequalities([(1, -1)], 2)  # x >= y
-    assert set(intersect(OCTANT2, half).rays) == {(1, 0), (1, 1)}
+    assert set(OCTANT2.intersect(half).rays) == {(1, 0), (1, 1)}
 
 
 def test_intersect_idempotent():
     c = Cone.from_generators([(1, 0, 0), (1, 1, 0), (1, 1, 1)])
-    assert equal(intersect(c, c), c)
+    assert c.intersect(c) == c
 
 
 def test_intersect_emergent_ray():
@@ -78,49 +66,49 @@ def test_intersect_emergent_ray():
     # A(7) meet in the ray 6H - 3E_1 - 2E_2
     left = Cone.from_generators([(1, 0, 0), (4, -3, -2)])
     right = Cone.from_generators([(3, -2, -1), (0, 1, 0)])
-    meet = intersect(left, right)
-    assert contains(meet, (6, -3, -2))
+    meet = left.intersect(right)
+    assert meet.contains((6, -3, -2))
     assert meet.rays == ((6, -3, -2),)
 
 
 def test_intersect_dimension_mismatch():
     with pytest.raises(ValueError):
-        intersect(OCTANT2, Cone.from_generators([(1, 0, 0)]))
+        OCTANT2.intersect(Cone.from_generators([(1, 0, 0)]))
 
 
 def test_contains_boundary_and_interior():
-    assert contains(OCTANT2, (0, 0))
-    assert not interior_contains(OCTANT2, (0, 0))
-    assert interior_contains(OCTANT2, (1, 1))
+    assert OCTANT2.contains((0, 0))
+    assert not OCTANT2.interior_contains((0, 0))
+    assert OCTANT2.interior_contains((1, 1))
 
 
 def test_contains_on_lattice_cones():
-    assert contains(geometry.nef_cone(6), (2, -1, 0))
-    assert contains(geometry.eff_cone(6), (1, 1, 1))
-    assert not contains(geometry.movable_cone(6), (0, 1, 0))
+    assert geometry.nef_cone(6).contains((2, -1, 0))
+    assert geometry.eff_cone(6).contains((1, 1, 1))
+    assert not geometry.movable_cone(6).contains((0, 1, 0))
 
 
 def test_extremal_ray_count_movable8():
-    assert len(extremal_rays(geometry.movable_cone(8))) == 5
+    assert len(geometry.movable_cone(8).rays) == 5
 
 
 def test_dim_octant3():
-    assert dim(Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])) == 3
+    assert Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)]).dim() == 3
 
 
 def test_equal_up_to_redundancy():
     a = Cone.from_generators([(1, 0), (0, 1)])
     b = Cone.from_generators([(0, 1), (1, 0), (1, 1)])
-    assert equal(a, b)
+    assert a == b
 
 
 def test_zero_cone_and_full_space():
     zero = Cone.zero(3)
     full = Cone.full_space(3)
-    assert zero.rays == () and dim(zero) == 0 and zero.pointed
-    assert contains(zero, (0, 0, 0)) and not contains(zero, (1, 0, 0))
-    assert dim(full) == 3 and not full.pointed
-    assert equal(dual(zero), full) and equal(dual(full), zero)
+    assert zero.rays == () and zero.dim() == 0 and zero.pointed
+    assert zero.contains((0, 0, 0)) and not zero.contains((1, 0, 0))
+    assert full.dim() == 3 and not full.pointed
+    assert zero.dual() == full and full.dual() == zero
 
 
 def test_not_pointed_flagged():
@@ -132,7 +120,7 @@ def test_not_pointed_flagged():
 def test_json_round_trip():
     for cone in (OCTANT2, geometry.nef_cone(8), geometry.eff_cone(7)):
         data = json.loads(json.dumps(cone.to_json()))
-        assert equal(Cone.from_json(data), cone)
+        assert Cone.from_json(data) == cone
         assert data["rays"] == [list(r) for r in cone.rays]
 
 
@@ -153,7 +141,7 @@ small_vec = st.tuples(*([st.integers(-6, 6)] * 3))
 @given(st.lists(small_vec, min_size=1, max_size=5))
 def test_biduality_property(gens):
     c = Cone.from_generators(gens, 3)
-    assert equal(dual(dual(c)), c)
+    assert c.dual().dual() == c
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -164,7 +152,7 @@ def test_farkas_both_ways(gens, v):
     for l in c.lineality:
         generators.append(l)
         generators.append(tuple(-x for x in l))
-    member = contains(c, v)
+    member = c.contains(v)
     witness = nonneg_combination(generators, v) if generators else None
     if not generators:
         assert member == all(x == 0 for x in v)
@@ -181,8 +169,8 @@ def test_farkas_both_ways(gens, v):
 def test_intersection_soundness(gens1, gens2, v):
     c1 = Cone.from_generators(gens1, 3)
     c2 = Cone.from_generators(gens2, 3)
-    both = intersect(c1, c2)
-    assert contains(both, v) == (contains(c1, v) and contains(c2, v))
+    both = c1.intersect(c2)
+    assert both.contains(v) == (c1.contains(v) and c2.contains(v))
 
 
 def test_biduality_random_rank_up_to_5():
@@ -192,4 +180,4 @@ def test_biduality_random_rank_up_to_5():
         gens = [tuple(rng.randint(-5, 5) for _ in range(rank))
                 for _ in range(rng.randint(1, rank + 3))]
         c = Cone.from_generators(gens, rank)
-        assert equal(dual(dual(c)), c)
+        assert c.dual().dual() == c

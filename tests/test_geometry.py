@@ -2,7 +2,6 @@ from math import comb, gcd
 
 import pytest
 
-from skewmori.cones import equal
 from skewmori.geometry import (
     CurveClass,
     anticanonical,
@@ -88,9 +87,9 @@ def test_moving_curve_inequalities():
 
 def test_dualities_and_sandwich():
     for n in range(4, 13):
-        assert equal(nef_cone(n), divisor_cone_dual_to(mori_cone(n)))
-        assert equal(eff_cone(n), divisor_cone_dual_to(moving_curve_cone(n)))
-        assert equal(moving_curve_cone(n), curve_cone_dual_to(eff_cone(n)))
+        assert nef_cone(n) == divisor_cone_dual_to(mori_cone(n))
+        assert eff_cone(n) == divisor_cone_dual_to(moving_curve_cone(n))
+        assert moving_curve_cone(n) == curve_cone_dual_to(eff_cone(n))
         assert nef_cone(n).is_subset(movable_cone(n))
         assert movable_cone(n).is_subset(eff_cone(n))
 
@@ -111,7 +110,7 @@ def test_movable_ray_counts():
 
 def test_movable_equals_nef_for_small_n():
     for n in (4, 5, 6):
-        assert equal(movable_cone(n), nef_cone(n))
+        assert movable_cone(n) == nef_cone(n)
 
 
 def test_cox_generator_counts():
