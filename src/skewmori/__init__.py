@@ -8,7 +8,6 @@ from .geometry import (
     CoxGenerator,
     CurveClass,
     DivisorClass,
-    PicardLattice,
     anticanonical,
     cox_generator_degrees,
     divisor_class_D,

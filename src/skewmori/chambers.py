@@ -26,7 +26,7 @@ from itertools import combinations
 
 from . import geometry
 from .cones import Cone, hyperplanes_spanned_by
-from .linalg import dot, vec
+from .linalg import dot
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,6 @@ class VectorConfiguration:
 
     def labels(self):
         return self._labels
-
-    def degree_of(self, label):
-        for g in self.groups:
-            if g.label == label:
-                return g.degree
-        raise KeyError(label)
 
     def subset_cone(self, vectors):
         key = frozenset(vectors)
@@ -124,12 +118,12 @@ def _group_set_nonempty(config, labels):
     return not group_is_forced(config, labels, config.polarization)
 
 
-def forced_groups(config, w, filter_empty=True):
+def forced_groups(config, w):
     """Families whose variables appear in every monomial of every multiple of w.
 
-    With ``filter_empty`` (the default) families whose zero locus is empty in
-    the ambient toric model are dropped, which matches the geometric stable
-    base locus; the raw combinatorial test is ``group_is_forced``.
+    Families whose zero locus is empty in the ambient toric model are
+    dropped, which matches the geometric stable base locus; the raw
+    combinatorial test is ``group_is_forced``.
     """
     w = tuple(w)
     if not config.ambient.contains(w):
@@ -138,7 +132,7 @@ def forced_groups(config, w, filter_empty=True):
     for g in config.groups:
         if not group_is_forced(config, {g.label}, w):
             continue
-        if filter_empty and not _group_set_nonempty(config, {g.label}):
+        if not _group_set_nonempty(config, {g.label}):
             continue
         out.add(g.label)
     return frozenset(out)
@@ -223,12 +217,6 @@ class Decomposition:
             self._regions = tuple(regions)
         return self._regions
 
-    def chamber_containing(self, w):
-        for idx, ch in enumerate(self.chambers):
-            if ch.cone.interior_contains(w):
-                return idx
-        return None
-
 
 def _canonical_chamber(config, w):
     """Intersection of every subset cone containing w (subsets up to the rank suffice)."""
@@ -260,7 +248,7 @@ def gkz_chambers(config):
         nxt = []
         flip = tuple(-x for x in normal)
         for cell in cells:
-            values = [dot(vec(normal), vec(r)) for r in cell.rays]
+            values = [dot(normal, r) for r in cell.rays]
             if all(v >= 0 for v in values) or all(v <= 0 for v in values):
                 nxt.append(cell)
                 continue

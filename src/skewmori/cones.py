@@ -1,9 +1,11 @@
 """Exact rational polyhedral cones with double (generator/facet) descriptions.
 
 Conversion between the two descriptions runs the double description method
-over exact rationals: constraints are added one at a time to a (lineality,
-rays) pair, with the algebraic rank test for ray adjacency.  No floating
-point enters anywhere, so membership, duality and intersection are exact.
+in integers: rational input is scaled to primitive integer vectors, then
+constraints are added one at a time to a (lineality, rays) pair whose
+vectors stay primitive integer tuples, with the algebraic rank test (the
+fraction-free ``linalg.rank``) for ray adjacency.  Floats are refused, so
+membership, duality and intersection are exact.
 
 Extremal rays are kept in canonical primitive integer form and sorted
 lexicographically, which makes every operation deterministic.
@@ -15,25 +17,24 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .linalg import dot, primitive, sign_normalize, vec
+from .linalg import clear_denominators, dot, primitive, sign_normalize
 
 
 def _unit(rank, i):
-    return tuple(Fraction(int(j == i)) for j in range(rank))
+    return tuple(int(j == i) for j in range(rank))
 
 
 def _dedupe_rays(rays):
     seen = {}
     for r, tight in rays:
-        key = primitive(r)
-        if key not in seen:
-            seen[key] = tight
-    return [(vec(k), t) for k, t in seen.items()]
+        seen.setdefault(r, tight)
+    return list(seen.items())
 
 
 def _double_description(normals, ambient_rank):
     """Lineality basis and extremal rays of {x : a.x >= 0 for all a}.
 
+    Each nonzero normal is scaled to a primitive integer vector first.
     Returns (lineality, rays) as lists of primitive integer tuples.  The
     rays are extremal modulo the lineality space.
     """
@@ -42,9 +43,9 @@ def _double_description(normals, ambient_rank):
     kept = []  # processed nonzero normals, indexed by tight sets
 
     for a in normals:
-        a = vec(a)
-        if linalg.is_zero_vector(a):
+        if not any(a):
             continue
+        a = primitive(a)
         idx = len(kept)
         kept.append(a)
 
@@ -60,13 +61,13 @@ def _double_description(normals, ambient_rank):
                 if i == pivot:
                     continue
                 vl = dot(a, l)
-                new_lin.append(tuple(x - vl / v0 * y for x, y in zip(l, l0)))
+                new_lin.append(primitive([v0 * x - vl * y for x, y in zip(l, l0)]))
             new_rays = []
             for r, tight in rays:
                 vr = dot(a, r)
-                r2 = tuple(x - vr / v0 * y for x, y in zip(r, l0))
-                if not linalg.is_zero_vector(r2):
-                    new_rays.append((r2, tight | {idx}))
+                r2 = [v0 * x - vr * y for x, y in zip(r, l0)]
+                if any(r2):
+                    new_rays.append((primitive(r2), tight | {idx}))
             new_rays.append((l0, frozenset(range(idx))))
             lin = new_lin
             rays = _dedupe_rays(new_rays)
@@ -95,13 +96,13 @@ def _double_description(normals, ambient_rank):
                 if linalg.rank([kept[j] for j in common]) != need:
                     continue
                 w = tuple(vp * x - vm * y for x, y in zip(rm, rp))
-                new_rays.append((vec(primitive(w)), frozenset(common) | {idx}))
+                new_rays.append((primitive(w), frozenset(common) | {idx}))
         rays = _dedupe_rays(new_rays)
 
-    lin_rows, _ = linalg.rref(lin)
-    lineality = [primitive(l) for l in lin_rows]
-    ray_list = sorted(primitive(r) for r, _ in rays)
-    return lineality, ray_list
+    lin_rows, pivots, _ = linalg.rref(lin)
+    lineality = [primitive(l if l[p] > 0 else [-x for x in l])
+                 for l, p in zip(lin_rows, pivots)]
+    return lineality, sorted(r for r, _ in rays)
 
 
 class Cone:
@@ -132,7 +133,7 @@ class Cone:
         Redundant generators are dropped; the empty (or all-zero) list gives
         the zero cone, for which ``ambient_rank`` must be supplied.
         """
-        vs = [vec(v) for v in vectors]
+        vs = [clear_denominators(v)[0] for v in vectors]
         if vs:
             ranks = {len(v) for v in vs}
             if len(ranks) != 1:
@@ -142,13 +143,13 @@ class Cone:
             ambient_rank = len(vs[0])
         elif ambient_rank is None:
             raise ValueError("ambient rank required for the zero cone")
-        vs = [v for v in vs if not linalg.is_zero_vector(v)]
+        vs = [v for v in vs if any(v)]
         if not vs:
             facets = []
             for i in range(ambient_rank):
                 u = _unit(ambient_rank, i)
-                facets.append(primitive(u))
-                facets.append(primitive(tuple(-x for x in u)))
+                facets.append(u)
+                facets.append(tuple(-x for x in u))
             return cls(ambient_rank, (), sorted(facets), ())
 
         dual_lin, dual_rays = _double_description(vs, ambient_rank)
@@ -163,7 +164,7 @@ class Cone:
     @classmethod
     def from_inequalities(cls, normals, ambient_rank):
         """Cone {x : a.x >= 0 for every normal a}, canonicalized."""
-        ns = [vec(a) for a in normals]
+        ns = [clear_denominators(a)[0] for a in normals]
         for a in ns:
             if len(a) != ambient_rank:
                 raise ValueError("dimension mismatch among inequalities")
@@ -187,17 +188,16 @@ class Cone:
         return not self.lineality
 
     def dim(self):
-        rows = list(self.rays) + list(self.lineality)
-        return linalg.rank(rows) if rows else 0
+        return linalg.rank(self.rays + self.lineality)
 
     def contains(self, v):
-        v = vec(v)
+        v, _ = clear_denominators(v)
         if len(v) != self.ambient_rank:
             raise ValueError("dimension mismatch")
         return all(dot(f, v) >= 0 for f in self.facets)
 
     def interior_contains(self, v):
-        v = vec(v)
+        v, _ = clear_denominators(v)
         if len(v) != self.ambient_rank:
             raise ValueError("dimension mismatch")
         return all(dot(f, v) > 0 for f in self.facets)
@@ -263,8 +263,8 @@ def nonneg_combination(vectors, target):
     independent of the facet machinery above so the two can cross-check each
     other (Farkas' lemma both ways).
     """
-    vs = [vec(v) for v in vectors]
-    t = vec(target)
+    vs = [tuple(map(Fraction, v)) for v in vectors]
+    t = tuple(map(Fraction, target))
     m = len(t)
     n = len(vs)
     for v in vs:
@@ -335,10 +335,7 @@ def hyperplanes_spanned_by(vectors, ambient_rank):
     """Normals (sign-normalized) of all hyperplanes spanned by subsets of the vectors."""
     normals = set()
     for subset in combinations(vectors, ambient_rank - 1):
-        rows = [vec(v) for v in subset]
-        if linalg.rank(rows) != ambient_rank - 1:
-            continue
-        kernel = linalg.kernel_basis(rows, ambient_rank)
+        kernel = linalg.kernel_basis(subset, ambient_rank)
         if len(kernel) == 1:
             normals.add(sign_normalize(kernel[0]))
     return sorted(normals)

@@ -38,23 +38,6 @@ def picard_rank(n):
 
 
 @dataclass(frozen=True)
-class PicardLattice:
-    n: int
-
-    @property
-    def r(self):
-        return exceptional_count(self.n)
-
-    @property
-    def rank(self):
-        return self.r + 1
-
-    @property
-    def labels(self):
-        return ("H",) + tuple(f"E{i}" for i in range(1, self.r + 1))
-
-
-@dataclass(frozen=True)
 class DivisorClass:
     """Integer vector in the basis (H, E_1, ..., E_r)."""
     n: int

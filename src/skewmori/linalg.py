@@ -1,57 +1,68 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra with one fraction-free elimination kernel.
 
-Vectors are tuples of ``fractions.Fraction`` (integers are accepted and
-coerced), matrices are sequences of such row tuples.  Ambient dimensions in
-this package stay tiny (at most a few dozen), so dense fraction Gaussian
-elimination is all that is ever needed; nothing here uses floating point.
+Vectors are tuples and matrices are sequences of row tuples, with ``int``
+or ``fractions.Fraction`` entries; anything else (a float in particular) is
+refused with ``ValueError`` rather than rounded.  Every elimination is the
+integer-preserving Gauss-Jordan pass ``rref`` (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 1968): each row is scaled to integers first and every step divides
+exactly by the previous pivot, so ``rank``, ``det`` and ``kernel_basis``
+never leave the integers.  A quotient only appears where it is the answer:
+``inverse`` and the determinant of a matrix with fractional entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-
-Vector = tuple  # tuple[Fraction, ...] in practice
+from math import gcd, lcm, prod
 
 
-def vec(entries) -> Vector:
-    return tuple(Fraction(e) for e in entries)
-
-
-def dot(u, v) -> Fraction:
+def dot(u, v):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    return sum(a * b for a, b in zip(u, v))
 
 
-def is_zero_vector(v) -> bool:
-    return all(x == 0 for x in v)
+def clear_denominators(v):
+    """(integer tuple w, positive integer s) with w = s * v and s minimal."""
+    if all(type(x) is int for x in v):
+        return tuple(v), 1
+    for x in v:
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"inexact entry {x!r}: use int or Fraction")
+    scale = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (scale // x.denominator) for x in v), scale
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+    """Fraction-free Gauss-Jordan elimination; returns (rows, pivots, sign).
+
+    ``rows`` are the nonzero rows of the eliminated integer matrix (after
+    each input row is scaled to integers), ``pivots`` their pivot columns
+    and ``sign`` the sign of the row permutation.  Every pivot entry equals
+    the last pivot d, so the rows divided by d are the reduced row echelon
+    form, and d is sign times the determinant of the scaled pivot minor.
+    """
+    m = [clear_denominators(row)[0] for row in rows]
+    pivots, sign, prev, r = [], 1, 1, 0
+    for c in range(len(m[0]) if m else 0):
         if r == len(m):
             break
-    return [tuple(row) for row in m[:r]], pivots
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        row, d = m[r], m[r][c]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = tuple((d * x - f * y) // prev for x, y in zip(m[i], row))
+        pivots.append(c)
+        prev = d
+        r += 1
+    return m[:r], pivots, sign
 
 
 def rank(rows) -> int:
@@ -59,63 +70,52 @@ def rank(rows) -> int:
 
 
 def kernel_basis(rows, ncols=None):
-    """Basis of {x : A x = 0} for the matrix A with the given rows."""
-    rows = [tuple(map(Fraction, row)) for row in rows]
+    """Primitive integer basis of {x : A x = 0} for the matrix A with the given rows."""
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("rows do not match the column count")
+    red, pivots, _ = rref(rows)
+    d = red[-1][pivots[-1]] if red else 1
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(tuple(v))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = abs(d)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f] if d > 0 else row[f]
+        basis.append(primitive(v))
     return basis
 
 
-def det(rows) -> Fraction:
-    m = [list(map(Fraction, row)) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+def det(rows):
+    """Exact determinant: an int for integer input, a Fraction otherwise."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            result = -result
-        result *= m[c][c]
-        pv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result
+    cleared = [clear_denominators(row) for row in rows]
+    red, pivots, sign = rref([row for row, _ in cleared])
+    if len(pivots) < n:
+        return 0
+    d = sign * red[-1][-1] if n else 1
+    scale = prod(s for _, s in cleared)
+    return d if scale == 1 else Fraction(d, scale)
 
 
 def inverse(rows):
     """Exact matrix inverse; raises ValueError on singular input."""
     n = len(rows)
-    m = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        m[c], m[pivot_row] = m[pivot_row], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [tuple(row[n:]) for row in m]
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse of a non-square matrix")
+    red, pivots, _ = rref([tuple(row) + tuple(int(i == j) for j in range(n))
+                           for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    d = red[-1][n - 1] if n else 1
+    return [tuple(Fraction(x, d) for x in row[n:]) for row in red]
 
 
 def matmul(a, b):
@@ -125,12 +125,10 @@ def matmul(a, b):
 
 def primitive(v):
     """Scale a nonzero rational vector to coprime integers, keeping direction."""
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
-        raise ValueError("primitive form of the zero vector")
-    mult = lcm(*(x.denominator for x in fr)) if fr else 1
-    ints = [int(x * mult) for x in fr]
+    ints, _ = clear_denominators(v)
     g = gcd(*ints)
+    if g == 0:
+        raise ValueError("primitive form of the zero vector")
     return tuple(x // g for x in ints)
 
 

@@ -273,10 +273,6 @@ class SkewMatrix:
     def rank(self):
         return linalg.rank(self.to_rows())
 
-    def submatrix(self, indices):
-        idx = list(indices)
-        return [tuple(self.entry(i, j) for j in idx) for i in idx]
-
     def to_json(self):
         def enc(x):
             return str(x)
@@ -353,13 +349,6 @@ def pfaffian_value(matrix, indices=None):
         return total
 
     return pf(idx)
-
-
-def rank(matrix):
-    """Exact rank of a skew matrix; always even."""
-    r = matrix.rank()
-    assert r % 2 == 0, "skew-symmetric matrices have even rank"
-    return r
 
 
 def _rng(label, seed):
@@ -533,11 +522,6 @@ def skew_inverse(matrix):
         raise ValueError("singular skew matrix")
     inv = linalg.inverse(matrix.to_rows())
     return SkewMatrix(inv)
-
-
-def kernel_of(matrix):
-    """Basis of the kernel of a skew matrix, as row vectors."""
-    return linalg.kernel_basis(matrix.to_rows(), matrix.size)
 
 
 def validate_complete_form(stages):

@@ -99,6 +99,11 @@ def test_chamber_of_outside_effective():
         chamber_of(configuration_for(6), (-1, 0, 0))
 
 
+def test_chamber_of_refuses_floats():
+    with pytest.raises(ValueError, match="inexact"):
+        chamber_of(configuration_for(6), (1.0, 3, 1))
+
+
 def test_forced_groups_a6_examples():
     config = configuration_for(6)
     # interior of <D_2, D_4, E_2>

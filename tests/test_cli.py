@@ -4,6 +4,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+from skewmori.chambers import conjecture_counts
 from skewmori.cli import main
 from skewmori.cones import Cone
 from skewmori.pfaffian import Polynomial
@@ -49,6 +50,16 @@ def test_gkz_counts_small():
     assert code == 0 and "2 chambers" in out
     code, out = run_cli("gkz", "--n", "5")
     assert code == 0 and "3 chambers" in out
+
+
+def test_toric_model_beyond_n8():
+    # Regression values of the toric model at n = 9, where the computed number
+    # of regions outside the movable cone (18) departs from the formula (14).
+    code, out = run_cli("gkz", "--n", "9", "--json")
+    results = json.loads(out)["results"]
+    assert code == 0 and "toric refinement" in results["note"]
+    assert (len(results["chambers"]), len(results["regions"])) == (34, 24)
+    assert conjecture_counts(9) == (18, 14)
 
 
 def test_gkz_json_schema():

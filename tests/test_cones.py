@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,3 +182,23 @@ def test_biduality_random_rank_up_to_5():
                 for _ in range(rng.randint(1, rank + 3))]
         c = Cone.from_generators(gens, rank)
         assert c.dual().dual() == c
+
+
+def test_rational_generators_are_exact():
+    c = Cone.from_generators([(Fraction(1, 2), 1), (1, 0)])
+    assert c == Cone.from_generators([(1, 2), (1, 0)])
+    assert c.contains((Fraction(1, 3), Fraction(2, 3)))
+    assert not c.interior_contains((Fraction(1, 3), Fraction(2, 3)))
+    assert not c.contains((Fraction(1, 3), Fraction(3, 4)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Cone.from_generators([(0.5, 1.0), (1, 0)]),
+    lambda: Cone.from_generators([(0.0, 0.0)]),
+    lambda: Cone.from_inequalities([(1, 0), (0.0, 1)], 2),
+    lambda: OCTANT2.contains((0.5, 1)),
+    lambda: OCTANT2.interior_contains((1, 1.0)),
+])
+def test_floats_are_refused(build):
+    with pytest.raises(ValueError, match="inexact"):
+        build()
