@@ -261,8 +261,12 @@ def nonneg_combination(vectors, target):
 
     Phase-one simplex with Bland's rule over rationals.  This is deliberately
     independent of the facet machinery above so the two can cross-check each
-    other (Farkas' lemma both ways).
+    other (Farkas' lemma both ways).  Entries must be ``int`` or
+    ``Fraction``; a float is refused with ``ValueError``.
     """
+    for x in (*(x for v in vectors for x in v), *target):
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"inexact entry {x!r}: use int or Fraction")
     vs = [tuple(map(Fraction, v)) for v in vectors]
     t = tuple(map(Fraction, target))
     m = len(t)

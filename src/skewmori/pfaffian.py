@@ -1,4 +1,4 @@
-"""Pfaffian calculus for generic and rational skew-symmetric matrices.
+"""Pfaffian calculus for generic and exact skew-symmetric matrices.
 
 The generic matrix of size n+1 has independent upper-triangle entries
 z_ij (0 <= i < j <= n); sub-Pfaffians of its principal minors are sparse
@@ -9,10 +9,11 @@ with first-row expansion
 
 so that pf(Z)^2 = det(Z).
 
-Rational points come as ``SkewMatrix`` values.  Rank-2h points of the
-Pfaffian degeneracy loci are sampled as sums of h random wedges x ^ y with
-integer entries, and orders of vanishing are measured by exact iterated
-differentiation, so no numerical tolerance exists anywhere in this module.
+Points come as ``SkewMatrix`` values with ``int`` or ``Fraction`` entries,
+kept as given.  Rank-2h points of the Pfaffian degeneracy loci are sampled
+as sums of h random wedges x ^ y with integer entries, and orders of
+vanishing are read off the exact Taylor expansion at the point, so no
+numerical tolerance exists anywhere in this module.
 """
 
 from __future__ import annotations
@@ -64,22 +65,6 @@ class Polynomial:
                 clean[exp] = clean.get(exp, 0) + coef
         self.terms = {e: c for e, c in clean.items() if c}
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    @classmethod
-    def constant(cls, n, value):
-        width = len(var_pairs(n))
-        return cls(n, {(0,) * width: int(value)} if value else {})
-
-    @classmethod
-    def variable(cls, n, i, j):
-        width = len(var_pairs(n))
-        exp = [0] * width
-        exp[var_index(n, i, j)] = 1
-        return cls(n, {tuple(exp): 1})
-
     def is_zero(self):
         return not self.terms
 
@@ -91,38 +76,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.constant(self.n, other)
-        if self.n != other.n:
-            raise ValueError("polynomials over different variable sets")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return Polynomial(self.n, terms)
-
-    def __neg__(self):
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.constant(self.n, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Polynomial(self.n, {e: c * other for e, c in self.terms.items()})
-        if self.n != other.n:
-            raise ValueError("polynomials over different variable sets")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return Polynomial(self.n, terms)
-
-    __rmul__ = __mul__
-
     def support_pairs(self):
         """Variable pairs that actually occur in some term."""
         pairs = var_pairs(self.n)
@@ -133,19 +86,22 @@ class Polynomial:
                     used.add(pairs[k])
         return sorted(used)
 
-    def evaluate(self, matrix):
-        """Exact value at a SkewMatrix with size at least the support needs."""
-        pairs = var_pairs(self.n)
+    def _coordinates(self, matrix):
+        """Entries of a SkewMatrix in ``var_pairs`` order; it must hold the support."""
         for (i, j) in self.support_pairs():
             if j >= matrix.size:
                 raise ValueError(f"unknown variable z_({i},{j}) for size {matrix.size}")
-        total = Fraction(0)
+        return [matrix.entry(i, j) for i, j in var_pairs(self.n)]
+
+    def evaluate(self, matrix):
+        """Exact value at a SkewMatrix with size at least the support needs."""
+        point = self._coordinates(matrix)
+        total = 0
         for exp, coef in self.terms.items():
-            value = Fraction(coef)
-            for k, e in enumerate(exp):
+            value = coef
+            for z, e in zip(point, exp):
                 if e:
-                    i, j = pairs[k]
-                    value *= matrix.entry(i, j) ** e
+                    value *= z ** e
             total += value
         return total
 
@@ -203,15 +159,21 @@ class Polynomial:
 
 
 class SkewMatrix:
-    """Skew-symmetric matrix with exact rational entries (zero diagonal)."""
+    """Skew-symmetric matrix with exact entries (zero diagonal).
+
+    Entries are kept as given: ``int`` or ``Fraction``; anything else, a
+    float in particular, is refused with ``ValueError``.
+    """
 
     __slots__ = ("size", "_upper")
 
     def __init__(self, rows):
-        rows = [tuple(Fraction(x) for x in row) for row in rows]
+        rows = [tuple(row) for row in rows]
         size = len(rows)
         if any(len(r) != size for r in rows):
             raise ValueError("matrix is not square")
+        for row in rows:
+            linalg.clear_denominators(row)
         for i in range(size):
             if rows[i][i] != 0:
                 raise ValueError("diagonal must vanish")
@@ -232,16 +194,17 @@ class SkewMatrix:
     @classmethod
     def from_upper(cls, size, upper_rows):
         """Build from upper-triangle rows [[z01..z0n], [z12..z1n], ...]."""
-        rows = [[Fraction(0)] * size for _ in range(size)]
+        rows = [[0] * size for _ in range(size)]
         if len(upper_rows) != max(size - 1, 0):
             raise ValueError("wrong number of upper-triangle rows")
         for i, row in enumerate(upper_rows):
             if len(row) != size - 1 - i:
                 raise ValueError("wrong upper-triangle row length")
+            linalg.clear_denominators(row)
             for off, value in enumerate(row):
                 j = i + 1 + off
-                rows[i][j] = Fraction(value)
-                rows[j][i] = -Fraction(value)
+                rows[i][j] = value
+                rows[j][i] = -value
         return cls(rows)
 
     @classmethod
@@ -250,10 +213,10 @@ class SkewMatrix:
 
     def entry(self, i, j):
         if i == j:
-            return Fraction(0)
+            return 0
         if i < j:
-            return self._upper.get((i, j), Fraction(0))
-        return -self._upper.get((j, i), Fraction(0))
+            return self._upper.get((i, j), 0)
+        return -self._upper.get((j, i), 0)
 
     def to_rows(self):
         return [tuple(self.entry(i, j) for j in range(self.size))
@@ -274,10 +237,8 @@ class SkewMatrix:
         return linalg.rank(self.to_rows())
 
     def to_json(self):
-        def enc(x):
-            return str(x)
         return {"size": self.size,
-                "upper": [[enc(self.entry(i, j)) for j in range(i + 1, self.size)]
+                "upper": [[str(self.entry(i, j)) for j in range(i + 1, self.size)]
                           for i in range(self.size - 1)]}
 
     @classmethod
@@ -290,9 +251,11 @@ class SkewMatrix:
 
 
 def _check_index_set(n, indices):
-    idx = tuple(indices)
-    if len(set(idx)) != len(idx) or list(idx) != sorted(idx):
-        idx = tuple(sorted(set(idx)))
+    if n < -1:
+        raise ValueError(f"negative matrix size {n + 1}")
+    idx = tuple(sorted(indices))
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"repeated index in {idx}")
     if len(idx) % 2 == 1:
         raise ValueError("odd Pfaffian undefined")
     if idx and (idx[0] < 0 or idx[-1] > n):
@@ -301,27 +264,27 @@ def _check_index_set(n, indices):
 
 
 def sub_pfaffian(n, indices):
-    """Symbolic Pfaffian of the principal minor of the generic matrix on `indices`."""
+    """Symbolic Pfaffian of the principal minor of the generic matrix on `indices`.
+
+    One term per perfect matching of the sorted index set: pairing its first
+    index with the one in position p of the rest contributes (-1)^p z_{first,that}
+    times a matching of what is left, so every coefficient is +1 or -1.
+    """
     idx = _check_index_set(n, indices)
-    memo = {}
+    terms = {}
 
-    def pf(I):
-        if not I:
-            return Polynomial.constant(n, 1)
-        if I in memo:
-            return memo[I]
-        i0 = I[0]
-        rest = I[1:]
-        total = Polynomial.zero(n)
-        for pos, ij in enumerate(rest):
-            sign = 1 if pos % 2 == 0 else -1
-            sub = tuple(x for x in rest if x != ij)
-            term = Polynomial.variable(n, i0, ij) * pf(sub)
-            total = total + (term if sign > 0 else -term)
-        memo[I] = total
-        return total
+    def match(rest, sign, exp):
+        if not rest:
+            terms[tuple(exp)] = sign
+            return
+        for pos in range(1, len(rest)):
+            k = var_index(n, rest[0], rest[pos])
+            exp[k] = 1
+            match(rest[1:pos] + rest[pos + 1:], sign if pos % 2 else -sign, exp)
+            exp[k] = 0
 
-    return pf(idx)
+    match(idx, 1, [0] * len(var_pairs(n)))
+    return Polynomial(n, terms)
 
 
 def pfaffian_value(matrix, indices=None):
@@ -333,12 +296,12 @@ def pfaffian_value(matrix, indices=None):
 
     def pf(I):
         if not I:
-            return Fraction(1)
+            return 1
         if I in memo:
             return memo[I]
         i0 = I[0]
         rest = I[1:]
-        total = Fraction(0)
+        total = 0
         for pos, ij in enumerate(rest):
             z = matrix.entry(i0, ij)
             if z:
@@ -362,18 +325,24 @@ def _wedge_pair(x, y):
     return rows
 
 
-def secant_sample(n, h, bound=100, seed=0):
-    """Random rational point of rank exactly 2h: a sum of h integer wedges x ^ y.
+# Draws before secant_sample gives up.  A draw has rank 2h generically; even
+# at bound 1, 2000 seeded samples over n = 1..8 needed at most 7 draws.
+MAX_DRAWS = 1000
 
-    Resamples until the rank is exactly 2h, which holds generically.
+
+def secant_sample(n, h, bound=100, seed=0):
+    """Random integer point of rank exactly 2h: a sum of h integer wedges x ^ y.
+
+    Resamples until the rank is exactly 2h, which holds generically, and
+    raises ValueError after MAX_DRAWS draws.
     """
     if not 1 <= h <= (n + 1) // 2:
         raise ValueError(f"h={h} out of range 1..{(n + 1) // 2} for n={n}")
     if bound < 1:
         raise ValueError("bound must be positive")
     rng = _rng("secant", seed)
-    while True:
-        rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for _ in range(MAX_DRAWS):
+        rows = [[0] * (n + 1) for _ in range(n + 1)]
         for _ in range(h):
             x = [rng.randint(-bound, bound) for _ in range(n + 1)]
             y = [rng.randint(-bound, bound) for _ in range(n + 1)]
@@ -384,37 +353,39 @@ def secant_sample(n, h, bound=100, seed=0):
         z = SkewMatrix(rows)
         if z.rank() == 2 * h:
             return z
-
-
-def _sign_canonical(polynomial):
-    if not polynomial.terms:
-        return polynomial
-    lead = max(polynomial.terms)
-    return polynomial if polynomial.terms[lead] > 0 else -polynomial
+    raise ValueError(f"no rank-{2 * h} point in {MAX_DRAWS} draws with bound {bound}")
 
 
 def vanishing_order(polynomial, matrix, max_order):
     """Smallest j <= max_order with a nonzero order-j iterated partial at the point.
 
+    One pass over the terms expands each monomial prod (z_k + x_k)^e_k of
+    p(z + x) binomially at the point z, keeping x-exponents of total degree
+    at most max_order; the coefficient of x^a is the partial d^a p(z) / a!.
     Returns max_order + 1 when every partial up to the cap vanishes.  Order 0
     means the polynomial itself is nonzero at the point.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    level = {_sign_canonical(polynomial)} if not polynomial.is_zero() else set()
-    for order in range(max_order + 1):
-        if not level:
-            return max_order + 1
-        if any(p.evaluate(matrix) != 0 for p in level):
-            return order
-        nxt = set()
-        for p in level:
-            for pair in p.support_pairs():
-                d = p.partial(pair)
-                if not d.is_zero():
-                    nxt.add(_sign_canonical(d))
-        level = nxt
-    return max_order + 1
+    point = polynomial._coordinates(matrix)
+    taylor = {}
+    for exp, coef in polynomial.terms.items():
+        # (degree, x-exponent) -> coefficient, one factor (z_k + x_k)^e at a time
+        expansion = {(0, ()): coef}
+        for k, e in enumerate(exp):
+            if not e:
+                continue
+            z = point[k]
+            grown = {}
+            for (degree, shift), c in expansion.items():
+                for a in range(min(e, max_order - degree) + 1):
+                    if z or a == e:
+                        key = (degree + a, shift + ((k, a),) if a else shift)
+                        grown[key] = c * comb(e, a) * z ** (e - a)
+            expansion = grown
+        for key, c in expansion.items():
+            taylor[key] = taylor.get(key, 0) + c
+    return min((degree for (degree, _), c in taylor.items() if c), default=max_order + 1)
 
 
 def multiplicity_estimate(n, k, h, trials=5, seed=0, bound=100):
@@ -460,11 +431,11 @@ def _wedge_coordinates(n, x, v_index):
     """Coordinates of x ^ e_{v_index} in the upper-triangle basis of size n+1."""
     coords = []
     for (i, j) in var_pairs(n):
-        c = Fraction(0)
+        c = 0
         if j == v_index:
-            c += Fraction(x[i])
+            c += x[i]
         if i == v_index:
-            c -= Fraction(x[j])
+            c -= x[j]
         coords.append(c)
     return tuple(coords)
 
@@ -542,7 +513,8 @@ def validate_complete_form(stages):
             raise ValueError(f"form of size {matrix.size} on a space of dimension {expected_size}")
         if matrix.is_zero():
             return False
-        basis = [tuple(Fraction(x) for x in b) for b in basis]
+        # a positive integer multiple keeps both kernel membership and rank
+        basis = [linalg.clear_denominators(b)[0] for b in basis]
         for b in basis:
             if len(b) != matrix.size:
                 raise ValueError("kernel vector of wrong length")

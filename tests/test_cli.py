@@ -116,6 +116,10 @@ def test_domain_error_exit_code():
     assert code == 3
     code, _ = run_cli("chamber", "--n", "6", "--point", "1,3")
     assert code == 3
+    for argv in (["--size", "4", "--minor", "0,0,1,1"], ["--size", "4", "--minor", "0,1,1,2"],
+                 ["--size", "-3"]):
+        code, _ = run_cli("pfaffian", *argv)
+        assert code == 3, argv
 
 
 def test_usage_error_exit_code():

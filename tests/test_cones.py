@@ -198,6 +198,7 @@ def test_rational_generators_are_exact():
     lambda: Cone.from_inequalities([(1, 0), (0.0, 1)], 2),
     lambda: OCTANT2.contains((0.5, 1)),
     lambda: OCTANT2.interior_contains((1, 1.0)),
+    lambda: nonneg_combination([(1, 0)], (0.1, 0)),
 ])
 def test_floats_are_refused(build):
     with pytest.raises(ValueError, match="inexact"):

@@ -1,11 +1,13 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+import sympy
 
-from skewmori import linalg
+from skewmori import linalg, pfaffian
 from skewmori.pfaffian import (
     Polynomial,
     SkewMatrix,
@@ -19,6 +21,8 @@ from skewmori.pfaffian import (
     terracini_dim,
     validate_complete_form,
     vanishing_order,
+    var_index,
+    var_pairs,
     wedge_power,
 )
 
@@ -33,12 +37,24 @@ def random_skew(rng, size, bound=9):
     return SkewMatrix(rows)
 
 
+def monomial(n, *pairs, coef=1):
+    """coef times the product of the variables z_ij for the given pairs."""
+    exp = [0] * len(var_pairs(n))
+    for i, j in pairs:
+        exp[var_index(n, i, j)] += 1
+    return Polynomial(n, {tuple(exp): coef})
+
+
+def negated(p):
+    return Polynomial(p.n, {e: -c for e, c in p.terms.items()})
+
+
 def pfaffian_by_elimination(matrix):
     """Independent oracle: Schur-complement elimination on 2x2 pivot blocks."""
     m = matrix.size
     if m % 2 == 1:
         return Fraction(0)
-    a = [list(row) for row in matrix.to_rows()]
+    a = [[Fraction(x) for x in row] for row in matrix.to_rows()]
     result = Fraction(1)
     for k in range(0, m, 2):
         pivot_col = next((j for j in range(k + 1, m) if a[k][j] != 0), None)
@@ -75,10 +91,19 @@ def test_four_by_four_expansion():
 def test_odd_pfaffian_rejected():
     with pytest.raises(ValueError, match="odd"):
         sub_pfaffian(4, [0, 1, 2])
+    with pytest.raises(ValueError, match="repeated"):
+        sub_pfaffian(3, [0, 0, 1, 1])
+    with pytest.raises(ValueError, match="repeated"):
+        sub_pfaffian(3, [0, 1, 1, 2])
+    with pytest.raises(ValueError, match="repeated"):
+        pfaffian_value(SkewMatrix.zero(4), [2, 2])
+    with pytest.raises(ValueError, match="negative"):
+        sub_pfaffian(-4, [])
 
 
 def test_empty_index_set_is_one():
-    assert sub_pfaffian(3, []) == Polynomial.constant(3, 1)
+    assert sub_pfaffian(3, []) == monomial(3)
+    assert str(sub_pfaffian(-1, [])) == "1"
 
 
 def test_pf_squared_is_det():
@@ -99,8 +124,8 @@ def test_expansion_matches_elimination():
 
 def test_partial_of_pfaffian():
     p = sub_pfaffian(3, [0, 1, 2, 3])
-    assert p.partial(0, 1) == Polynomial.variable(3, 2, 3)
-    assert p.partial(0, 2) == -Polynomial.variable(3, 1, 3)
+    assert p.partial(0, 1) == monomial(3, (2, 3))
+    assert p.partial(0, 2) == monomial(3, (1, 3), coef=-1)
 
 
 def test_partials_are_smaller_sub_pfaffians():
@@ -112,38 +137,80 @@ def test_partials_are_smaller_sub_pfaffians():
                 d = p.partial(i, j)
                 if i in indices and j in indices:
                     q = sub_pfaffian(n, tuple(x for x in indices if x not in (i, j)))
-                    assert d == q or d == -q
+                    assert d == q or d == negated(q)
                 else:
                     assert d.is_zero()
 
 
-def test_leibniz_rule():
-    rng = random.Random(4)
+def generic_skew(size):
+    """The generic skew matrix as a sympy Matrix, with its variables in var_pairs order."""
+    zs = [sympy.Symbol(f"z{i}_{j}") for i, j in var_pairs(size - 1)]
+    entry = dict(zip(var_pairs(size - 1), zs))
+    rows = [[entry[i, j] if i < j else -entry[j, i] if j < i else 0
+             for j in range(size)] for i in range(size)]
+    return sympy.Matrix(rows), zs
 
-    def random_poly():
-        terms = {}
-        for _ in range(rng.randint(1, 5)):
-            exp = [0] * 6
-            for _ in range(rng.randint(0, 3)):
-                exp[rng.randrange(6)] += 1
-            terms[tuple(exp)] = rng.randint(-5, 5)
-        return Polynomial(3, terms)
 
-    for _ in range(25):
-        p, q = random_poly(), random_poly()
-        for pair in [(0, 1), (1, 2), (2, 3)]:
-            lhs = (p * q).partial(pair)
-            rhs = p.partial(pair) * q + p * q.partial(pair)
-            assert lhs == rhs
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_pf_squared_is_symbolic_det(m):
+    matrix, zs = generic_skew(m)
+    pf = sum(c * sympy.prod(z ** e for z, e in zip(zs, exp))
+             for exp, c in sub_pfaffian(m - 1, range(m)).terms.items())
+    assert sympy.expand(pf ** 2 - matrix.det(method="berkowitz")) == 0
+
+
+def sympy_order(f, zs, point, max_order):
+    """Least order of a nonzero partial of f at the point, capped at max_order + 1."""
+    for order in range(max_order + 1):
+        for vs in combinations_with_replacement(zs, order):
+            if (sympy.diff(f, *vs) if vs else f).subs(point) != 0:
+                return order
+    return max_order + 1
+
+
+def test_vanishing_order_matches_sympy_partials():
+    rng = random.Random(12)
+    n = 3
+    zs = generic_skew(n + 1)[1]
+    orders = set()
+    for trial in range(60):
+        values = [rng.randint(-2, 2) for _ in zs]
+        if trial % 3 == 0:
+            values = [Fraction(v, 2) for v in values]
+        point = dict(zip(zs, (sympy.Rational(v) for v in values)))
+
+        def through_point(k):
+            v = Fraction(values[k])
+            return v.denominator * zs[k] - v.numerator
+
+        # a random polynomial of degree <= 1 in each variable, times up to two
+        # linear forms through the point, so every exponent stays <= 3
+        f = sum(rng.randint(-3, 3) * sympy.prod(rng.sample(zs, rng.randint(0, 3)))
+                for _ in range(rng.randint(1, 4)))
+        for _ in range(rng.randint(0, 2)):
+            picks = rng.sample(range(len(zs)), rng.randint(1, 2))
+            f *= sum(rng.choice([-2, -1, 1, 2]) * through_point(k) for k in picks)
+        f = sympy.Poly(sympy.expand(f), *zs)
+        assert all(c.is_integer for c in f.coeffs())
+        p = Polynomial(n, {exp: int(c) for exp, c in f.terms()})
+        assert max((e for exp in p.terms for e in exp), default=0) <= 3
+        upper = [values[var_index(n, i, i + 1):var_index(n, i, n) + 1] for i in range(n)]
+        matrix = SkewMatrix.from_upper(n + 1, upper)
+        expr = f.as_expr()
+        for cap in (1, 4):
+            got = vanishing_order(p, matrix, cap)
+            assert got == sympy_order(expr, zs, point, cap)
+            orders.add(got)
+    assert orders >= {0, 1, 2, 3}
 
 
 def test_evaluate_known_variable():
     z = SkewMatrix([[0, 5, 1], [-5, 0, 2], [-1, -2, 0]])
-    assert Polynomial.variable(2, 0, 1).evaluate(z) == 5
+    assert monomial(2, (0, 1)).evaluate(z) == 5
 
 
 def test_evaluate_unknown_variable():
-    p = Polynomial.variable(5, 4, 5)
+    p = monomial(5, (4, 5))
     with pytest.raises(ValueError, match="unknown variable"):
         p.evaluate(SkewMatrix([[0, 1], [-1, 0]]))
 
@@ -168,6 +235,12 @@ def test_secant_sample_ranks():
                     assert sub_pfaffian(4, (a, b, c, d)).evaluate(z) == 0
 
 
+def test_secant_sample_gives_up(monkeypatch):
+    monkeypatch.setattr(SkewMatrix, "rank", lambda self: 0)
+    with pytest.raises(ValueError, match=f"{pfaffian.MAX_DRAWS} draws"):
+        secant_sample(4, 1, bound=10, seed=0)
+
+
 def test_secant_sample_rejects_h_zero():
     with pytest.raises(ValueError):
         secant_sample(4, 0)
@@ -183,13 +256,15 @@ def test_rank_of_zero_and_wedge():
 
 def test_vanishing_order_cases():
     z = SkewMatrix([[0, 3], [-3, 0]])
-    assert vanishing_order(Polynomial.variable(1, 0, 1), z, 2) == 0
+    assert vanishing_order(monomial(1, (0, 1)), z, 2) == 0
     z0 = SkewMatrix.zero(2)
-    assert vanishing_order(Polynomial.variable(1, 0, 1), z0, 2) == 1
+    assert vanishing_order(monomial(1, (0, 1)), z0, 2) == 1
     # sentinel when the cap is too small
-    assert vanishing_order(Polynomial.variable(1, 0, 1), z0, 0) == 1
+    assert vanishing_order(monomial(1, (0, 1)), z0, 0) == 1
     # identically-zero polynomial never becomes nonzero
-    assert vanishing_order(Polynomial.zero(1), z0, 3) == 4
+    assert vanishing_order(Polynomial(1, {}), z0, 3) == 4
+    with pytest.raises(ValueError, match="unknown variable"):
+        vanishing_order(monomial(5, (4, 5)), z0, 2)
 
 
 def test_vanishing_order_on_secant_points():
@@ -317,3 +392,24 @@ def test_skew_matrix_validation():
         SkewMatrix([[1, 2], [-2, 0]])
     with pytest.raises(ValueError):
         SkewMatrix([[0, 2], [2, 0]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SkewMatrix([[0, 0.1], [-0.1, 0]]),
+    lambda: SkewMatrix.from_upper(3, [[1, 0.5], [2]]),
+    lambda: validate_complete_form([(SkewMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+                                     [(0, 0, 1.0)])]),
+])
+def test_floats_are_refused(build):
+    with pytest.raises(ValueError, match="inexact"):
+        build()
+
+
+def test_entries_stay_exact():
+    z = SkewMatrix([[0, 5, 1], [-5, 0, 2], [-1, -2, 0]])
+    assert all(type(x) is int for row in z.to_rows() for x in row)
+    assert type(pfaffian_value(SkewMatrix([[0, 5], [-5, 0]]))) is int
+    assert type(sub_pfaffian(2, [0, 1]).evaluate(z)) is int
+    half = SkewMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
+    assert half.entry(0, 1) == Fraction(1, 2) and pfaffian_value(half) == Fraction(1, 2)
+    assert all(type(x) is int for row in secant_sample(5, 2, seed=4).to_rows() for x in row)
