@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from . import linalg
 from .linalg import dot
@@ -47,7 +47,8 @@ class Polynomial:
     """Sparse multivariate polynomial with integer coefficients in the z_ij.
 
     ``terms`` maps exponent tuples (aligned with ``var_pairs(n)``) to nonzero
-    integer coefficients.  Instances are treated as immutable.
+    integer coefficients; any other coefficient or exponent is refused with
+    ``ValueError``.  Instances are treated as immutable.
     """
 
     __slots__ = ("n", "terms")
@@ -57,10 +58,12 @@ class Polynomial:
         width = len(var_pairs(n))
         clean = {}
         for exp, coef in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(exp)
             if len(exp) != width:
                 raise ValueError("exponent width does not match the variable set")
-            coef = int(coef)
+            if not all(isinstance(x, int) for x in (*exp, coef)):
+                raise ValueError(f"inexact term {exp!r}: {coef!r}; use int exponents "
+                                 "and coefficients")
             if coef:
                 clean[exp] = clean.get(exp, 0) + coef
         self.terms = {e: c for e, c in clean.items() if c}
@@ -263,14 +266,26 @@ def _check_index_set(n, indices):
     return idx
 
 
+# Cap on the exponent entries sub_pfaffian writes: (|I| - 1)!! terms of
+# C(size, 2) exponents each.  The full Pfaffian of size 14 needs 135135 * 91.
+MAX_PFAFFIAN_ENTRIES = 15_000_000
+
+
 def sub_pfaffian(n, indices):
     """Symbolic Pfaffian of the principal minor of the generic matrix on `indices`.
 
     One term per perfect matching of the sorted index set: pairing its first
     index with the one in position p of the rest contributes (-1)^p z_{first,that}
-    times a matching of what is left, so every coefficient is +1 or -1.
+    times a matching of what is left, so every coefficient is +1 or -1.  Raises
+    ValueError when the terms would hold more than MAX_PFAFFIAN_ENTRIES entries.
     """
     idx = _check_index_set(n, indices)
+    width = comb(n + 1, 2)
+    # the width test first, so a huge index set never reaches the product
+    if (width > MAX_PFAFFIAN_ENTRIES
+            or width * prod(range(len(idx) - 1, 0, -2)) > MAX_PFAFFIAN_ENTRIES):
+        raise ValueError(f"sub-Pfaffian on {len(idx)} indices of size {n + 1} exceeds "
+                         f"the budget of {MAX_PFAFFIAN_ENTRIES} term entries")
     terms = {}
 
     def match(rest, sign, exp):

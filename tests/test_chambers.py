@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +14,7 @@ from skewmori.chambers import (
     decomposition_for,
     dictionary_label,
     describe_signature,
+    first_blowup_configuration,
     first_blowup_intervals,
     forced_groups,
     gkz_chambers,
@@ -181,8 +183,10 @@ def test_refinement_invariant():
 
 def test_coverage_and_disjointness():
     rng = random.Random(13)
-    for n in (6, 7):
+    for n in (6, 7, 8, 9):
         dec = decomposition_for(n)
+        config = configuration_for(n)
+        found = {ch.rays for ch in dec.chambers}
         eff_rays = [g.coeffs for g in geometry.eff_generators(n)]
         for _ in range(40):
             coeffs = [Fraction(rng.randint(0, 9)) for _ in eff_rays]
@@ -194,14 +198,38 @@ def test_coverage_and_disjointness():
             strict = [ch for ch in dec.chambers if ch.cone.interior_contains(w)]
             assert len(holding) >= 1
             assert len(strict) <= 1
+            if strict:
+                assert chamber_of(config, w).rays in found
+
+
+def pairwise_walls(dec):
+    """Every pair of chambers meeting in a codimension-one cone, with its rays."""
+    walls = []
+    for i, j in combinations(range(len(dec.chambers)), 2):
+        shared = dec.chambers[i].cone.intersect(dec.chambers[j].cone)
+        if shared.dim() == dec.config.rank - 1:
+            walls.append((i, j, shared.rays))
+    return walls
 
 
 def test_walls_between_chambers():
+    for dec in [decomposition_for(n) for n in (6, 7, 8)] + [
+            gkz_chambers(first_blowup_configuration(7))]:
+        assert list(dec.walls) == pairwise_walls(dec)
     dec = decomposition_for(6)
     assert all(len(rays) >= 1 for _, _, rays in dec.walls)
     # nef shares a wall with both adjacent movable-boundary chambers
     nef_idx = next(i for i, ch in enumerate(dec.chambers) if set(ch.rays) == A6_CHAMBERS[0])
     assert any(nef_idx in (i, j) for i, j, _ in dec.walls)
+
+
+def test_polarization_on_a_wall_is_refused():
+    from skewmori.chambers import GeneratorGroup, VectorConfiguration
+    groups = [GeneratorGroup("A", (1, 0), 1), GeneratorGroup("B", (0, 1), 1),
+              GeneratorGroup("C", (1, 1), 1)]
+    assert len(gkz_chambers(VectorConfiguration(2, groups, (2, 1))).chambers) == 2
+    with pytest.raises(ValueError, match="polarization"):
+        gkz_chambers(VectorConfiguration(2, groups, (1, 1)))
 
 
 def test_determinism_fresh_recomputation():

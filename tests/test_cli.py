@@ -60,6 +60,13 @@ def test_toric_model_beyond_n8():
     assert code == 0 and "toric refinement" in results["note"]
     assert (len(results["chambers"]), len(results["regions"])) == (34, 24)
     assert conjecture_counts(9) == (18, 14)
+    # n = 10: 59 chambers and 25 regions; 19 regions outside the movable cone
+    # against 15 predicted.
+    code, out = run_cli("sbl", "--n", "10", "--json")
+    results = json.loads(out)["results"]
+    assert code == 0
+    assert (len(results["chambers"]), len(results["regions"])) == (59, 25)
+    assert conjecture_counts(10) == (19, 15)
 
 
 def test_gkz_json_schema():
@@ -117,9 +124,11 @@ def test_domain_error_exit_code():
     code, _ = run_cli("chamber", "--n", "6", "--point", "1,3")
     assert code == 3
     for argv in (["--size", "4", "--minor", "0,0,1,1"], ["--size", "4", "--minor", "0,1,1,2"],
-                 ["--size", "-3"]):
+                 ["--size", "-3"], ["--size", "16"], ["--size", "100000", "--minor", "0,1,2,3"]):
         code, _ = run_cli("pfaffian", *argv)
         assert code == 3, argv
+    code, _ = run_cli("gkz", "--n", "12")
+    assert code == 3
 
 
 def test_usage_error_exit_code():

@@ -399,6 +399,10 @@ def test_skew_matrix_validation():
     lambda: SkewMatrix.from_upper(3, [[1, 0.5], [2]]),
     lambda: validate_complete_form([(SkewMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
                                      [(0, 0, 1.0)])]),
+    lambda: Polynomial(1, {(1,): 2.7}),
+    lambda: Polynomial(1, {(1.9,): 3}),
+    lambda: Polynomial(1, {(1,): Fraction(1, 2)}),
+    lambda: Polynomial(1, {(1,): "2"}),
 ])
 def test_floats_are_refused(build):
     with pytest.raises(ValueError, match="inexact"):
