@@ -41,9 +41,10 @@ def cmd_verify(args):
 
 
 def cmd_pfaffian(args):
-    indices = [int(x) for x in args.minor.split(",")] if args.minor else list(range(args.size))
+    # a range, so an oversized --size is refused before any index list is built
+    indices = [int(x) for x in args.minor.split(",")] if args.minor else range(args.size)
     poly = pfaffian.sub_pfaffian(args.size - 1, indices)
-    config = {"size": args.size, "minor": indices}
+    config = {"size": args.size, "minor": list(indices)}
     _emit(args, _report("pfaffian", config, poly.to_json()), str(poly) + "\n")
     return 0
 

@@ -3,9 +3,10 @@
 Conversion between the two descriptions runs the double description method
 in integers: rational input is scaled to primitive integer vectors, then
 constraints are added one at a time to a (lineality, rays) pair whose
-vectors stay primitive integer tuples, with the algebraic rank test (the
-fraction-free ``linalg.rank``) for ray adjacency.  Floats are refused, so
-membership, duality and intersection are exact.
+vectors stay primitive integer tuples.  Ray adjacency is decided
+combinatorially, from the sets of constraints each ray is tight on, with
+no elimination.  Floats are refused, so membership, duality and
+intersection are exact.
 
 Extremal rays are kept in canonical primitive integer form and sorted
 lexicographically, which makes every operation deterministic.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from . import linalg
 from .linalg import clear_denominators, dot, primitive, sign_normalize
@@ -24,11 +26,10 @@ def _unit(rank, i):
     return tuple(int(j == i) for j in range(rank))
 
 
-def _dedupe_rays(rays):
-    seen = {}
-    for r, tight in rays:
-        seen.setdefault(r, tight)
-    return list(seen.items())
+def _reduce(v):
+    """Primitive form of a nonzero integer vector (no denominators to clear)."""
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def _double_description(normals, ambient_rank):
@@ -36,18 +37,19 @@ def _double_description(normals, ambient_rank):
 
     Each nonzero normal is scaled to a primitive integer vector first.
     Returns (lineality, rays) as lists of primitive integer tuples.  The
-    rays are extremal modulo the lineality space.
+    rays are extremal modulo the lineality space.  Two rays are adjacent
+    iff no third ray is tight on every normal both are tight on
+    (Fukuda-Prodon, "Double description method revisited", 1996).
     """
     lin = [_unit(ambient_rank, i) for i in range(ambient_rank)]
     rays = []  # (vector, frozenset of tight constraint indices)
-    kept = []  # processed nonzero normals, indexed by tight sets
+    idx = -1  # index of the current normal among the nonzero ones
 
     for a in normals:
         if not any(a):
             continue
         a = primitive(a)
-        idx = len(kept)
-        kept.append(a)
+        idx += 1
 
         pivot = next((i for i, l in enumerate(lin) if dot(a, l) != 0), None)
         if pivot is not None:
@@ -61,16 +63,16 @@ def _double_description(normals, ambient_rank):
                 if i == pivot:
                     continue
                 vl = dot(a, l)
-                new_lin.append(primitive([v0 * x - vl * y for x, y in zip(l, l0)]))
+                new_lin.append(_reduce([v0 * x - vl * y for x, y in zip(l, l0)]))
             new_rays = []
             for r, tight in rays:
                 vr = dot(a, r)
                 r2 = [v0 * x - vr * y for x, y in zip(r, l0)]
                 if any(r2):
-                    new_rays.append((primitive(r2), tight | {idx}))
+                    new_rays.append((_reduce(r2), tight | {idx}))
             new_rays.append((l0, frozenset(range(idx))))
             lin = new_lin
-            rays = _dedupe_rays(new_rays)
+            rays = list(dict(new_rays).items())
             continue
 
         plus, zero, minus = [], [], []
@@ -82,10 +84,6 @@ def _double_description(normals, ambient_rank):
                 zero.append((r, tight | {idx}))
             else:
                 minus.append((r, tight, v))
-        if not minus:
-            rays = [(r, t) for r, t, _ in plus] + zero
-            continue
-
         need = ambient_rank - len(lin) - 2
         new_rays = [(r, t) for r, t, _ in plus] + zero
         for rp, tp, vp in plus:
@@ -93,11 +91,12 @@ def _double_description(normals, ambient_rank):
                 common = tp & tm
                 if len(common) < need:
                     continue
-                if linalg.rank([kept[j] for j in common]) != need:
+                # adjacent iff only rp and rm are tight on all of common
+                if sum(common <= t for _, t in rays) > 2:
                     continue
                 w = tuple(vp * x - vm * y for x, y in zip(rm, rp))
-                new_rays.append((primitive(w), frozenset(common) | {idx}))
-        rays = _dedupe_rays(new_rays)
+                new_rays.append((_reduce(w), common | {idx}))
+        rays = list(dict(new_rays).items())
 
     lin_rows, pivots, _ = linalg.rref(lin)
     lineality = [primitive(l if l[p] > 0 else [-x for x in l])

@@ -37,6 +37,13 @@ def picard_rank(n):
     return exceptional_count(n) + 1
 
 
+def _int_coefficients(coeffs):
+    """The coefficients as a tuple of ints; anything else is refused, not truncated."""
+    if not all(isinstance(c, int) for c in coeffs):
+        raise ValueError(f"inexact coefficients {tuple(coeffs)!r}: use int")
+    return tuple(map(int, coeffs))
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """Integer vector in the basis (H, E_1, ..., E_r)."""
@@ -44,26 +51,15 @@ class DivisorClass:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _int_coefficients(self.coeffs))
         if len(self.coeffs) != picard_rank(self.n):
             raise ValueError("coefficient vector does not match the Picard rank")
 
-    def __add__(self, other):
-        self._check(other)
-        return DivisorClass(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return DivisorClass(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, c):
-        return DivisorClass(self.n, tuple(int(c) * a for a in self.coeffs))
+        _int_coefficients((c,))
+        return DivisorClass(self.n, tuple(c * a for a in self.coeffs))
 
     __rmul__ = __mul__
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("classes on different lattices")
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
@@ -76,7 +72,7 @@ class CurveClass:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _int_coefficients(self.coeffs))
         if len(self.coeffs) != picard_rank(self.n):
             raise ValueError("coefficient vector does not match the lattice rank")
 

@@ -3,12 +3,13 @@
 Vectors are tuples and matrices are sequences of row tuples, with ``int``
 or ``fractions.Fraction`` entries; anything else (a float in particular) is
 refused with ``ValueError`` rather than rounded.  Every elimination is the
-integer-preserving Gauss-Jordan pass ``rref`` (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 1968): each row is scaled to integers first and every step divides
-exactly by the previous pivot, so ``rank``, ``det`` and ``kernel_basis``
-never leave the integers.  A quotient only appears where it is the answer:
-``inverse`` and the determinant of a matrix with fractional entries.
+integer-preserving pass ``rref`` (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
+each row is scaled to integers first and every step divides exactly by the
+previous pivot, so ``rank``, ``det`` and ``kernel_basis`` never leave the
+integers.  ``rank`` and ``det`` stop at echelon form; only ``kernel_basis``
+and ``inverse`` reduce fully.  A quotient only appears where it is the
+answer: ``inverse``, ``matmul`` by a fractional matrix and ``det`` of one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def clear_denominators(v):
     return tuple(x.numerator * (scale // x.denominator) for x in v), scale
 
 
-def rref(rows):
+def rref(rows, echelon=False):
     """Fraction-free Gauss-Jordan elimination; returns (rows, pivots, sign).
 
     ``rows`` are the nonzero rows of the eliminated integer matrix (after
@@ -42,6 +43,9 @@ def rref(rows):
     and ``sign`` the sign of the row permutation.  Every pivot entry equals
     the last pivot d, so the rows divided by d are the reduced row echelon
     form, and d is sign times the determinant of the scaled pivot minor.
+    With ``echelon`` only the rows below each pivot are cleared: the
+    pivots, the sign and d are the same, but the pivot entry of row i is
+    the minor on the first i + 1 rows and pivot columns rather than d.
     """
     m = [clear_denominators(row)[0] for row in rows]
     pivots, sign, prev, r = [], 1, 1, 0
@@ -55,7 +59,7 @@ def rref(rows):
             m[r], m[p] = m[p], m[r]
             sign = -sign
         row, d = m[r], m[r][c]
-        for i in range(len(m)):
+        for i in range(r + 1, len(m)) if echelon else range(len(m)):
             if i != r:
                 f = m[i][c]
                 m[i] = tuple((d * x - f * y) // prev for x, y in zip(m[i], row))
@@ -66,7 +70,7 @@ def rref(rows):
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(rref(rows, echelon=True)[0])
 
 
 def kernel_basis(rows, ncols=None):
@@ -97,7 +101,7 @@ def det(rows):
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
     cleared = [clear_denominators(row) for row in rows]
-    red, pivots, sign = rref([row for row, _ in cleared])
+    red, pivots, sign = rref([row for row, _ in cleared], echelon=True)
     if len(pivots) < n:
         return 0
     d = sign * red[-1][-1] if n else 1
@@ -119,8 +123,10 @@ def inverse(rows):
 
 
 def matmul(a, b):
-    bt = list(zip(*b))
-    return [tuple(dot(row, col) for col in bt) for row in a]
+    """Exact product; each column of b is scaled to integers once, not per term."""
+    cols = [clear_denominators(col) for col in zip(*b)]
+    return [tuple(dot(row, ints) if s == 1 else Fraction(dot(row, ints), s)
+                  for ints, s in cols) for row in a]
 
 
 def primitive(v):

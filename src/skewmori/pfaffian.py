@@ -279,11 +279,13 @@ def sub_pfaffian(n, indices):
     times a matching of what is left, so every coefficient is +1 or -1.  Raises
     ValueError when the terms would hold more than MAX_PFAFFIAN_ENTRIES entries.
     """
+    width = comb(n + 1, 2) if n >= 0 else 0
+    # the width alone first, so a huge size is refused before its indices are sorted
+    if width > MAX_PFAFFIAN_ENTRIES:
+        raise ValueError(f"matrix size {n + 1} exceeds the budget of "
+                         f"{MAX_PFAFFIAN_ENTRIES} term entries")
     idx = _check_index_set(n, indices)
-    width = comb(n + 1, 2)
-    # the width test first, so a huge index set never reaches the product
-    if (width > MAX_PFAFFIAN_ENTRIES
-            or width * prod(range(len(idx) - 1, 0, -2)) > MAX_PFAFFIAN_ENTRIES):
+    if width * prod(range(len(idx) - 1, 0, -2)) > MAX_PFAFFIAN_ENTRIES:
         raise ValueError(f"sub-Pfaffian on {len(idx)} indices of size {n + 1} exceeds "
                          f"the budget of {MAX_PFAFFIAN_ENTRIES} term entries")
     terms = {}
@@ -484,20 +486,35 @@ def wedge_power(matrix, k):
 
     Entry (I, J) is det of the submatrix with rows I and columns J; the
     transpose equals (-1)^k times the matrix, and its rank is C(rank, k).
+    Minors are Laplace expansions along their first row, memoised on (rows,
+    columns), so all row sets share the minors of their lower rows.  Entries
+    are ints for an integer matrix and Fractions otherwise.
     """
     m = matrix.size
     if not 1 <= k <= m - 1:
         raise ValueError(f"wedge power {k} out of range 1..{m - 1}")
+    # one common denominator D: the k x k minors of D * A are D^k times those of A
+    flat, scale = linalg.clear_denominators([x for row in matrix.to_rows() for x in row])
+    rows = [flat[i * m:(i + 1) * m] for i in range(m)]
+    memo = {}
+
+    def minor(I, J):
+        if not I:
+            return 1
+        if (I, J) in memo:
+            return memo[I, J]
+        row, total = rows[I[0]], 0
+        for p, j in enumerate(J):
+            if row[j]:
+                term = row[j] * minor(I[1:], J[:p] + J[p + 1:])
+                total += -term if p % 2 else term
+        memo[I, J] = total
+        return total
+
     subsets = list(combinations(range(m), k))
-    rows = matrix.to_rows()
-    out = []
-    for I in subsets:
-        out_row = []
-        for J in subsets:
-            minor = [[rows[i][j] for j in J] for i in I]
-            out_row.append(linalg.det(minor))
-        out.append(tuple(out_row))
-    return out
+    if scale == 1:
+        return [tuple(minor(I, J) for J in subsets) for I in subsets]
+    return [tuple(Fraction(minor(I, J), scale ** k) for J in subsets) for I in subsets]
 
 
 def skew_inverse(matrix):

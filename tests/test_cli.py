@@ -124,7 +124,8 @@ def test_domain_error_exit_code():
     code, _ = run_cli("chamber", "--n", "6", "--point", "1,3")
     assert code == 3
     for argv in (["--size", "4", "--minor", "0,0,1,1"], ["--size", "4", "--minor", "0,1,1,2"],
-                 ["--size", "-3"], ["--size", "16"], ["--size", "100000", "--minor", "0,1,2,3"]):
+                 ["--size", "-3"], ["--size", "16"], ["--size", "100000", "--minor", "0,1,2,3"],
+                 ["--size", "1000000000"]):
         code, _ = run_cli("pfaffian", *argv)
         assert code == 3, argv
     code, _ = run_cli("gkz", "--n", "12")

@@ -1,11 +1,15 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
-from skewmori.cones import Cone, nonneg_combination
+from skewmori.cones import Cone, _double_description, nonneg_combination
 from skewmori import geometry
 
 
@@ -190,6 +194,80 @@ def test_rational_generators_are_exact():
     assert c.contains((Fraction(1, 3), Fraction(2, 3)))
     assert not c.interior_contains((Fraction(1, 3), Fraction(2, 3)))
     assert not c.contains((Fraction(1, 3), Fraction(3, 4)))
+
+
+def random_normals(rng, rank, ambient, bound):
+    """Seeded normals of exactly the given rank, with repeated and redundant rows.
+
+    With bound 1 the rows are {-1, 0, 1} combinations of a {-1, 0, 1}
+    basis, so many rays are tight on more normals than their codimension
+    and the cardinality filter alone cannot decide adjacency.  Half the systems are flipped towards a random
+    point, so that the cone they cut out is not just the origin.
+    """
+    while True:
+        basis = [[rng.randint(-bound, bound) for _ in range(ambient)] for _ in range(rank)]
+        rows = [tuple(sum(rng.randint(-bound, bound) * b[j] for b in basis)
+                      for j in range(ambient))
+                for _ in range(rng.randint(rank, rank + 4))]
+        if exact(rows, ambient).rank() == rank:
+            break
+    if rng.random() < 0.5:
+        point = [rng.randint(-3, 3) for _ in range(ambient)]
+        rows = [a if sum(x * p for x, p in zip(a, point)) >= 0 else tuple(-x for x in a)
+                for a in rows]
+    rows.append(rng.choice(rows))  # repeated
+    a, b = rng.sample(rows, 2)
+    rows.append(tuple(2 * x + y for x, y in zip(a, b)))  # implied by a and b
+    rng.shuffle(rows)
+    return rows
+
+
+def exact(rows, ncols):
+    """sympy's exact matrix over QQ."""
+    return DomainMatrix([[QQ(x) for x in row] for row in rows], (len(rows), ncols), QQ)
+
+
+def brute_force_rays(normals, ambient):
+    """Extremal rays of a pointed {x : a.x >= 0}: the kernel vectors of the
+    rank-(d - 1) subsets of normals, oriented to satisfy every normal."""
+    rays = set()
+    for subset in combinations(sorted(set(normals)), ambient - 1):
+        kernel = exact(subset, ambient).nullspace().to_list()
+        if len(kernel) != 1:
+            continue
+        scale = lcm(*(int(x.denominator) for x in kernel[0]))
+        ints = [int(x.numerator) * (scale // int(x.denominator)) for x in kernel[0]]
+        v = tuple(x // gcd(*ints) for x in ints)
+        for ray in (v, tuple(-x for x in v)):
+            if all(sum(x * y for x, y in zip(a, ray)) >= 0 for a in normals):
+                rays.add(ray)
+    return rays
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_double_description_against_brute_force(seed):
+    rng = random.Random(f"double-description:{seed}")
+    for rank, pointed, bound in product(range(2, 6), (True, False), (1, 1, 3)):
+        ambient = rank if pointed else rank + rng.randint(1, 2)
+        normals = random_normals(rng, rank, ambient, bound)
+        cone = Cone.from_inequalities(normals, ambient)
+        expected = brute_force_rays(normals, ambient) if pointed else None
+        # the canonical cone, and the one pass over the redundant normals, whose
+        # rays the passes inside from_inequalities would clean up
+        for lineality, rays in ((cone.lineality, cone.rays),
+                                _double_description(normals, ambient)):
+            assert len(set(rays)) == len(rays)
+            for r in rays:
+                assert all(sum(x * y for x, y in zip(a, r)) >= 0 for a in normals)
+            if pointed:
+                assert not lineality
+                assert set(rays) == expected, normals
+                continue
+            assert len(lineality) == ambient - rank, normals
+            for r in rays:
+                tight = [a for a in normals if sum(x * y for x, y in zip(a, r)) == 0]
+                rank_tight = exact(tight, ambient).rank() if tight else 0
+                assert rank_tight == ambient - len(lineality) - 1, normals
 
 
 @pytest.mark.parametrize("build", [

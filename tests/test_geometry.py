@@ -1,9 +1,11 @@
+from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 
 from skewmori.geometry import (
     CurveClass,
+    DivisorClass,
     anticanonical,
     cox_generator_degrees,
     curve_cone_dual_to,
@@ -50,6 +52,26 @@ def test_exceptional_classes():
     assert exceptional_class(5, 1).coeffs == (0, 1)
     with pytest.raises(ValueError):
         exceptional_class(6, 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DivisorClass(4, (1.5, 0)),
+    lambda: DivisorClass(4, (2.0, 0)),
+    lambda: DivisorClass(4, (Fraction(1, 2), 0)),
+    lambda: CurveClass(6, (1, 0.5, 0)),
+    lambda: CurveClass(6, ("1", 0, 0)),
+    lambda: DivisorClass(4, (1, 0)) * 1.5,
+    lambda: 0.5 * DivisorClass(4, (1, 0)),
+])
+def test_floats_are_refused(build):
+    with pytest.raises(ValueError, match="inexact"):
+        build()
+
+
+def test_integer_classes_kept():
+    assert DivisorClass(4, (2, -1)) * 3 == DivisorClass(4, (6, -3))
+    coeffs = CurveClass(6, [True, 0, -2]).coeffs
+    assert coeffs == (1, 0, -2) and all(type(c) is int for c in coeffs)
 
 
 def test_pairing():

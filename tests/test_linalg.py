@@ -160,6 +160,37 @@ def test_rref_is_a_multiple_of_the_reduced_echelon_form():
     assert linalg.rref(SWAPS[0])[2] == -1
 
 
+def test_echelon_form_keeps_pivots_sign_and_last_pivot():
+    for rows in cases(11) + list(SWAPS) + [ZERO_ROWS, NEGATIVE_LAST_PIVOT]:
+        ncols = len(rows[0])
+        full, pivots, sign = linalg.rref(rows)
+        ech, ech_pivots, ech_sign = linalg.rref(rows, echelon=True)
+        assert (ech_pivots, ech_sign, len(ech)) == (pivots, sign, len(full))
+        if ech:
+            assert ech[-1][pivots[-1]] == full[-1][pivots[-1]]
+        for row, p in zip(ech, pivots):
+            assert row[p] != 0 and not any(row[:p])
+        for i, p in enumerate(pivots):
+            assert all(row[p] == 0 for row in ech[i + 1:])
+        assert sym(ech + full, ncols).rank() == len(pivots)
+
+
+def test_matmul_against_sympy():
+    rng = random.Random(12)
+    for i in range(40):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = random_matrix(rng, n, k, rational=i % 2 == 0)
+        b = random_matrix(rng, k, m, rational=i % 3 == 0)
+        got = linalg.matmul(a, b)
+        want = sym(a, k) * sym(b, m)
+        assert [list(row) for row in got] == [[frac(want[r, c]) for c in range(m)]
+                                              for r in range(n)]
+        if i % 2 and i % 3:
+            assert all(type(x) is int for row in got for x in row)
+    with pytest.raises(ValueError):
+        linalg.matmul([(1, 2)], [(1,), (2,), (3,)])
+
+
 def test_floats_are_refused():
     for call in (lambda: linalg.rank([(0.5, 1)]), lambda: linalg.det([(1.0,)]),
                  lambda: linalg.primitive((1, 0.25))):

@@ -1,11 +1,12 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from skewmori import linalg, pfaffian
 from skewmori.pfaffian import (
@@ -307,6 +308,42 @@ def test_terracini_oracle():
     assert terracini_dim(4, 1, seed=0) == 6
     assert terracini_dim(5, 1, seed=0) == 8
     assert terracini_dim(7, 2, seed=0) == 21
+
+
+def wedge_power_cases(size):
+    """Seeded integer, rational and rank-deficient skew matrices of one size."""
+    rng = random.Random(f"wedge-power:{size}")
+    rational = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            rational[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            rational[j][i] = -rational[i][j]
+    out = [random_skew(rng, size, bound=5), SkewMatrix(rational)]
+    if size >= 4:
+        out.append(secant_sample(size - 1, 1, bound=5, seed=size))
+    return out
+
+
+@pytest.mark.parametrize("size", range(2, 8))
+def test_wedge_power_entries_are_sympy_minors(size):
+    """Every entry of every wedge power against sympy's determinant of that minor."""
+    subsets = {k: list(combinations(range(size), k)) for k in range(1, size)}
+    for z in wedge_power_cases(size):
+        integral = all(type(x) is int for row in z.to_rows() for x in row)
+        oracle = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                                for x in map(Fraction, row)] for row in z.to_rows()])
+        assert oracle.rank() == z.rank()
+        # sympy's exact matrices over QQ: the same determinants, much faster per minor
+        oracle = DomainMatrix.from_Matrix(oracle).convert_to(sympy.QQ)
+        for k, ks in subsets.items():
+            w = wedge_power(z, k)
+            assert len(w) == len(ks) and all(len(row) == len(ks) for row in w)
+            for I, row in zip(ks, w):
+                for J, got in zip(ks, row):
+                    assert type(got) is (int if integral else Fraction)
+                    want = oracle.extract(list(I), list(J)).det()
+                    assert got == Fraction(int(want.numerator), int(want.denominator)), \
+                        (z, k, I, J)
 
 
 def test_wedge_power_identity_and_rank():
