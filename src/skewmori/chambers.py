@@ -1,30 +1,31 @@
 """Chamber decompositions of the effective cone of A(n).
 
 The degrees of the total-coordinate-ring generators form a vector
-configuration in the Picard lattice.  The chamber containing a divisor class
-w is the intersection of all cones spanned by subsets of the configuration
-that contain w.  The decomposition walks the chamber graph (Keicher,
-"Computing the GIT-fan", 2012) from the chamber of the polarization, crossing
-each facet inside the effective cone at one exact point past it, on the side
-of the facet's ray sum of every spanned hyperplane missing that sum; the
-crossed facets are the walls, and each chamber is canonicalized once.
+configuration in the Picard lattice.  The chamber of a divisor class w is the
+intersection of all subset cones of the configuration containing w, which
+``chamber_of`` builds for any w, walls included.  The decomposition walks the
+chamber graph (Keicher, "Computing the GIT-fan", 2012) from the polarization
+through generic classes only; by Caratheodory those lie in basis cones alone,
+and the bases holding one cut out its chamber and its base locus.  Each wall
+inside the effective cone is crossed once, at an exact point past it.
 
-Stable base loci are handled combinatorially.  A set G of generator families
-is *forced* at w when w is not a nonnegative combination of the degrees of
-the remaining families, i.e. every monomial of every multiple of w must use
-a variable from G.  The common zero locus of a family union is nonempty in
-the ambient toric model exactly when the same test fails at a polarization
-class in the interior of the nef chamber; base loci are compared through the
-antichain of minimal forced, nonempty family sets.  Two chambers belong to
-the same stable-base-locus region iff these antichains agree, which can glue
-chambers into non-convex regions.
+A set G of generator families is *forced* at w when w is not a nonnegative
+combination of the degrees of the remaining families, i.e. every monomial of
+every multiple of w must use a variable from G.  The common zero locus of a
+family union is nonempty in the ambient toric model exactly when the same
+test fails at the polarization, a class interior to the nef chamber.  Stable
+base loci are compared through the antichain of minimal forced, nonempty
+family sets; two chambers with equal antichains share a region, which can be
+non-convex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
+from math import comb
+from operator import or_
 
 from . import geometry
 from .cones import Cone, hyperplanes_spanned_by
@@ -58,66 +59,69 @@ class VectorConfiguration:
                 raise ValueError("degree vector does not match the rank")
             if not self.ambient.contains(g.degree):
                 raise ValueError("degree outside the ambient cone")
-        self._subset_cones = {}
-        self._labels = tuple(g.label for g in self.groups)
-        if len(set(self._labels)) != len(self._labels):
+        self._subset_cones, self._bases = {}, None
+        self.labels = tuple(g.label for g in self.groups)
+        if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate group labels")
-
-    def labels(self):
-        return self._labels
 
     def subset_cone(self, vectors):
         key = frozenset(vectors)
-        cone = self._subset_cones.get(key)
-        if cone is None:
-            cone = Cone.from_generators(sorted(key), self.rank)
-            self._subset_cones[key] = cone
-        return cone
+        if key not in self._subset_cones:
+            self._subset_cones[key] = Cone.from_generators(sorted(key), self.rank)
+        return self._subset_cones[key]
 
     def cone_without(self, excluded_labels):
         """Hull of the degrees of every family outside the excluded set."""
         keep = [g.degree for g in self.groups if g.label not in excluded_labels]
         return self.subset_cone(keep) if keep else Cone.zero(self.rank)
 
+    def bases(self):
+        """(planes, normals, bases), computed once: the K spanned hyperplanes h_k,
+        the normals +h_k then -h_k, and each independent ``rank``-subset of
+        ``vectors`` as (vector mask, mask of the normals of its cone's facets).
+        The facet opposite v lies on the hyperplane missing v alone."""
+        if self._bases is None:
+            planes = hyperplanes_spanned_by(self.vectors, self.rank)
+            sides = [[dot(h, v) for v in self.vectors] for h in planes]
+            zeros = [sum(1 << i for i, x in enumerate(side) if not x) for side in sides]
+            bases = []
+            for subset in combinations(range(len(self.vectors)), self.rank):
+                mask = sum(1 << i for i in subset)
+                facets = covered = 0
+                for k, zero in enumerate(zeros):
+                    off = mask & ~zero
+                    if off and not off & (off - 1):
+                        covered |= off
+                        facets |= 1 << k + len(planes) * (sides[k][off.bit_length() - 1] < 0)
+                if covered == mask:
+                    bases.append((mask, facets))
+            self._bases = planes, planes + [tuple(-x for x in h) for h in planes], bases
+        return self._bases
+
 
 def configuration_for(n):
     """Degree configuration of A(n), polarized at the interior of the nef cone."""
     groups = [GeneratorGroup(g.label, g.degree.coeffs, g.multiplicity)
               for g in geometry.cox_generator_degrees(n)]
-    nef_gens = [g.coeffs for g in geometry.nef_generators(n)]
-    polarization = tuple(sum(c) for c in zip(*nef_gens))
+    polarization = tuple(map(sum, zip(*(g.coeffs for g in geometry.nef_generators(n)))))
     return VectorConfiguration(geometry.picard_rank(n), groups, polarization)
 
 
 def first_blowup_configuration(n):
-    """Degree configuration of the single blow-up A(n)_1, in the (H, E_1) lattice.
-
-    The strict transform of the size-(2k+2) sub-Pfaffian hypersurface has
-    class (k+1) H - k E_1; sizes run to n+1 for odd n (the full Pfaffian)
-    and to n for even n.
-    """
-    from math import comb
+    """Degree configuration of the single blow-up A(n)_1, in the (H, E_1) lattice:
+    the strict transform of the size-(2k+2) sub-Pfaffian hypersurface has class
+    (k+1) H - k E_1, for sizes up to n+1 for odd n (the full Pfaffian), n for even n."""
     if n < 4:
         raise ValueError("the single blow-up model needs n >= 4")
-    top = (n - 1) // 2
-    groups = []
-    for k in range(top + 1):
-        size = 2 * k + 2
-        groups.append(GeneratorGroup(f"T{size}", (k + 1, -k), comb(n + 1, size)))
-    groups.append(GeneratorGroup("S1", (0, 1), 1))
-    return VectorConfiguration(2, groups, (3, -1))
+    groups = [GeneratorGroup(f"T{2 * k + 2}", (k + 1, -k), comb(n + 1, 2 * k + 2))
+              for k in range((n - 1) // 2 + 1)]
+    return VectorConfiguration(2, groups + [GeneratorGroup("S1", (0, 1), 1)], (3, -1))
 
 
 def group_is_forced(config, labels, w):
     """Raw test: w is not in the hull of the degrees outside the given families."""
-    if isinstance(labels, str):
-        labels = {labels}
+    labels = {labels} if isinstance(labels, str) else labels
     return not config.cone_without(frozenset(labels)).contains(w)
-
-
-def _group_set_nonempty(config, labels):
-    """The common zero locus of the families is nonempty in the toric model."""
-    return not group_is_forced(config, labels, config.polarization)
 
 
 def forced_groups(config, w):
@@ -130,14 +134,8 @@ def forced_groups(config, w):
     w = tuple(w)
     if not config.ambient.contains(w):
         raise ValueError("class outside the effective cone")
-    out = set()
-    for g in config.groups:
-        if not group_is_forced(config, {g.label}, w):
-            continue
-        if not _group_set_nonempty(config, {g.label}):
-            continue
-        out.add(g.label)
-    return frozenset(out)
+    return frozenset(g.label for g in config.groups if group_is_forced(config, g.label, w)
+                     and not group_is_forced(config, g.label, config.polarization))
 
 
 def sbl_signature(config, w):
@@ -147,16 +145,11 @@ def sbl_signature(config, w):
     the ambient toric model: singletons are divisorial components, larger
     sets are deeper strata (e.g. intersections of two boundary divisors).
     """
-    w = tuple(w)
-    labels = config.labels()
-    forced = []
-    for size in range(1, len(labels) + 1):
-        for subset in combinations(labels, size):
-            s = frozenset(subset)
-            if any(prev <= s for prev in forced):
-                continue  # not minimal
-            if group_is_forced(config, s, w) and _group_set_nonempty(config, s):
-                forced.append(s)
+    w, labels, forced = tuple(w), config.labels, []
+    for s in (frozenset(c) for size in range(len(labels)) for c in combinations(labels, size + 1)):
+        if (not any(prev <= s for prev in forced) and group_is_forced(config, s, w)
+                and not group_is_forced(config, s, config.polarization)):
+            forced.append(s)
     return frozenset(forced)
 
 
@@ -185,8 +178,7 @@ class Region:
 
 
 class Decomposition:
-    """Chambers, the sorted (i, j, facet rays) walls between chambers i < j,
-    and the stable-base-locus regions."""
+    """Chambers, sorted (i, j, facet rays) walls of chambers i < j, and regions."""
 
     def __init__(self, config, chambers, walls):
         self.config = config
@@ -200,83 +192,115 @@ class Decomposition:
             by_signature = {}
             for idx, ch in enumerate(self.chambers):
                 by_signature.setdefault(ch.signature, []).append(idx)
-            regions = []
-            for sig, idxs in by_signature.items():
-                labels = frozenset(s for group in sig if len(group) == 1 for s in group)
-                regions.append(Region(sig, labels, tuple(idxs)))
+            regions = [Region(sig, frozenset(s for g in sig if len(g) == 1 for s in g), tuple(idxs))
+                       for sig, idxs in by_signature.items()]
             regions.sort(key=lambda r: (sorted(sorted(g) for g in r.signature), r.chambers))
             self._regions = tuple(regions)
         return self._regions
 
 
-def _canonical_chamber(config, w):
-    """Intersection of every subset cone containing w (subsets up to the rank suffice)."""
-    rank = config.rank
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _canonical_chamber(config, w, held=None):
+    """Intersection of every subset cone containing w (subsets up to the rank
+    suffice), or, for a generic w, of the cones of the bases ``held`` holding it."""
     facets = set(config.ambient.facets)
-    for size in range(1, rank + 1):
-        for subset in combinations(config.vectors, size):
+    if held:
+        _, normals, _ = config.bases()
+        facets.update(normals[k] for k in _bits(reduce(or_, (f for _, f in held))))
+    else:
+        for subset in (s for size in range(1, config.rank + 1)
+                       for s in combinations(config.vectors, size)):
             cone = config.subset_cone(subset)
             if cone.contains(w):
                 facets.update(cone.facets)
-    return Cone.from_inequalities(sorted(facets), rank)
+    return Cone.from_inequalities(sorted(facets), config.rank)
 
 
-def _past_wall(hyperplanes, p, c):
-    """t*p + (p - c) for the least t >= 1 keeping p's side of each hyperplane missing p."""
-    d = tuple(a - b for a, b in zip(p, c))
-    t = 1 + max([0] + [-dot(h, d) // dot(h, p) for h in hyperplanes if dot(h, p)])
-    return tuple(t * a + b for a, b in zip(p, d))
+def _held(config, w, name="class"):
+    """Masks of the bases holding w.  A basis holding w on its boundary puts w
+    in a lower-dimensional subset cone, a wall, and no basis holds a w outside
+    the effective cone; either way w is refused with ``ValueError``."""
+    planes, _, bases = config.bases()
+    values = [dot(h, w) for h in planes]
+    values += [-x for x in values]
+    above = sum(1 << k for k, x in enumerate(values) if x > 0)
+    below = sum(1 << k for k, x in enumerate(values) if x < 0)
+    held = tuple(b for b in bases if not b[1] & below)
+    if not held or any(f & ~above for _, f in held):
+        raise ValueError(f"{name} {w} is not interior to a chamber")
+    return held
+
+
+def _base_locus(config, held, polarization):
+    """(forced families, signature) at a generic class from the bases holding it.
+
+    By Caratheodory a family set is forced iff each held basis has a degree of
+    its families only, and nonempty iff some basis holding the polarization has
+    none.  Berge's incremental dualization (Fredman-Khachiyan, J. Algorithms
+    1996) builds the minimal degree sets meeting every held basis, dropping any
+    set that meets every polarization basis, as its supersets would.
+    """
+    allowed, found = [m for m, _ in polarization], [0]
+    for edge, _ in held:
+        grown = sorted([t for t in found if t & edge] + [
+            t | 1 << i for t in found if not t & edge for i in _bits(edge)
+            if any(not (t | 1 << i) & a for a in allowed)], key=int.bit_count)
+        found = []
+        for t in grown:
+            if not any(f & t == f for f in found):
+                found.append(t)
+    # each family has one degree, so a degree set t and the families of its
+    # degrees determine each other: minimality and nonemptiness carry over
+    owners = [{g.label for g in config.groups if g.degree == v} for v in config.vectors]
+    signature = frozenset(frozenset().union(*(owners[i] for i in _bits(t))) for t in found)
+    return frozenset(l for s in signature if len(s) == 1 for l in s), signature
 
 
 def gkz_chambers(config):
     """All maximal chambers of the configuration, canonically ordered."""
-    rank = config.rank
-    # Walk times on 2 vCPUs, CPython 3.11.7: 0.8 s at n = 10 and 2.7 s at
-    # n = 11 (rank 5); rank 6 took 10 s at n = 12 and 90 s at n = 13.
-    if rank > 5:
-        raise ValueError("chamber decomposition supported up to rank 5")
-    if config.ambient.dim() < rank:
-        raise ValueError("ambient cone is not full-dimensional")
-    start = _canonical_chamber(config, config.polarization)
-    if start.dim() < rank:
-        raise ValueError("polarization is not interior to a chamber")
-    hyperplanes = hyperplanes_spanned_by(config.vectors, rank)
-
-    found, crossed = [start], set()
-    for cone in found:  # grows as the walk finds neighbours
+    # Walk times on 2 vCPUs, CPython 3.11.7: 0.6 s at n = 11 (rank 5), 1.5 s
+    # at n = 12 and 10 s at n = 13 (rank 6, 486 bases, 1285 chambers).
+    if config.rank > 6:
+        raise ValueError("chamber decomposition supported up to rank 6")
+    start, planes = _held(config, config.polarization, "polarization"), config.bases()[0]
+    found, queue, walls = {start: _canonical_chamber(config, config.polarization, start)}, [start], {}
+    for held in queue:  # grows as the walk finds neighbours
+        cone = found[held]
         c = cone.interior_point()
         for f in cone.facets:
             on = tuple(r for r in cone.rays if dot(f, r) == 0)
-            p = tuple(sum(r[i] for r in on) for i in range(rank))
+            p = tuple(sum(r[i] for r in on) for i in range(config.rank))
             if not config.ambient.interior_contains(p):
                 continue  # a facet of the effective cone
-            nxt = next((d for d in found if d is not cone and d.contains(p)), None)
-            if nxt is None:
-                w = _past_wall(hyperplanes, p, c)
-                nxt = _canonical_chamber(config, w)
-                if not (nxt.interior_contains(w) and nxt.contains(p)):
+            if on not in walls:  # cross it; the walls dict maps it to its two chambers
+                # w = t*p + (p - c), for the least t >= 1 keeping p's side of
+                # every hyperplane missing p, lies just past the wall
+                d = tuple(a - b for a, b in zip(p, c))
+                t = 1 + max([0] + [-dot(h, d) // hp for h in planes if (hp := dot(h, p))])
+                nxt = _held(config, w := tuple(t * a + b for a, b in zip(p, d)))
+                if nxt not in found:
+                    found[nxt] = _canonical_chamber(config, w, nxt)
+                    queue.append(nxt)
+                if nxt == held or not found[nxt].contains(p):
                     raise ArithmeticError("wall crossing missed the neighbouring chamber")
-                found.append(nxt)
-            crossed.add((*sorted((cone.rays, nxt.rays)), on))
-
-    found.sort(key=lambda cone: cone.rays)
-    index = {cone.rays: i for i, cone in enumerate(found)}
-    walls = sorted((index[a], index[b], on) for a, b, on in crossed)
-    chambers = []
-    for cone in found:
-        rep = cone.interior_point()
-        chambers.append(GKZChamber(cone, rep, forced_groups(config, rep),
-                                   sbl_signature(config, rep)))
-    return Decomposition(config, chambers, walls)
+                walls[on] = (cone.rays, found[nxt].rays)
+            elif cone.rays not in walls[on]:
+                raise ArithmeticError("three chambers share a wall")
+    order = sorted(found.items(), key=lambda item: item[1].rays)
+    index = {cone.rays: i for i, (_, cone) in enumerate(order)}
+    walls = sorted((*sorted((index[a], index[b])), on) for on, (a, b) in walls.items())
+    return Decomposition(config, [GKZChamber(cone, cone.interior_point(), *_base_locus(
+        config, held, start)) for held, cone in order], walls)
 
 
 def chamber_of(config, w):
     """The chamber (or lower-dimensional face) of the class w."""
     w = tuple(w)
-    if not config.ambient.contains(w):
-        raise ValueError("class outside the effective cone")
-    cone = _canonical_chamber(config, w)
-    return GKZChamber(cone, w, forced_groups(config, w), sbl_signature(config, w))
+    forced = forced_groups(config, w)  # refuses a w outside the effective cone
+    return GKZChamber(_canonical_chamber(config, w), w, forced, sbl_signature(config, w))
 
 
 @cache
@@ -289,20 +313,14 @@ def conjecture_counts(n):
 
     Predicted: 2^((n-2)/2) - 1 for even n and 2^((n-1)/2) - 2 for odd n.
     """
-    dec = decomposition_for(n)
-    mov = geometry.movable_cone(n)
-    outside = set()
+    dec, mov, outside = decomposition_for(n), geometry.movable_cone(n), set()
     for region in dec.regions:
         classes = {mov.contains(dec.chambers[i].representative) for i in region.chambers}
         if len(classes) != 1:
             raise ArithmeticError("region straddles the movable boundary")
         if not classes.pop():
             outside.add(region.signature)
-    if n % 2 == 0:
-        predicted = 2 ** ((n - 2) // 2) - 1
-    else:
-        predicted = 2 ** ((n - 1) // 2) - 2
-    return len(outside), predicted
+    return len(outside), 2 ** ((n - 2) // 2) - 1 if n % 2 == 0 else 2 ** ((n - 1) // 2) - 2
 
 
 def conjecture_label_sets(n):
@@ -311,21 +329,12 @@ def conjecture_label_sets(n):
     Every label set is a frozenset of S_i families; the prediction lists all
     nonempty subsets for even n, and all but the full one for odd n.
     """
-    dec = decomposition_for(n)
-    mov = geometry.movable_cone(n)
-    computed = set()
-    for region in dec.regions:
-        if not mov.contains(dec.chambers[region.chambers[0]].representative):
-            computed.add(region.labels)
-    count = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
-    names = [f"S{i}" for i in range(1, count + 1)]
-    predicted = set()
-    for size in range(1, count + 1):
-        for subset in combinations(names, size):
-            predicted.add(frozenset(subset))
-    if n % 2 == 1:
-        predicted.discard(frozenset(names))
-    return computed, predicted
+    dec, mov = decomposition_for(n), geometry.movable_cone(n)
+    computed = {region.labels for region in dec.regions
+                if not mov.contains(dec.chambers[region.chambers[0]].representative)}
+    names = [f"S{i}" for i in range(1, (n - 1) // 2 + 1)]
+    return computed, {frozenset(s) for size in range(1, len(names) + 1 - n % 2)
+                      for s in combinations(names, size)}
 
 
 def blowup_one_decomposition(n):
@@ -343,18 +352,12 @@ def first_blowup_intervals(n):
     dec = blowup_one_decomposition(n)
     rays = [(0, 1)] + [(k + 1, -k) for k in range((n - 1) // 2 + 1)]
     intervals = []
-    for idx in range(len(rays) - 1):
-        left, right = rays[idx], rays[idx + 1]
-        cone = Cone.from_generators([left, right], 2)
-        member = next(i for i, ch in enumerate(dec.chambers) if ch.cone == cone)
-        closed_left = idx == 0 or idx == 1
-        closed_right = idx != 0
-        intervals.append({
-            "left": left, "right": right,
-            "closed_left": closed_left, "closed_right": closed_right,
-            "chamber": member, "forced": dec.chambers[member].forced,
-            "signature": dec.chambers[member].signature,
-        })
+    for idx, (left, right) in enumerate(zip(rays, rays[1:])):
+        member = next(i for i, ch in enumerate(dec.chambers) if ch.rays == (left, right))
+        intervals.append({"left": left, "right": right, "closed_left": idx <= 1,
+                          "closed_right": idx != 0, "chamber": member,
+                          "forced": dec.chambers[member].forced,
+                          "signature": dec.chambers[member].signature})
     return intervals
 
 
@@ -364,8 +367,7 @@ def dictionary_label(label):
     if label.startswith("S"):
         return f"E{label[1:]}"
     if label.startswith("T"):
-        size = int(label[1:])
-        return f"sec{size // 2 - 1}"
+        return f"sec{int(label[1:]) // 2 - 1}"
     return label
 
 
@@ -376,12 +378,9 @@ def describe_signature(signature):
     smallest degeneracy locus: V(T_{2a+2}) meets V(T_{2b+2}) in the rank-2a
     locus for a < b.
     """
-    if not signature:
-        return "empty"
     parts = []
     for group in sorted(signature, key=lambda g: (len(g), sorted(g))):
-        divisors = sorted(dictionary_label(l) for l in group if l.startswith("S"))
         secants = [int(l[1:]) // 2 - 1 for l in group if l.startswith("T")]
-        pieces = divisors + ([f"sec{min(secants)}"] if secants else [])
-        parts.append("&".join(pieces))
-    return " u ".join(parts)
+        parts.append("&".join(sorted(dictionary_label(l) for l in group if l.startswith("S"))
+                              + ([f"sec{min(secants)}"] if secants else [])))
+    return " u ".join(parts) if parts else "empty"

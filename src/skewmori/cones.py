@@ -324,16 +324,6 @@ def nonneg_combination(vectors, target):
     return coeffs
 
 
-def random_cone(rng, ambient_rank, n_generators, bound=5):
-    """Random integer cone for property tests (seeded, exact)."""
-    gens = []
-    while len(gens) < n_generators:
-        v = tuple(rng.randint(-bound, bound) for _ in range(ambient_rank))
-        if any(v):
-            gens.append(v)
-    return Cone.from_generators(gens, ambient_rank)
-
-
 def hyperplanes_spanned_by(vectors, ambient_rank):
     """Normals (sign-normalized) of all hyperplanes spanned by subsets of the vectors."""
     normals = set()

@@ -43,11 +43,14 @@ def rref(rows, echelon=False):
     and ``sign`` the sign of the row permutation.  Every pivot entry equals
     the last pivot d, so the rows divided by d are the reduced row echelon
     form, and d is sign times the determinant of the scaled pivot minor.
-    With ``echelon`` only the rows below each pivot are cleared: the
-    pivots, the sign and d are the same, but the pivot entry of row i is
-    the minor on the first i + 1 rows and pivot columns rather than d.
+    With ``echelon`` only the rows below each pivot are cleared, from the
+    pivot column on (both rows are zero left of it): the pivots, the sign
+    and d are the same, but the pivot entry of row i is the minor on the
+    first i + 1 rows and pivot columns rather than d.  Ragged rows raise.
     """
     m = [clear_denominators(row)[0] for row in rows]
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError("rows do not match the column count")
     pivots, sign, prev, r = [], 1, 1, 0
     for c in range(len(m[0]) if m else 0):
         if r == len(m):
@@ -58,11 +61,11 @@ def rref(rows, echelon=False):
         if p != r:
             m[r], m[p] = m[p], m[r]
             sign = -sign
-        row, d = m[r], m[r][c]
+        row, d, lo = m[r], m[r][c], c if echelon else 0
         for i in range(r + 1, len(m)) if echelon else range(len(m)):
             if i != r:
                 f = m[i][c]
-                m[i] = tuple((d * x - f * y) // prev for x, y in zip(m[i], row))
+                m[i] = m[i][:lo] + tuple((d * x - f * y) // prev for x, y in zip(m[i][lo:], row[lo:]))
         pivots.append(c)
         prev = d
         r += 1

@@ -326,3 +326,54 @@ def test_one_decomposition_per_n(monkeypatch):
     conjecture_label_sets(6)
     assert len(calls) == 1
     assert first is second
+
+
+@pytest.mark.parametrize("model,n", [("A", n) for n in range(4, 11)] + [
+    ("blowup", n) for n in range(4, 10)])
+def test_generic_path_against_chamber_of(model, n):
+    # the walk reads chambers and base loci off the bases holding a generic
+    # class; chamber_of intersects every subset cone and tests every family set
+    config = configuration_for(n) if model == "A" else first_blowup_configuration(n)
+    for ch in gkz_chambers(config).chambers:
+        for w in (ch.representative, tuple(a + b for a, b in zip(ch.representative, ch.rays[0]))):
+            oracle = chamber_of(config, w)
+            assert oracle.cone.rays == ch.cone.rays and oracle.cone.facets == ch.cone.facets
+            assert (oracle.forced, oracle.signature) == (ch.forced, ch.signature), w
+
+
+def test_generic_path_refuses_walls():
+    for n in (6, 7, 8):
+        config, dec = configuration_for(n), decomposition_for(n)
+        held = chambers._held(config, dec.chambers[0].representative)
+        assert held and all(len(chambers._bits(mask)) == config.rank for mask, _ in held)
+        for _, _, on in dec.walls:
+            with pytest.raises(ValueError, match="not interior to a chamber"):
+                chambers._held(config, tuple(map(sum, zip(*on))))
+        for w in [g.coeffs for g in geometry.eff_generators(n)] + [(-1,) + (0,) * (config.rank - 1)]:
+            with pytest.raises(ValueError, match="not interior to a chamber"):
+                chambers._held(config, w)
+
+
+def test_rank_six_pins():
+    dec = decomposition_for(12)
+    assert (len(dec.chambers), len(dec.regions), len(dec.walls)) == (318, 91, 1018)
+    assert conjecture_counts(12) == (66, 31)
+
+
+def test_families_sharing_a_degree():
+    # a degree shared by two families is dropped only when both are: the
+    # walk's masks are per degree, its signature per family set
+    from skewmori.chambers import GeneratorGroup, VectorConfiguration
+    plane = {"A": (1, 0), "B": (0, 1), "C": (1, 1), "D": (1, 1), "E": (1, 0)}
+    space = {"A": (1, 0, 0), "B": (0, 1, 0), "C": (0, 0, 1), "D": (1, 1, 0),
+             "E": (1, 1, 0), "F": (0, 1, 1), "H": (1, 0, 0)}
+    signatures = []
+    for degrees, polarization in ((plane, (1, 2)), (space, (3, 2, 1))):
+        config = VectorConfiguration(len(polarization), [
+            GeneratorGroup(label, d, 1) for label, d in degrees.items()], polarization)
+        for ch in gkz_chambers(config).chambers:
+            oracle = chamber_of(config, ch.representative)
+            assert (oracle.rays, oracle.forced, oracle.signature) == (
+                ch.rays, ch.forced, ch.signature)
+            signatures.append(ch.signature)
+    assert frozenset({frozenset({"A", "E"})}) in signatures

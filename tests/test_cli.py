@@ -128,7 +128,7 @@ def test_domain_error_exit_code():
                  ["--size", "1000000000"]):
         code, _ = run_cli("pfaffian", *argv)
         assert code == 3, argv
-    code, _ = run_cli("gkz", "--n", "12")
+    code, _ = run_cli("gkz", "--n", "14")
     assert code == 3
 
 

@@ -175,6 +175,14 @@ def test_echelon_form_keeps_pivots_sign_and_last_pivot():
         assert sym(ech + full, ncols).rank() == len(pivots)
 
 
+@pytest.mark.parametrize("rows", [[(1,), (3, 4)], [(1, 2), (3,)]])
+def test_ragged_rows_are_refused(rows):
+    for call in (lambda: linalg.rank(rows), lambda: linalg.rref(rows),
+                 lambda: linalg.rref(rows, echelon=True)):
+        with pytest.raises(ValueError, match="column count"):
+            call()
+
+
 def test_matmul_against_sympy():
     rng = random.Random(12)
     for i in range(40):
