@@ -3,9 +3,10 @@
 Conversion between the two descriptions runs the double description method
 in integers: rational input is scaled to primitive integer vectors, then
 constraints are added one at a time to a (lineality, rays) pair whose
-vectors stay primitive integer tuples.  Ray adjacency is decided
-combinatorially, from the sets of constraints each ray is tight on, with
-no elimination.  Floats are refused, so membership, duality and
+vectors stay primitive integer tuples.  The sets of constraints the rays
+are tight on decide ray adjacency, with no elimination, and give the
+irredundant constraints of a pointed, full-dimensional cone, so one pass
+canonicalises it.  Floats are refused, so membership, duality and
 intersection are exact.
 
 Extremal rays are kept in canonical primitive integer form and sorted
@@ -26,6 +27,10 @@ def _unit(rank, i):
     return tuple(int(j == i) for j in range(rank))
 
 
+def _both_signs(vectors):
+    return [w for v in vectors for w in (v, tuple(-x for x in v))]
+
+
 def _reduce(v):
     """Primitive form of a nonzero integer vector (no denominators to clear)."""
     g = gcd(*v)
@@ -36,10 +41,12 @@ def _double_description(normals, ambient_rank):
     """Lineality basis and extremal rays of {x : a.x >= 0 for all a}.
 
     Each nonzero normal is scaled to a primitive integer vector first.
-    Returns (lineality, rays) as lists of primitive integer tuples.  The
-    rays are extremal modulo the lineality space.  Two rays are adjacent
-    iff no third ray is tight on every normal both are tight on
-    (Fukuda-Prodon, "Double description method revisited", 1996).
+    Returns (lineality, rays, tight): lists of primitive integer tuples, the
+    rays sorted and extremal modulo the lineality space, and for each ray the
+    frozenset of the indices, among the nonzero normals only, of the normals
+    it is tight on.  Two rays are adjacent iff no third ray is tight on every
+    normal both are tight on (Fukuda-Prodon, "Double description method
+    revisited", 1996).
     """
     lin = [_unit(ambient_rank, i) for i in range(ambient_rank)]
     rays = []  # (vector, frozenset of tight constraint indices)
@@ -101,7 +108,31 @@ def _double_description(normals, ambient_rank):
     lin_rows, pivots, _ = linalg.rref(lin)
     lineality = [primitive(l if l[p] > 0 else [-x for x in l])
                  for l, p in zip(lin_rows, pivots)]
-    return lineality, sorted(r for r, _ in rays)
+    rays.sort()
+    return lineality, [r for r, _ in rays], [t for _, t in rays]
+
+
+def _facets(normals, rays, tight):
+    """Sorted primitive facet normals of a pointed {x : a.x >= 0}; None if lower-dimensional.
+
+    ``rays`` and ``tight`` are a pass over ``normals`` that left no lineality.
+    Unless a normal is tight on every ray (as all are if there is none), the
+    cone is full-dimensional, and a facet's rays span its hyperplane: a
+    normal tight on exactly those rays is the facet's normal, and the facets
+    are the normals whose sets of tight rays are inclusion-maximal.
+    """
+    normals = [a for a in normals if any(a)]
+    masks = [0] * len(normals)
+    for j, t in enumerate(tight):
+        for i in t:
+            masks[i] |= 1 << j
+    if (1 << len(rays)) - 1 in masks:
+        return None
+    kept = set()
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if all(m & k != m for k in kept):
+            kept.add(m)
+    return sorted({primitive(a) for a, m in zip(normals, masks) if m in kept})
 
 
 class Cone:
@@ -144,20 +175,15 @@ class Cone:
             raise ValueError("ambient rank required for the zero cone")
         vs = [v for v in vs if any(v)]
         if not vs:
-            facets = []
-            for i in range(ambient_rank):
-                u = _unit(ambient_rank, i)
-                facets.append(u)
-                facets.append(tuple(-x for x in u))
-            return cls(ambient_rank, (), sorted(facets), ())
+            units = [_unit(ambient_rank, i) for i in range(ambient_rank)]
+            return cls(ambient_rank, (), sorted(_both_signs(units)), ())
 
-        dual_lin, dual_rays = _double_description(vs, ambient_rank)
-        facets = list(dual_rays)
-        for l in dual_lin:
-            facets.append(l)
-            facets.append(tuple(-x for x in l))
-        facets.sort()
-        lineality, rays = _double_description(facets, ambient_rank)
+        dual_lin, dual_rays, tight = _double_description(vs, ambient_rank)
+        rays = None if dual_lin else _facets(vs, dual_rays, tight)  # the dual's facets
+        if rays is not None:
+            return cls(ambient_rank, rays, dual_rays, ())
+        facets = sorted(dual_rays + _both_signs(dual_lin))
+        lineality, rays, _ = _double_description(facets, ambient_rank)
         return cls(ambient_rank, rays, facets, lineality)
 
     @classmethod
@@ -167,12 +193,11 @@ class Cone:
         for a in ns:
             if len(a) != ambient_rank:
                 raise ValueError("dimension mismatch among inequalities")
-        lineality, rays = _double_description(ns, ambient_rank)
-        gens = list(rays)
-        for l in lineality:
-            gens.append(l)
-            gens.append(tuple(-x for x in l))
-        return cls.from_generators(gens, ambient_rank)
+        lineality, rays, tight = _double_description(ns, ambient_rank)
+        facets = None if lineality else _facets(ns, rays, tight)
+        if facets is not None:
+            return cls(ambient_rank, rays, facets, ())
+        return cls.from_generators(rays + _both_signs(lineality), ambient_rank)
 
     @classmethod
     def zero(cls, ambient_rank):
@@ -242,13 +267,6 @@ class Cone:
         return {"rank": self.ambient_rank,
                 "rays": [list(r) for r in self.rays],
                 "facets": [list(f) for f in self.facets]}
-
-    @classmethod
-    def from_json(cls, data):
-        cone = cls.from_inequalities(data["facets"], data["rank"])
-        if [list(r) for r in cone.rays] != data["rays"]:
-            raise ValueError("inconsistent serialized cone")
-        return cone
 
     def __repr__(self):
         flag = "" if self.pointed else ", not pointed"

@@ -28,7 +28,9 @@ def test_cones_json_round_trip():
     assert code == 0
     report = json.loads(out)
     assert report["command"] == "cones"
-    cone = Cone.from_json(report["results"])
+    data = report["results"]
+    cone = Cone.from_inequalities(data["facets"], data["rank"])
+    assert [list(r) for r in cone.rays] == data["rays"]
     assert set(cone.rays) == {(0, 1, 0), (0, 0, 1), (4, -3, -2)}
 
 
@@ -129,6 +131,10 @@ def test_domain_error_exit_code():
         code, _ = run_cli("pfaffian", *argv)
         assert code == 3, argv
     code, _ = run_cli("gkz", "--n", "14")
+    assert code == 3
+    code, _ = run_cli("chamber", "--n", "16", "--point", "1,0,0,0,0,0,0,0")
+    assert code == 3
+    code, _ = run_cli("cones", "--n", "31", "--cone", "mov")
     assert code == 3
 
 

@@ -9,8 +9,9 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
+from skewmori.chambers import configuration_for, gkz_chambers
 from skewmori.cones import Cone, _double_description, nonneg_combination
-from skewmori import geometry
+from skewmori import cones, geometry
 
 
 OCTANT2 = Cone.from_generators([(1, 0), (0, 1)])
@@ -125,7 +126,9 @@ def test_not_pointed_flagged():
 def test_json_round_trip():
     for cone in (OCTANT2, geometry.nef_cone(8), geometry.eff_cone(7)):
         data = json.loads(json.dumps(cone.to_json()))
-        assert Cone.from_json(data) == cone
+        parsed = Cone.from_inequalities(data["facets"], data["rank"])
+        assert [list(r) for r in parsed.rays] == data["rays"]
+        assert parsed == cone
         assert data["rays"] == [list(r) for r in cone.rays]
 
 
@@ -255,7 +258,7 @@ def test_double_description_against_brute_force(seed):
         # the canonical cone, and the one pass over the redundant normals, whose
         # rays the passes inside from_inequalities would clean up
         for lineality, rays in ((cone.lineality, cone.rays),
-                                _double_description(normals, ambient)):
+                                _double_description(normals, ambient)[:2]):
             assert len(set(rays)) == len(rays)
             for r in rays:
                 assert all(sum(x * y for x, y in zip(a, r)) >= 0 for a in normals)
@@ -281,3 +284,66 @@ def test_double_description_against_brute_force(seed):
 def test_floats_are_refused(build):
     with pytest.raises(ValueError, match="inexact"):
         build()
+
+
+def random_vectors(rng, rank):
+    """Seeded vectors spanning a random subspace, all in one simplicial cone of
+    it (a pointed hull) or not, with zero, repeated and non-primitive vectors."""
+    basis = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rng.randint(1, rank))]
+    low = 0 if rng.random() < 0.5 else -2
+    vectors = [tuple(sum(rng.randint(low, 3) * b[j] for b in basis) for j in range(rank))
+               for _ in range(rng.randint(0, 8))]
+    if vectors and rng.random() < 0.4:
+        vectors.append(tuple(rng.choice((2, 3)) * x for x in rng.choice(vectors)))
+    if vectors and rng.random() < 0.3:
+        vectors.append(rng.choice(vectors))
+    if rng.random() < 0.2:
+        vectors.insert(rng.randint(0, len(vectors)), (0,) * rank)
+    return vectors
+
+
+def passes_canonical(vectors, rank, inequalities):
+    """(rays, facets, lineality) as the passes alone give it: V->H->V from
+    generators, and H->V first from inequalities."""
+    if inequalities:
+        lineality, rays, _ = _double_description(vectors, rank)
+        vectors = rays + [v for l in lineality for v in (l, tuple(-x for x in l))]
+    vectors = [v for v in vectors if any(v)]
+    if not vectors:
+        units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+        return (), tuple(sorted(units + [tuple(-x for x in u) for u in units])), ()
+    dual_lin, dual_rays, _ = _double_description(vectors, rank)
+    facets = sorted(dual_rays + [v for l in dual_lin for v in (l, tuple(-x for x in l))])
+    lineality, rays, _ = _double_description(facets, rank)
+    return tuple(rays), tuple(facets), tuple(lineality)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_pass_against_the_passes(seed, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cones, "_double_description",
+                        lambda *a: calls.append(a) or _double_description(*a))
+    rng = random.Random(f"one-pass:{seed}")
+    one_pass = 0
+    for i in range(300):
+        rank = 1 + i % 6
+        vectors = [] if i < 6 else random_vectors(rng, rank)
+        for inequalities, build in ((False, Cone.from_generators),
+                                    (True, Cone.from_inequalities)):
+            calls.clear()
+            cone = build(vectors, rank)
+            got = (cone.rays, cone.facets, cone.lineality)
+            assert got == passes_canonical(vectors, rank, inequalities), vectors
+            if cone.pointed and cone.dim() == rank:
+                assert len(calls) == 1, vectors  # the one pass sufficed
+                one_pass += 1
+    assert one_pass > 100
+
+
+def test_walk_makes_one_pass_per_chamber(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cones, "_double_description",
+                        lambda *a: calls.append(a) or _double_description(*a))
+    dec = gkz_chambers(configuration_for(8))
+    assert len(dec.chambers) == 15
+    assert len(calls) == 16  # the effective cone, then one per chamber

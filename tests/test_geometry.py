@@ -130,6 +130,14 @@ def test_movable_ray_counts():
         assert len(movable_cone(n).rays) == expected, n
 
 
+def test_movable_ray_counts_beyond_13():
+    # the formula of the test above, at n = 20 and 21; n = 31 is refused
+    assert len(movable_cone(20).rays) == 257
+    assert len(movable_cone(21).rays) == 512
+    with pytest.raises(ValueError):
+        movable_cone(31)
+
+
 def test_movable_equals_nef_for_small_n():
     for n in (4, 5, 6):
         assert movable_cone(n) == nef_cone(n)
