@@ -46,7 +46,6 @@ from .chambers import (
     configuration_for,
     conjecture_counts,
     decomposition_for,
-    forced_groups,
     gkz_chambers,
 )
 

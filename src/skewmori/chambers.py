@@ -21,7 +21,7 @@ non-convex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
 from math import comb
@@ -70,11 +70,6 @@ class VectorConfiguration:
             self._subset_cones[key] = Cone.from_generators(sorted(key), self.rank)
         return self._subset_cones[key]
 
-    def cone_without(self, excluded_labels):
-        """Hull of the degrees of every family outside the excluded set."""
-        keep = [g.degree for g in self.groups if g.label not in excluded_labels]
-        return self.subset_cone(keep) if keep else Cone.zero(self.rank)
-
     def bases(self):
         """(planes, normals, bases), computed once: the K spanned hyperplanes h_k,
         the normals +h_k then -h_k, and each independent ``rank``-subset of
@@ -118,48 +113,44 @@ def first_blowup_configuration(n):
     return VectorConfiguration(2, groups + [GeneratorGroup("S1", (0, 1), 1)], (3, -1))
 
 
-def group_is_forced(config, labels, w):
-    """Raw test: w is not in the hull of the degrees outside the given families."""
-    labels = {labels} if isinstance(labels, str) else labels
-    return not config.cone_without(frozenset(labels)).contains(w)
-
-
-def forced_groups(config, w):
-    """Families whose variables appear in every monomial of every multiple of w.
-
-    Families whose zero locus is empty in the ambient toric model are
-    dropped, which matches the geometric stable base locus; the raw
-    combinatorial test is ``group_is_forced``.
-    """
-    w = tuple(w)
-    if not config.ambient.contains(w):
-        raise ValueError("class outside the effective cone")
-    return frozenset(g.label for g in config.groups if group_is_forced(config, g.label, w)
-                     and not group_is_forced(config, g.label, config.polarization))
-
-
 def sbl_signature(config, w):
     """Antichain of minimal forced, nonempty family sets at w.
 
     This is a complete combinatorial invariant of the stable base locus in
     the ambient toric model: singletons are divisorial components, larger
     sets are deeper strata (e.g. intersections of two boundary divisors).
+    A class outside the effective cone is refused with ``ValueError``.
     """
-    w, labels, forced = tuple(w), config.labels, []
+    w, labels, found = tuple(w), config.labels, []
+    if not config.ambient.contains(w):
+        raise ValueError("class outside the effective cone")
+
+    def forced(s, v):  # v is outside the hull of the degrees of the other families
+        return not config.subset_cone([g.degree for g in config.groups
+                                       if g.label not in s]).contains(v)
+
     for s in (frozenset(c) for size in range(len(labels)) for c in combinations(labels, size + 1)):
-        if (not any(prev <= s for prev in forced) and group_is_forced(config, s, w)
-                and not group_is_forced(config, s, config.polarization)):
-            forced.append(s)
-    return frozenset(forced)
+        if (not any(prev <= s for prev in found) and forced(s, w)
+                and not forced(s, config.polarization)):
+            found.append(s)
+    return frozenset(found)
+
+
+def _divisorial(signature):
+    """The forced singleton families of a signature: its divisorial part."""
+    return frozenset(l for s in signature if len(s) == 1 for l in s)
 
 
 @dataclass(frozen=True)
 class GKZChamber:
-    """A cell of the chamber decomposition with its base-locus data."""
+    """A cell of the chamber decomposition with its base-locus signature."""
     cone: Cone
     representative: tuple
-    forced: frozenset
-    signature: frozenset = field(compare=False)
+    signature: frozenset
+
+    @property
+    def forced(self):
+        return _divisorial(self.signature)
 
     @property
     def rays(self):
@@ -173,8 +164,11 @@ class GKZChamber:
 class Region:
     """A stable-base-locus region: chambers glued along vanished walls."""
     signature: frozenset
-    labels: frozenset  # forced singleton families (divisorial part)
-    chambers: tuple    # indices into Decomposition.chambers
+    chambers: tuple  # indices into Decomposition.chambers
+
+    @property
+    def labels(self):
+        return _divisorial(self.signature)
 
 
 class Decomposition:
@@ -192,8 +186,7 @@ class Decomposition:
             by_signature = {}
             for idx, ch in enumerate(self.chambers):
                 by_signature.setdefault(ch.signature, []).append(idx)
-            regions = [Region(sig, frozenset(s for g in sig if len(g) == 1 for s in g), tuple(idxs))
-                       for sig, idxs in by_signature.items()]
+            regions = [Region(sig, tuple(idxs)) for sig, idxs in by_signature.items()]
             regions.sort(key=lambda r: (sorted(sorted(g) for g in r.signature), r.chambers))
             self._regions = tuple(regions)
         return self._regions
@@ -235,7 +228,7 @@ def _held(config, w, name="class"):
 
 
 def _base_locus(config, held, polarization):
-    """(forced families, signature) at a generic class from the bases holding it.
+    """The signature at a generic class from the bases holding it.
 
     By Caratheodory a family set is forced iff each held basis has a degree of
     its families only, and nonempty iff some basis holding the polarization has
@@ -255,8 +248,7 @@ def _base_locus(config, held, polarization):
     # each family has one degree, so a degree set t and the families of its
     # degrees determine each other: minimality and nonemptiness carry over
     owners = [{g.label for g in config.groups if g.degree == v} for v in config.vectors]
-    signature = frozenset(frozenset().union(*(owners[i] for i in _bits(t))) for t in found)
-    return frozenset(l for s in signature if len(s) == 1 for l in s), signature
+    return frozenset(frozenset().union(*(owners[i] for i in _bits(t))) for t in found)
 
 
 def gkz_chambers(config):
@@ -292,7 +284,7 @@ def gkz_chambers(config):
     order = sorted(found.items(), key=lambda item: item[1].rays)
     index = {cone.rays: i for i, (_, cone) in enumerate(order)}
     walls = sorted((*sorted((index[a], index[b])), on) for on, (a, b) in walls.items())
-    return Decomposition(config, [GKZChamber(cone, cone.interior_point(), *_base_locus(
+    return Decomposition(config, [GKZChamber(cone, cone.interior_point(), _base_locus(
         config, held, start)) for held, cone in order], walls)
 
 
@@ -302,8 +294,8 @@ def chamber_of(config, w):
     if config.rank > 7:
         raise ValueError("chamber queries supported up to rank 7")
     w = tuple(w)
-    forced = forced_groups(config, w)  # refuses a w outside the effective cone
-    return GKZChamber(_canonical_chamber(config, w), w, forced, sbl_signature(config, w))
+    signature = sbl_signature(config, w)  # refuses a w outside the effective cone
+    return GKZChamber(_canonical_chamber(config, w), w, signature)
 
 
 @cache

@@ -51,13 +51,12 @@ def cmd_pfaffian(args):
 
 def cmd_classes(args):
     n = args.n
-    rows = []
-    top = (n - 3) // 2 if n % 2 == 1 else (n - 2) // 2
-    for k in range(top + 1):
+    rows, r = [], geometry.exceptional_count(n)
+    for k in range(r + 1):
         rows.append((f"D{2 * k + 2}", geometry.divisor_class_D(n, k).coeffs))
     if n % 2 == 1 and n >= 3:
         rows.append((f"D{n + 1}", geometry.divisor_class_D(n, (n - 1) // 2).coeffs))
-    for i in range(1, geometry.exceptional_count(n) + 1):
+    for i in range(1, r + 1):
         rows.append((f"E{i}", geometry.exceptional_class(n, i).coeffs))
     rows.append(("-K", geometry.anticanonical(n).coeffs))
     cox = [{"label": g.label, "degree": list(g.degree.coeffs), "multiplicity": g.multiplicity}

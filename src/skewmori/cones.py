@@ -203,10 +203,6 @@ class Cone:
     def zero(cls, ambient_rank):
         return cls.from_generators([], ambient_rank)
 
-    @classmethod
-    def full_space(cls, ambient_rank):
-        return cls.from_inequalities([], ambient_rank)
-
     @property
     def pointed(self):
         return not self.lineality

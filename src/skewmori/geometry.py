@@ -55,12 +55,6 @@ class DivisorClass:
         if len(self.coeffs) != picard_rank(self.n):
             raise ValueError("coefficient vector does not match the Picard rank")
 
-    def __mul__(self, c):
-        _int_coefficients((c,))
-        return DivisorClass(self.n, tuple(c * a for a in self.coeffs))
-
-    __rmul__ = __mul__
-
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
@@ -139,8 +133,7 @@ def nef_generators(n):
     """Extremal rays of the nef cone: all classes D_2, D_4, ..."""
     if n in (2, 3):
         return [hyperplane_class(n)]
-    top = (n - 3) // 2 if n % 2 == 1 else (n - 2) // 2
-    return [divisor_class_D(n, j) for j in range(top + 1)]
+    return [divisor_class_D(n, j) for j in range(exceptional_count(n) + 1)]
 
 
 def eff_cone(n):
@@ -244,12 +237,10 @@ def cox_generator_degrees(n):
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    gens = []
-    top = (n - 3) // 2 if n % 2 == 1 else (n - 2) // 2
-    for k in range(top + 1):
+    gens, r = [], exceptional_count(n)
+    for k in range(r + 1):
         size = 2 * k + 2
         gens.append(CoxGenerator(f"T{size}", divisor_class_D(n, k), comb(n + 1, size)))
-    r = exceptional_count(n)
     for i in range(1, r + 1):
         gens.append(CoxGenerator(f"S{i}", exceptional_class(n, i), 1))
     if n % 2 == 1:

@@ -108,21 +108,6 @@ class Polynomial:
             total += value
         return total
 
-    def partial(self, i, j=None):
-        """Partial derivative with respect to the upper-triangle variable z_ij."""
-        if j is None:
-            i, j = i
-        k = var_index(self.n, i, j)
-        terms = {}
-        for exp, coef in self.terms.items():
-            if exp[k] == 0:
-                continue
-            new = list(exp)
-            new[k] -= 1
-            new = tuple(new)
-            terms[new] = terms.get(new, 0) + coef * exp[k]
-        return Polynomial(self.n, terms)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
@@ -148,17 +133,6 @@ class Polynomial:
     def to_json(self):
         return {"vars": [var_name(self.n, i, j) for i, j in var_pairs(self.n)],
                 "terms": [{"exp": list(e), "coef": c} for e, c in self.sorted_terms()]}
-
-    @classmethod
-    def from_json(cls, data):
-        nvars = len(data["vars"])
-        # nvars = (n+1)n/2
-        n = 0
-        while (n + 1) * n // 2 < nvars:
-            n += 1
-        if (n + 1) * n // 2 != nvars:
-            raise ValueError("variable count is not a triangular number")
-        return cls(n, {tuple(t["exp"]): t["coef"] for t in data["terms"]})
 
 
 class SkewMatrix:
@@ -195,22 +169,6 @@ class SkewMatrix:
         raise AttributeError("SkewMatrix is immutable")
 
     @classmethod
-    def from_upper(cls, size, upper_rows):
-        """Build from upper-triangle rows [[z01..z0n], [z12..z1n], ...]."""
-        rows = [[0] * size for _ in range(size)]
-        if len(upper_rows) != max(size - 1, 0):
-            raise ValueError("wrong number of upper-triangle rows")
-        for i, row in enumerate(upper_rows):
-            if len(row) != size - 1 - i:
-                raise ValueError("wrong upper-triangle row length")
-            linalg.clear_denominators(row)
-            for off, value in enumerate(row):
-                j = i + 1 + off
-                rows[i][j] = value
-                rows[j][i] = -value
-        return cls(rows)
-
-    @classmethod
     def zero(cls, size):
         return cls([[0] * size for _ in range(size)])
 
@@ -243,11 +201,6 @@ class SkewMatrix:
         return {"size": self.size,
                 "upper": [[str(self.entry(i, j)) for j in range(i + 1, self.size)]
                           for i in range(self.size - 1)]}
-
-    @classmethod
-    def from_json(cls, data):
-        upper = [[Fraction(x) for x in row] for row in data["upper"]]
-        return cls.from_upper(data["size"], upper)
 
     def __repr__(self):
         return f"SkewMatrix(size={self.size})"
@@ -521,10 +474,7 @@ def skew_inverse(matrix):
     """Exact inverse of an invertible skew matrix; skew again, and an involution."""
     if matrix.size % 2 == 1:
         raise ValueError("odd-size skew matrices are singular")
-    if pfaffian_value(matrix) == 0:
-        raise ValueError("singular skew matrix")
-    inv = linalg.inverse(matrix.to_rows())
-    return SkewMatrix(inv)
+    return SkewMatrix(linalg.inverse(matrix.to_rows()))
 
 
 def validate_complete_form(stages):

@@ -16,11 +16,9 @@ from skewmori.chambers import (
     describe_signature,
     first_blowup_configuration,
     first_blowup_intervals,
-    forced_groups,
     gkz_chambers,
-    group_is_forced,
 )
-from skewmori.cones import Cone
+from skewmori.cones import Cone, nonneg_combination
 from skewmori.linalg import dot
 
 
@@ -97,7 +95,7 @@ def test_chamber_of_exceptional_side():
 
 
 def test_chamber_of_outside_effective():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the effective cone"):
         chamber_of(configuration_for(6), (-1, 0, 0))
 
 
@@ -109,11 +107,11 @@ def test_chamber_of_refuses_floats():
 def test_forced_groups_a6_examples():
     config = configuration_for(6)
     # interior of <D_2, D_4, E_2>
-    assert forced_groups(config, (3, -1, 1)) == frozenset({"S2"})
+    assert chamber_of(config, (3, -1, 1)).forced == frozenset({"S2"})
     # interior of the nef cone
-    assert forced_groups(config, (6, -3, -1)) == frozenset()
+    assert chamber_of(config, (6, -3, -1)).forced == frozenset()
     # interior of <D_2, E_1, E_2>
-    assert forced_groups(config, (1, 1, 1)) == frozenset({"S1", "S2"})
+    assert chamber_of(config, (1, 1, 1)).forced == frozenset({"S1", "S2"})
 
 
 def test_forced_raw_rule_vs_filtered():
@@ -122,9 +120,13 @@ def test_forced_raw_rule_vs_filtered():
     # locus keeps only E_2 and the two E_2 chambers merge
     config = configuration_for(6)
     w = (5, -3, 0)
-    assert group_is_forced(config, {"T6"}, w)
-    assert forced_groups(config, w) == frozenset({"S2"})
-    assert group_is_forced(config, {"S2"}, w)
+
+    def others(label):
+        return [g.degree for g in config.groups if g.label != label]
+
+    assert nonneg_combination(others("T6"), w) is None
+    assert chamber_of(config, w).forced == frozenset({"S2"})
+    assert nonneg_combination(others("S2"), w) is None
 
 
 def test_sbl_region_counts_and_merge():

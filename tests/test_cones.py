@@ -110,7 +110,7 @@ def test_equal_up_to_redundancy():
 
 def test_zero_cone_and_full_space():
     zero = Cone.zero(3)
-    full = Cone.full_space(3)
+    full = Cone.from_inequalities([], 3)
     assert zero.rays == () and zero.dim() == 0 and zero.pointed
     assert zero.contains((0, 0, 0)) and not zero.contains((1, 0, 0))
     assert full.dim() == 3 and not full.pointed
