@@ -21,7 +21,6 @@ non-convex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
 from math import comb
@@ -32,12 +31,9 @@ from .cones import Cone, hyperplanes_spanned_by
 from .linalg import dot
 
 
-@dataclass(frozen=True)
-class GeneratorGroup:
+class GeneratorGroup(geometry.Record):
     """One family of Cox generators sharing a degree: label, degree, count."""
-    label: str
-    degree: tuple
-    multiplicity: int
+    __slots__ = _fields = ("label", "degree", "multiplicity")
 
 
 class VectorConfiguration:
@@ -108,6 +104,9 @@ def first_blowup_configuration(n):
     (k+1) H - k E_1, for sizes up to n+1 for odd n (the full Pfaffian), n for even n."""
     if n < 4:
         raise ValueError("the single blow-up model needs n >= 4")
+    # `blowup1` takes 6.8 s at n = 400 and 11.6 s at n = 450 (2 vCPUs, CPython 3.11.7)
+    if n > 400:
+        raise ValueError("the single blow-up model is supported up to n = 400")
     groups = [GeneratorGroup(f"T{2 * k + 2}", (k + 1, -k), comb(n + 1, 2 * k + 2))
               for k in range((n - 1) // 2 + 1)]
     return VectorConfiguration(2, groups + [GeneratorGroup("S1", (0, 1), 1)], (3, -1))
@@ -141,12 +140,9 @@ def _divisorial(signature):
     return frozenset(l for s in signature if len(s) == 1 for l in s)
 
 
-@dataclass(frozen=True)
-class GKZChamber:
+class GKZChamber(geometry.Record):
     """A cell of the chamber decomposition with its base-locus signature."""
-    cone: Cone
-    representative: tuple
-    signature: frozenset
+    __slots__ = _fields = ("cone", "representative", "signature")
 
     @property
     def forced(self):
@@ -160,11 +156,9 @@ class GKZChamber:
         return self.cone.dim() == self.cone.ambient_rank
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(geometry.Record):
     """A stable-base-locus region: chambers glued along vanished walls."""
-    signature: frozenset
-    chambers: tuple  # indices into Decomposition.chambers
+    __slots__ = _fields = ("signature", "chambers")  # chambers index Decomposition.chambers
 
     @property
     def labels(self):
@@ -212,13 +206,14 @@ def _canonical_chamber(config, w, held=None):
     return Cone.from_inequalities(sorted(facets), config.rank)
 
 
-def _held(config, w, name="class"):
-    """Masks of the bases holding w.  A basis holding w on its boundary puts w
-    in a lower-dimensional subset cone, a wall, and no basis holds a w outside
-    the effective cone; either way w is refused with ``ValueError``."""
+def _held(config, w, name="class", values=None):
+    """Masks of the bases holding w (``values`` are its h.w, if known).  A basis
+    holding w on its boundary puts w in a lower-dimensional subset cone, a wall,
+    and no basis holds a w outside the effective cone; either is a ``ValueError``."""
     planes, _, bases = config.bases()
-    values = [dot(h, w) for h in planes]
-    values += [-x for x in values]
+    if values is None:
+        values = [dot(h, w) for h in planes]
+    values = values + [-x for x in values]
     above = sum(1 << k for k, x in enumerate(values) if x > 0)
     below = sum(1 << k for k, x in enumerate(values) if x < 0)
     held = tuple(b for b in bases if not b[1] & below)
@@ -227,20 +222,21 @@ def _held(config, w, name="class"):
     return held
 
 
-def _base_locus(config, held, polarization):
+def _base_locus(config, held, nonempty):
     """The signature at a generic class from the bases holding it.
 
     By Caratheodory a family set is forced iff each held basis has a degree of
     its families only, and nonempty iff some basis holding the polarization has
-    none.  Berge's incremental dualization (Fredman-Khachiyan, J. Algorithms
-    1996) builds the minimal degree sets meeting every held basis, dropping any
-    set that meets every polarization basis, as its supersets would.
+    none, which ``nonempty`` tells from the degree mask.  Berge's incremental
+    dualization (Fredman-Khachiyan, J. Algorithms 1996) builds the minimal
+    degree sets meeting every held basis, dropping any empty set, as its
+    supersets would be.
     """
-    allowed, found = [m for m, _ in polarization], [0]
+    found = [0]
     for edge, _ in held:
         grown = sorted([t for t in found if t & edge] + [
             t | 1 << i for t in found if not t & edge for i in _bits(edge)
-            if any(not (t | 1 << i) & a for a in allowed)], key=int.bit_count)
+            if nonempty(t | 1 << i)], key=int.bit_count)
         found = []
         for t in grown:
             if not any(f & t == f for f in found):
@@ -253,8 +249,8 @@ def _base_locus(config, held, polarization):
 
 def gkz_chambers(config):
     """All maximal chambers of the configuration, canonically ordered."""
-    # Walk times on 2 vCPUs, CPython 3.11.7: 0.6 s at n = 11 (rank 5), 1.5 s
-    # at n = 12 and 10 s at n = 13 (rank 6, 486 bases, 1285 chambers).
+    # Walk times on 2 vCPUs, CPython 3.11.7: 0.6 s at n = 11 (rank 5), 0.8 s
+    # at n = 12 and 5 s at n = 13 (rank 6, 486 bases, 1285 chambers).
     if config.rank > 6:
         raise ValueError("chamber decomposition supported up to rank 6")
     start, planes = _held(config, config.polarization, "polarization"), config.bases()[0]
@@ -271,8 +267,10 @@ def gkz_chambers(config):
                 # w = t*p + (p - c), for the least t >= 1 keeping p's side of
                 # every hyperplane missing p, lies just past the wall
                 d = tuple(a - b for a, b in zip(p, c))
-                t = 1 + max([0] + [-dot(h, d) // hp for h in planes if (hp := dot(h, p))])
-                nxt = _held(config, w := tuple(t * a + b for a, b in zip(p, d)))
+                hp, hd = [dot(h, p) for h in planes], [dot(h, d) for h in planes]
+                t = 1 + max([0] + [-b // a for a, b in zip(hp, hd) if a])
+                nxt = _held(config, w := tuple(t * a + b for a, b in zip(p, d)),
+                            values=[t * a + b for a, b in zip(hp, hd)])
                 if nxt not in found:
                     found[nxt] = _canonical_chamber(config, w, nxt)
                     queue.append(nxt)
@@ -284,8 +282,9 @@ def gkz_chambers(config):
     order = sorted(found.items(), key=lambda item: item[1].rays)
     index = {cone.rays: i for i, (_, cone) in enumerate(order)}
     walls = sorted((*sorted((index[a], index[b])), on) for on, (a, b) in walls.items())
+    nonempty = cache(lambda t: any(not t & a for a, _ in start))  # misses a polarization basis
     return Decomposition(config, [GKZChamber(cone, cone.interior_point(), _base_locus(
-        config, held, start)) for held, cone in order], walls)
+        config, held, nonempty)) for held, cone in order], walls)
 
 
 def chamber_of(config, w):

@@ -20,7 +20,6 @@ generated or cut out by these classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
 
 from .cones import Cone
@@ -37,46 +36,68 @@ def picard_rank(n):
     return exceptional_count(n) + 1
 
 
-def _int_coefficients(coeffs):
-    """The coefficients as a tuple of ints; anything else is refused, not truncated."""
+def _int_coefficients(n, coeffs, lattice):
+    """The coefficients as ints, as many as the lattice's rank; anything else is refused."""
     if not all(isinstance(c, int) for c in coeffs):
         raise ValueError(f"inexact coefficients {tuple(coeffs)!r}: use int")
+    if len(coeffs) != picard_rank(n):
+        raise ValueError(f"coefficient vector does not match the {lattice} rank")
     return tuple(map(int, coeffs))
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """Integer vector in the basis (H, E_1, ..., E_r)."""
-    n: int
-    coeffs: tuple
+class Record:
+    """Immutable ``_fields``, equal only within one class, hashed and shown by value."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _int_coefficients(self.coeffs))
-        if len(self.coeffs) != picard_rank(self.n):
-            raise ValueError("coefficient vector does not match the Picard rank")
+    __slots__ = _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class DivisorClass(Record):
+    """Integer vector in the basis (H, E_1, ..., E_r)."""
+    __slots__ = _fields = ("n", "coeffs")
+
+    def __init__(self, n, coeffs):
+        super().__init__(n, _int_coefficients(n, coeffs, "Picard"))
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Record):
     """Integer vector in the basis (l, e_1, ..., e_r)."""
-    n: int
-    coeffs: tuple
+    __slots__ = _fields = ("n", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _int_coefficients(self.coeffs))
-        if len(self.coeffs) != picard_rank(self.n):
-            raise ValueError("coefficient vector does not match the lattice rank")
+    def __init__(self, n, coeffs):
+        super().__init__(n, _int_coefficients(n, coeffs, "lattice"))
 
 
-@dataclass(frozen=True)
-class CoxGenerator:
+class CoxGenerator(Record):
     """One generator family of the total coordinate ring: label, degree, count."""
-    label: str
-    degree: DivisorClass
-    multiplicity: int
+    __slots__ = _fields = ("label", "degree", "multiplicity")
 
 
 def pair(divisor, curve):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb, isqrt, prod
 
 from . import linalg
 from .linalg import dot
@@ -370,6 +370,9 @@ def multiplicity_estimate(n, k, h, trials=5, seed=0, bound=100):
         raise ValueError(f"h={h} out of range 1..{(n + 1) // 2} for n={n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # 11 s at k = 5, over 60 s and 820 MB at k = 6, with 5 trials (2 vCPUs, CPython 3.11.7)
+    if k > 5:
+        raise ValueError("multiplicity estimates are supported up to k = 5")
     p = sub_pfaffian(n, range(2 * k + 2))
     best = None
     for t in range(trials):
@@ -408,6 +411,18 @@ def _wedge_coordinates(n, x, v_index):
             c -= x[j]
         coords.append(c)
     return tuple(coords)
+
+
+# terracini_dim takes about 22 ns per unit of terracini_work, within 30% at 13 (n, h)
+# (2 vCPUs, CPython 3.11.7): the `secant` listing takes 10.4 s at n = 15 (4.4e8) and
+# 12.7 s at n = 16 (6.1e8); h = 8 alone 7.8 s at n = 17 (4.0e8), 11.7 s at n = 18 (5.5e8).
+MAX_TERRACINI_WORK = 450_000_000
+
+
+def terracini_work(n, h):
+    """((rows * rank)^2 * columns)^(3/4) of terracini_dim's matrix: a fit to its times."""
+    rows, rank = 2 * h * (n + 1), dim_secant(n, h) + 1
+    return isqrt(isqrt(((rows * rank) ** 2 * comb(n + 1, 2)) ** 3))
 
 
 def terracini_dim(n, h, bound=100, seed=0):

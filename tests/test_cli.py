@@ -5,6 +5,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from skewmori import pfaffian
 from skewmori.chambers import conjecture_counts
 from skewmori.cli import main
 from skewmori.cones import Cone
@@ -119,7 +120,7 @@ def test_chamber_command():
     assert "maximal chamber" in out and "E1 u E2" in out
 
 
-def test_domain_error_exit_code():
+def test_domain_error_exit_code(capsys):
     code, _ = run_cli("cones", "--n", "3", "--cone", "mori")
     assert code == 3
     code, _ = run_cli("sample", "--n", "4", "--h", "0")
@@ -137,6 +138,30 @@ def test_domain_error_exit_code():
     assert code == 3
     code, _ = run_cli("cones", "--n", "31", "--cone", "mov")
     assert code == 3
+    for argv in (["multiplicity", "--n", "11"],
+                 ["multiplicity", "--n", "13", "--k", "6", "--h", "1"],
+                 ["verify", "--only", "multiplicity", "--n", "12"],
+                 ["secant", "--n", "16"], ["secant", "--n", "20"],
+                 ["secant", "--n", "18", "--h", "8"], ["secant", "--n", "8", "--h", "0"],
+                 ["blowup1", "--n", "401"], ["blowup1", "--n", "1000"],
+                 ["classes", "--n", "4001"], ["classes", "--n", "10000"],
+                 ["cones", "--n", "701", "--cone", "eff"],
+                 ["cones", "--n", "1000", "--cone", "eff"],
+                 ["cones", "--n", "100000000", "--cone", "mori"]):
+        code, _ = run_cli(*argv)
+        assert code == 3, argv
+    for argv in (["verify", "--only", "multiplicity", "--n", "0"],
+                 ["verify", "--only", "multiplicity", "--n", "1"], ["verify", "--n", "-3"]):
+        code, _ = run_cli(*argv)
+        assert code == 3 and "n must be at least 2" in capsys.readouterr().err, argv
+
+
+def test_secant_budget_edge():
+    # the secant listing is accepted up to n = 15; one h up to (17, 8) and (50, 1)
+    work, budget = pfaffian.terracini_work, pfaffian.MAX_TERRACINI_WORK
+    assert sum(work(15, h) for h in range(1, 8)) <= budget < sum(work(16, h) for h in range(1, 8))
+    assert work(17, 8) <= budget < work(18, 8)
+    assert work(50, 1) <= budget < work(60, 1)
 
 
 def test_usage_error_exit_code():
@@ -181,3 +206,25 @@ def test_tracer_finds_every_target(monkeypatch):
     t.install()
     t.uninstall()
     assert t.missing == []
+
+
+def loaded_modules(code):
+    """The names in sys.modules after running code in a fresh interpreter."""
+    probe = code + "\nimport sys\nprint(' '.join(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True)
+    return set(result.stdout.split())
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses():
+    # the benchmark's tracer reads every module off sys.modules after importing cli
+    loaded = loaded_modules("import skewmori.cli")
+    assert "dataclasses" not in loaded
+    assert {f"skewmori.{m}" for m in ("chambers", "cli", "cones", "geometry", "linalg",
+                                      "pfaffian", "verify")} <= loaded
+
+
+def test_chambers_import_skips_pfaffian():
+    loaded = loaded_modules("from skewmori import chambers")
+    assert "skewmori.chambers" in loaded
+    assert "dataclasses" not in loaded and "skewmori.pfaffian" not in loaded

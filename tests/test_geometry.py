@@ -1,9 +1,14 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 
+from skewmori.chambers import GeneratorGroup, GKZChamber, Region
+from skewmori.cones import Cone
 from skewmori.geometry import (
+    CoxGenerator,
     CurveClass,
     DivisorClass,
     anticanonical,
@@ -69,6 +74,52 @@ def test_floats_are_refused(build):
 def test_integer_classes_kept():
     coeffs = CurveClass(6, [True, 0, -2]).coeffs
     assert coeffs == (1, 0, -2) and all(type(c) is int for c in coeffs)
+
+
+RECORDS = {
+    "DivisorClass": (lambda: DivisorClass(4, (1, 0)), lambda: DivisorClass(4, (0, 1)),
+                     "DivisorClass(n=4, coeffs=(1, 0))"),
+    "CurveClass": (lambda: CurveClass(4, [1, 0]), lambda: CurveClass(6, (1, 0, 0)),
+                   "CurveClass(n=4, coeffs=(1, 0))"),
+    "CoxGenerator": (lambda: CoxGenerator("S1", DivisorClass(4, (0, 1)), 1),
+                     lambda: CoxGenerator("S1", DivisorClass(4, (0, 1)), 2),
+                     "CoxGenerator(label='S1', degree=DivisorClass(n=4, coeffs=(0, 1)), "
+                     "multiplicity=1)"),
+    "GeneratorGroup": (lambda: GeneratorGroup("A", (1, 0), 1),
+                       lambda: GeneratorGroup("B", (1, 0), 1),
+                       "GeneratorGroup(label='A', degree=(1, 0), multiplicity=1)"),
+    "GKZChamber": (lambda: GKZChamber(Cone.from_generators([(1, 0), (0, 1)]), (1, 1), frozenset()),
+                   lambda: GKZChamber(Cone.from_generators([(1, 0), (0, 1)]), (2, 1), frozenset()),
+                   "GKZChamber(cone=Cone(rank=2, rays=[(0, 1), (1, 0)]), representative=(1, 1), "
+                   "signature=frozenset())"),
+    "Region": (lambda: Region(frozenset({frozenset({"S1"})}), (0, 1)),
+               lambda: Region(frozenset(), (0, 1)),
+               "Region(signature=frozenset({frozenset({'S1'})}), chambers=(0, 1))"),
+}
+
+
+@pytest.mark.parametrize("make, make_other, text", RECORDS.values(), ids=RECORDS)
+def test_records_are_immutable_values(make, make_other, text):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != make_other() and not a == make_other()
+    assert a != tuple(getattr(a, name) for name in a._fields)
+    assert repr(a) == text
+    assert copy.copy(a) == a and type(copy.copy(a)) is type(a)
+    for name in a._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+def test_records_of_different_classes_differ():
+    divisor, curve = DivisorClass(4, (1, 0)), CurveClass(4, (1, 0))
+    assert divisor != curve and curve != divisor
+    assert divisor != (4, (1, 0)) and (4, (1, 0)) != divisor
+    assert len({divisor, curve}) == 2
+    assert pickle.loads(pickle.dumps(divisor)) == divisor
 
 
 def test_pairing():
