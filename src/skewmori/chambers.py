@@ -1,22 +1,29 @@
 """Chamber decompositions of the effective cone of A(n).
 
 The degrees of the total-coordinate-ring generators form a vector
-configuration in the Picard lattice.  The chamber of a divisor class w is the
-intersection of all subset cones of the configuration containing w, which
-``chamber_of`` builds for any w, walls included.  The decomposition walks the
+configuration V in the Picard lattice.  The chamber of a divisor class w is the
+intersection of all subset cones containing w.  The decomposition walks the
 chamber graph (Keicher, "Computing the GIT-fan", 2012) from the polarization
 through generic classes only; by Caratheodory those lie in basis cones alone,
-and the bases holding one cut out its chamber and its base locus.  Each wall
-inside the effective cone is crossed once, at an exact point past it.
+and the bases holding one cut out its chamber.  Each wall inside the effective
+cone is crossed once, at an exact point past it.  A class w of the effective
+cone lifts to a generic w' = t w + d, for d interior to it and on no spanned
+hyperplane and t keeping w's side of every hyperplane missing w; the chamber
+of w' holds w, and the cell of w is its face cut out by the facets through w.
 
 A set G of generator families is *forced* at w when w is not a nonnegative
-combination of the degrees of the remaining families, i.e. every monomial of
-every multiple of w must use a variable from G.  The common zero locus of a
-family union is nonempty in the ambient toric model exactly when the same
-test fails at the polarization, a class interior to the nef chamber.  Stable
-base loci are compared through the antichain of minimal forced, nonempty
-family sets; two chambers with equal antichains share a region, which can be
-non-convex.
+combination of the degrees of the remaining families, and *empty* when it is
+forced at the polarization p, a class interior to the nef chamber: its common
+zero locus is empty in the ambient toric model.  Stable base loci are compared
+through the antichain of minimal forced, nonempty family sets; chambers with
+equal antichains share a region, which can be non-convex.  The minimal forced
+sets are the minimal cocircuits N_h = {v in V : h.v < 0} with h.w < 0, for h a
+signed spanned-hyperplane normal (Bjorner-Las Vergnas-Sturmfels-White-Ziegler,
+*Oriented Matroids*, 1993, ch. 3): N_h is forced, as h >= 0 off it, and for a
+forced G Farkas gives y with y.w < 0 <= y.v off G, whose cell in the
+arrangement of the v^perp and w^perp is pointed, as V spans, with a ray y' off
+w^perp, cut out by V alone, so N_y' lies in G.  G is empty iff it holds an N_h
+with h.p < 0.  None of this needs w generic.
 """
 
 from __future__ import annotations
@@ -55,10 +62,14 @@ class VectorConfiguration:
                 raise ValueError("degree vector does not match the rank")
             if not self.ambient.contains(g.degree):
                 raise ValueError("degree outside the ambient cone")
-        self._subset_cones, self._bases = {}, None
+        self._subset_cones, self._chambers, self._bases = {}, {}, None
         self.labels = tuple(g.label for g in self.groups)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate group labels")
+        # each family has one degree, so a degree set and the families of its
+        # degrees determine each other: minimality and nonemptiness carry over
+        self.owners = [frozenset(g.label for g in self.groups if g.degree == v)
+                       for v in self.vectors]
 
     def subset_cone(self, vectors):
         key = frozenset(vectors)
@@ -67,14 +78,20 @@ class VectorConfiguration:
         return self._subset_cones[key]
 
     def bases(self):
-        """(planes, normals, bases), computed once: the K spanned hyperplanes h_k,
-        the normals +h_k then -h_k, and each independent ``rank``-subset of
-        ``vectors`` as (vector mask, mask of the normals of its cone's facets).
-        The facet opposite v lies on the hyperplane missing v alone."""
+        """(planes, normals, bases, cocircuits, direction), computed once: the K
+        spanned hyperplanes h_k; the normals +h_k then -h_k; each independent
+        ``rank``-subset of ``vectors`` as (vector mask, mask of its facets' normals),
+        the facet opposite v lying on the hyperplane missing v alone; per normal h,
+        the mask of N_h, or 0 if it holds an empty stratum; the h_k.d of the lift."""
         if self._bases is None:
             planes = hyperplanes_spanned_by(self.vectors, self.rank)
-            sides = [[dot(h, v) for v in self.vectors] for h in planes]
-            zeros = [sum(1 << i for i, x in enumerate(side) if not x) for side in sides]
+            normals = planes + [tuple(-x for x in h) for h in planes]
+            sides = [[dot(h, v) for v in self.vectors] for h in normals]
+            zeros = [sum(1 << i for i, x in enumerate(side) if not x)
+                     for side in sides[:len(planes)]]
+            cocircuits = [sum(1 << i for i, x in enumerate(side) if x < 0) for side in sides]
+            empty = [c for c, h in zip(cocircuits, normals) if dot(h, self.polarization) < 0]
+            cocircuits = [0 if any(e & c == e for e in empty) else c for c in cocircuits]
             bases = []
             for subset in combinations(range(len(self.vectors)), self.rank):
                 mask = sum(1 << i for i in subset)
@@ -86,7 +103,12 @@ class VectorConfiguration:
                         facets |= 1 << k + len(planes) * (sides[k][off.bit_length() - 1] < 0)
                 if covered == mask:
                     bases.append((mask, facets))
-            self._bases = planes, planes + [tuple(-x for x in h) for h in planes], bases
+            # d = t p + (1, m, ..., m^(r-1)): the last term is on no h_k, as each
+            # |h_k| < m/2, and t keeps the polarization's side of every other h_k
+            m = 2 * max(abs(x) for h in planes for x in h) + 1
+            _, direction = _lift([dot(h, self.polarization) for h in planes],
+                                 [dot(h, [m ** i for i in range(self.rank)]) for h in planes])
+            self._bases = planes, normals, bases, cocircuits, direction
         return self._bases
 
 
@@ -104,7 +126,7 @@ def first_blowup_configuration(n):
     (k+1) H - k E_1, for sizes up to n+1 for odd n (the full Pfaffian), n for even n."""
     if n < 4:
         raise ValueError("the single blow-up model needs n >= 4")
-    # `blowup1` takes 6.8 s at n = 400 and 11.6 s at n = 450 (2 vCPUs, CPython 3.11.7)
+    # `blowup1` takes 2.5-3.3 s at n = 400 and 4.1 s at n = 450, fresh (2 vCPUs, CPython 3.11.7)
     if n > 400:
         raise ValueError("the single blow-up model is supported up to n = 400")
     groups = [GeneratorGroup(f"T{2 * k + 2}", (k + 1, -k), comb(n + 1, 2 * k + 2))
@@ -118,21 +140,20 @@ def sbl_signature(config, w):
     This is a complete combinatorial invariant of the stable base locus in
     the ambient toric model: singletons are divisorial components, larger
     sets are deeper strata (e.g. intersections of two boundary divisors).
-    A class outside the effective cone is refused with ``ValueError``.
+    They are the minimal cocircuits N_h with h.w < 0 that hold no empty
+    stratum (see the module docstring); w need not be generic.  A class
+    outside the effective cone is refused with ``ValueError``.
     """
-    w, labels, found = tuple(w), config.labels, []
     if not config.ambient.contains(w):
         raise ValueError("class outside the effective cone")
-
-    def forced(s, v):  # v is outside the hull of the degrees of the other families
-        return not config.subset_cone([g.degree for g in config.groups
-                                       if g.label not in s]).contains(v)
-
-    for s in (frozenset(c) for size in range(len(labels)) for c in combinations(labels, size + 1)):
-        if (not any(prev <= s for prev in found) and forced(s, w)
-                and not forced(s, config.polarization)):
-            found.append(s)
-    return frozenset(found)
+    planes, _, _, cocircuits, _ = config.bases()
+    values = [dot(h, w) for h in planes]
+    found = []
+    for c in sorted({c for c, x in zip(cocircuits, values + [-x for x in values])
+                     if x < 0 and c}, key=int.bit_count):
+        if not any(f & c == f for f in found):
+            found.append(c)
+    return frozenset(frozenset().union(*(config.owners[i] for i in _bits(c))) for c in found)
 
 
 def _divisorial(signature):
@@ -190,27 +211,22 @@ def _bits(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _canonical_chamber(config, w, held=None):
-    """Intersection of every subset cone containing w (subsets up to the rank
-    suffice), or, for a generic w, of the cones of the bases ``held`` holding it."""
-    facets = set(config.ambient.facets)
-    if held:
-        _, normals, _ = config.bases()
+def _canonical_chamber(config, held):
+    """The chamber of the generic classes the bases ``held`` hold: the
+    intersection of their cones, memoised on the configuration."""
+    if held not in config._chambers:
+        normals = config.bases()[1]
+        facets = set(config.ambient.facets)
         facets.update(normals[k] for k in _bits(reduce(or_, (f for _, f in held))))
-    else:
-        for subset in (s for size in range(1, config.rank + 1)
-                       for s in combinations(config.vectors, size)):
-            cone = config.subset_cone(subset)
-            if cone.contains(w):
-                facets.update(cone.facets)
-    return Cone.from_inequalities(sorted(facets), config.rank)
+        config._chambers[held] = Cone.from_inequalities(sorted(facets), config.rank)
+    return config._chambers[held]
 
 
 def _held(config, w, name="class", values=None):
     """Masks of the bases holding w (``values`` are its h.w, if known).  A basis
     holding w on its boundary puts w in a lower-dimensional subset cone, a wall,
     and no basis holds a w outside the effective cone; either is a ``ValueError``."""
-    planes, _, bases = config.bases()
+    planes, _, bases, _, _ = config.bases()
     if values is None:
         values = [dot(h, w) for h in planes]
     values = values + [-x for x in values]
@@ -222,29 +238,11 @@ def _held(config, w, name="class", values=None):
     return held
 
 
-def _base_locus(config, held, nonempty):
-    """The signature at a generic class from the bases holding it.
-
-    By Caratheodory a family set is forced iff each held basis has a degree of
-    its families only, and nonempty iff some basis holding the polarization has
-    none, which ``nonempty`` tells from the degree mask.  Berge's incremental
-    dualization (Fredman-Khachiyan, J. Algorithms 1996) builds the minimal
-    degree sets meeting every held basis, dropping any empty set, as its
-    supersets would be.
-    """
-    found = [0]
-    for edge, _ in held:
-        grown = sorted([t for t in found if t & edge] + [
-            t | 1 << i for t in found if not t & edge for i in _bits(edge)
-            if nonempty(t | 1 << i)], key=int.bit_count)
-        found = []
-        for t in grown:
-            if not any(f & t == f for f in found):
-                found.append(t)
-    # each family has one degree, so a degree set t and the families of its
-    # degrees determine each other: minimality and nonemptiness carry over
-    owners = [{g.label for g in config.groups if g.degree == v} for v in config.vectors]
-    return frozenset(frozenset().union(*(owners[i] for i in _bits(t))) for t in found)
+def _lift(values, direction):
+    """(t, plane values of t w + d) for the plane values of w and of d: the
+    least t >= 1 keeping w's side of every hyperplane missing w."""
+    t = 1 + max([0] + [-b // a for a, b in zip(values, direction) if a])
+    return t, [t * a + b for a, b in zip(values, direction)]
 
 
 def gkz_chambers(config):
@@ -254,7 +252,7 @@ def gkz_chambers(config):
     if config.rank > 6:
         raise ValueError("chamber decomposition supported up to rank 6")
     start, planes = _held(config, config.polarization, "polarization"), config.bases()[0]
-    found, queue, walls = {start: _canonical_chamber(config, config.polarization, start)}, [start], {}
+    found, queue, walls = {start: _canonical_chamber(config, start)}, [start], {}
     for held in queue:  # grows as the walk finds neighbours
         cone = found[held]
         c = cone.interior_point()
@@ -264,15 +262,12 @@ def gkz_chambers(config):
             if not config.ambient.interior_contains(p):
                 continue  # a facet of the effective cone
             if on not in walls:  # cross it; the walls dict maps it to its two chambers
-                # w = t*p + (p - c), for the least t >= 1 keeping p's side of
-                # every hyperplane missing p, lies just past the wall
+                # w = t*p + (p - c), lifted off p's hyperplanes, lies just past the wall
                 d = tuple(a - b for a, b in zip(p, c))
-                hp, hd = [dot(h, p) for h in planes], [dot(h, d) for h in planes]
-                t = 1 + max([0] + [-b // a for a, b in zip(hp, hd) if a])
-                nxt = _held(config, w := tuple(t * a + b for a, b in zip(p, d)),
-                            values=[t * a + b for a, b in zip(hp, hd)])
+                t, values = _lift([dot(h, p) for h in planes], [dot(h, d) for h in planes])
+                nxt = _held(config, w := tuple(t * a + b for a, b in zip(p, d)), values=values)
                 if nxt not in found:
-                    found[nxt] = _canonical_chamber(config, w, nxt)
+                    found[nxt] = _canonical_chamber(config, nxt)
                     queue.append(nxt)
                 if nxt == held or not found[nxt].contains(p):
                     raise ArithmeticError("wall crossing missed the neighbouring chamber")
@@ -282,19 +277,25 @@ def gkz_chambers(config):
     order = sorted(found.items(), key=lambda item: item[1].rays)
     index = {cone.rays: i for i, (_, cone) in enumerate(order)}
     walls = sorted((*sorted((index[a], index[b])), on) for on, (a, b) in walls.items())
-    nonempty = cache(lambda t: any(not t & a for a, _ in start))  # misses a polarization basis
-    return Decomposition(config, [GKZChamber(cone, cone.interior_point(), _base_locus(
-        config, held, nonempty)) for held, cone in order], walls)
+    return Decomposition(config, [GKZChamber(cone, w := cone.interior_point(), sbl_signature(
+        config, w)) for _, cone in order], walls)
 
 
 def chamber_of(config, w):
     """The chamber (or lower-dimensional face) of the class w."""
-    # `chamber` takes 4.6, 9.5 and 20 s at n = 14, 15, 16 (2 vCPUs, CPython 3.11.7)
+    # `chamber` takes 0.25, 0.45-0.66 and 1.3 s at n = 14, 15, 16, fresh (2 vCPUs, CPython 3.11.7)
     if config.rank > 7:
         raise ValueError("chamber queries supported up to rank 7")
     w = tuple(w)
     signature = sbl_signature(config, w)  # refuses a w outside the effective cone
-    return GKZChamber(_canonical_chamber(config, w), w, signature)
+    planes, _, _, _, direction = config.bases()
+    _, values = _lift([dot(h, w) for h in planes], direction)
+    cone = _canonical_chamber(config, _held(config, w, values=values))
+    tight = [f for f in cone.facets if not dot(f, w)]
+    if tight:  # the face of the chamber that holds w in its relative interior
+        cone = Cone.from_generators([r for r in cone.rays if not any(dot(f, r) for f in tight)],
+                                    config.rank)
+    return GKZChamber(cone, w, signature)
 
 
 @cache

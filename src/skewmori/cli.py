@@ -102,28 +102,17 @@ def cmd_cones(args):
 
 
 def _decomposition_payload(n, dec):
-    region_index = {}
-    for idx, region in enumerate(dec.regions):
-        for c in region.chambers:
-            region_index[c] = idx
-    chams = []
-    for i, ch in enumerate(dec.chambers):
-        chams.append({"rays": [list(r) for r in ch.rays],
-                      "forced": sorted(ch.forced),
-                      "region": region_index[i]})
-    regions = []
-    for region in dec.regions:
-        regions.append({"forced": sorted(region.labels),
-                        "chambers": list(region.chambers),
-                        "base_locus": describe_signature(region.signature)})
+    region_index = {c: idx for idx, region in enumerate(dec.regions) for c in region.chambers}
+    chams = [{"rays": [list(r) for r in ch.rays], "forced": sorted(ch.forced),
+              "region": region_index[i]} for i, ch in enumerate(dec.chambers)]
+    regions = [{"forced": sorted(region.labels), "chambers": list(region.chambers),
+                "base_locus": describe_signature(region.signature)} for region in dec.regions]
     return {"n": n, "chambers": chams, "regions": regions}
 
 
 def cmd_gkz(args):
-    if args.n > 8:
-        note = "toric refinement (coincidence with the Mori chambers unverified)"
-    else:
-        note = "Mori chamber decomposition"
+    note = ("toric refinement (coincidence with the Mori chambers unverified)" if args.n > 8
+            else "Mori chamber decomposition")
     dec = chambers.decomposition_for(args.n)
     payload = _decomposition_payload(args.n, dec)
     payload["note"] = note
@@ -200,7 +189,8 @@ def cmd_multiplicity(args):
 
 def cmd_secant(args):
     hs = list(range(1, (args.n + 1) // 2)) if args.h is None else [args.h]
-    if sum(pfaffian.terracini_work(args.n, h) for h in hs) > pfaffian.MAX_TERRACINI_WORK:
+    bits = max(1, args.bound.bit_length() / 7)  # see MAX_BOUND
+    if bits * sum(pfaffian.terracini_work(args.n, h) for h in hs) > pfaffian.MAX_TERRACINI_WORK:
         raise ValueError(f"secant dimensions at n={args.n} exceed the elimination budget")
     rows = [{"h": h, "dim": pfaffian.dim_secant(args.n, h),
              "codim": pfaffian.codim_secant(args.n, h),
@@ -221,8 +211,7 @@ def point(text):
 
 def cmd_chamber(args):
     w = args.point
-    config_obj = chambers.configuration_for(args.n)
-    ch = chambers.chamber_of(config_obj, w)
+    ch = chambers.chamber_of(chambers.configuration_for(args.n), w)
     config = {"n": args.n, "point": list(w)}
     results = {"rays": [list(r) for r in ch.rays],
                "maximal": ch.is_maximal(),
@@ -247,6 +236,13 @@ def _add_common(p, *, seed=False, bound=False, trials=False):
         p.add_argument("--trials", type=int, default=5,
                        help="independent samples per estimate (default 5)")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
+
+
+# Other budgets hold at the defaults; time is linear in --trials and grows with the
+# bound (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity --n 10` takes 1.5 s at 5 trials
+# and 7.3 s at 20; `secant --n 14` 3.2, 5.4, 8.2 and 10.3 s at bound 100, 10^3, 10^4 and
+# 10^6, so `secant` scales its work by the bound's bits (n = 13 at 10^6: 9.4 s).
+MAX_TRIALS, MAX_BOUND = 20, 10 ** 6
 
 
 def build_parser():
@@ -328,6 +324,8 @@ def main(argv=None):
     if args.command == "multiplicity" and (args.k is None) != (args.h is None):
         parser.error("--k and --h must be given together")
     try:
+        if getattr(args, "trials", 0) > MAX_TRIALS or getattr(args, "bound", 0) > MAX_BOUND:
+            raise ValueError(f"--trials is supported up to {MAX_TRIALS}, --bound up to {MAX_BOUND}")
         return args.fn(args)
     except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

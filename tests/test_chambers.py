@@ -6,6 +6,8 @@ import pytest
 
 from skewmori import chambers, geometry
 from skewmori.chambers import (
+    GeneratorGroup,
+    VectorConfiguration,
     blowup_one_decomposition,
     chamber_of,
     configuration_for,
@@ -19,7 +21,7 @@ from skewmori.chambers import (
     gkz_chambers,
 )
 from skewmori.cones import Cone, nonneg_combination
-from skewmori.linalg import dot
+from skewmori.linalg import dot, rank
 
 
 A6_CHAMBERS = [
@@ -49,7 +51,6 @@ def test_chamber_counts():
 
 
 def test_unit_vectors_single_chamber():
-    from skewmori.chambers import GeneratorGroup, VectorConfiguration
     config = VectorConfiguration(
         2, [GeneratorGroup("A", (1, 0), 1), GeneratorGroup("B", (0, 1), 1)], (1, 1))
     assert len(gkz_chambers(config).chambers) == 1
@@ -226,7 +227,6 @@ def test_walls_between_chambers():
 
 
 def test_polarization_on_a_wall_is_refused():
-    from skewmori.chambers import GeneratorGroup, VectorConfiguration
     groups = [GeneratorGroup("A", (1, 0), 1), GeneratorGroup("B", (0, 1), 1),
               GeneratorGroup("C", (1, 1), 1)]
     assert len(gkz_chambers(VectorConfiguration(2, groups, (2, 1))).chambers) == 2
@@ -330,17 +330,129 @@ def test_one_decomposition_per_n(monkeypatch):
     assert first is second
 
 
+def subset_chamber(config, w):
+    """Oracle for the cell of w: the intersection of every subset cone holding
+    it.  By Caratheodory the subsets of at most ``rank`` degrees suffice."""
+    facets = set(config.ambient.facets)
+    for size in range(1, config.rank + 1):
+        for subset in combinations(config.vectors, size):
+            cone = config.subset_cone(subset)
+            if cone.contains(w):
+                facets.update(cone.facets)
+    return Cone.from_inequalities(sorted(facets), config.rank)
+
+
+def subset_signature(config, w):
+    """Oracle for the signature: every family set, smallest first, that is
+    forced at w, not forced at the polarization, and holds no set found before."""
+    def forced(families, v):
+        return not config.subset_cone([g.degree for g in config.groups
+                                       if g.label not in families]).contains(v)
+
+    found = []
+    for size in range(1, len(config.labels) + 1):
+        for s in map(frozenset, combinations(config.labels, size)):
+            if (not any(prev <= s for prev in found) and forced(s, w)
+                    and not forced(s, config.polarization)):
+                found.append(s)
+    return frozenset(found)
+
+
+def assert_oracle(config, w, got):
+    want = subset_chamber(config, w)
+    assert (got.cone.rays, got.cone.facets, got.cone.lineality) == (
+        want.rays, want.facets, want.lineality), w
+    assert got.signature == subset_signature(config, w), w
+
+
+def vector_sum(vectors):
+    return tuple(map(sum, zip(*vectors)))
+
+
+def combination(vectors, rng, low, high):
+    """A random combination of the vectors with integer coefficients in [low, high]."""
+    coeffs = [rng.randint(low, high) for _ in vectors]
+    return vector_sum([[c * x for x in v] for c, v in zip(coeffs, vectors)])
+
+
+def oracle_points(dec, rng, count=8):
+    """Representatives, rays and pairwise ray sums of every chamber, ray sums of
+    every wall, and random nonnegative combinations of the degrees."""
+    config, points = dec.config, set()
+    for ch in dec.chambers:
+        points.update([ch.representative, *ch.rays])
+        points.update(map(vector_sum, combinations(ch.rays, 2)))
+    points.update(vector_sum(on) for _, _, on in dec.walls)
+    for _ in range(count):
+        pick = rng.sample(config.vectors, rng.randint(1, min(4, len(config.vectors))))
+        points.add(combination(pick, rng, 0, 5))
+    return sorted(points)
+
+
+def assert_walk_and_queries_match_oracle(config, rng, limit=None):
+    """Every walk chamber, and chamber_of at the oracle points (a random
+    ``limit`` of them, if given), against the oracles."""
+    dec = gkz_chambers(config)
+    for ch in dec.chambers:
+        assert_oracle(config, ch.representative, ch)
+    points = oracle_points(dec, rng)
+    for w in points if limit is None else rng.sample(points, min(limit, len(points))):
+        assert_oracle(config, w, chamber_of(config, w))
+    return dec
+
+
 @pytest.mark.parametrize("model,n", [("A", n) for n in range(4, 11)] + [
     ("blowup", n) for n in range(4, 10)])
 def test_generic_path_against_chamber_of(model, n):
-    # the walk reads chambers and base loci off the bases holding a generic
-    # class; chamber_of intersects every subset cone and tests every family set
+    # the walk and chamber_of read chambers and base loci off the bases and
+    # the cocircuits; the oracles intersect every subset cone and test every
+    # family set, at generic classes, rays, walls and random classes
     config = configuration_for(n) if model == "A" else first_blowup_configuration(n)
-    for ch in gkz_chambers(config).chambers:
-        for w in (ch.representative, tuple(a + b for a, b in zip(ch.representative, ch.rays[0]))):
-            oracle = chamber_of(config, w)
-            assert oracle.cone.rays == ch.cone.rays and oracle.cone.facets == ch.cone.facets
-            assert (oracle.forced, oracle.signature) == (ch.forced, ch.signature), w
+    assert_walk_and_queries_match_oracle(config, random.Random(f"{model}{n}"))
+
+
+def test_chamber_of_against_oracle_n11():
+    config, rng = configuration_for(11), random.Random(11)
+    points = [config.polarization, config.vectors[0], vector_sum(config.vectors[:2])]
+    for _ in range(3):
+        pick = rng.sample(config.vectors, 3)
+        points.append(combination(pick, rng, 1, 5))
+    for w in points:
+        assert_oracle(config, w, chamber_of(config, w))
+
+
+def random_configuration(rng):
+    """Rank 2-4, 3-8 distinct degrees spanning a pointed cone (each has positive
+    coordinate sum), sometimes a second family on one degree, and a random
+    interior polarization off every spanned hyperplane."""
+    r = rng.randint(2, 4)
+    while True:
+        degrees = set()
+        for _ in range(rng.randint(3, 8)):
+            v = tuple(rng.randint(-2, 3) for _ in range(r))
+            if sum(v) > 0:
+                degrees.add(v)
+        degrees = sorted(degrees)
+        if len(degrees) >= 3 and rank(degrees) == r:
+            break
+    groups = [GeneratorGroup(f"G{i}", v, 1) for i, v in enumerate(degrees)]
+    if rng.random() < 0.3:
+        groups.append(GeneratorGroup("twin", rng.choice(degrees), 1))
+    while True:
+        polarization = combination(degrees, rng, 1, 4)
+        config = VectorConfiguration(r, groups, polarization)
+        if all(dot(h, polarization) for h in config.bases()[0]):
+            return config
+
+
+def test_random_configurations_against_oracle():
+    rng = random.Random(2024)
+    for _ in range(40):
+        config = random_configuration(rng)
+        dec = assert_walk_and_queries_match_oracle(config, rng, limit=25)
+        for _ in range(10):  # random effective classes lie in a found chamber
+            w = combination(config.vectors, rng, 0, 6)
+            assert any(ch.cone.contains(w) for ch in dec.chambers), w
 
 
 def test_generic_path_refuses_walls():
@@ -364,8 +476,7 @@ def test_rank_six_pins():
 
 def test_families_sharing_a_degree():
     # a degree shared by two families is dropped only when both are: the
-    # walk's masks are per degree, its signature per family set
-    from skewmori.chambers import GeneratorGroup, VectorConfiguration
+    # cocircuit masks are per degree, the signature per family set
     plane = {"A": (1, 0), "B": (0, 1), "C": (1, 1), "D": (1, 1), "E": (1, 0)}
     space = {"A": (1, 0, 0), "B": (0, 1, 0), "C": (0, 0, 1), "D": (1, 1, 0),
              "E": (1, 1, 0), "F": (0, 1, 1), "H": (1, 0, 0)}
@@ -373,9 +484,6 @@ def test_families_sharing_a_degree():
     for degrees, polarization in ((plane, (1, 2)), (space, (3, 2, 1))):
         config = VectorConfiguration(len(polarization), [
             GeneratorGroup(label, d, 1) for label, d in degrees.items()], polarization)
-        for ch in gkz_chambers(config).chambers:
-            oracle = chamber_of(config, ch.representative)
-            assert (oracle.rays, oracle.forced, oracle.signature) == (
-                ch.rays, ch.forced, ch.signature)
-            signatures.append(ch.signature)
+        dec = assert_walk_and_queries_match_oracle(config, random.Random(len(degrees)))
+        signatures += [ch.signature for ch in dec.chambers]
     assert frozenset({frozenset({"A", "E"})}) in signatures

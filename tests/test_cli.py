@@ -147,7 +147,15 @@ def test_domain_error_exit_code(capsys):
                  ["classes", "--n", "4001"], ["classes", "--n", "10000"],
                  ["cones", "--n", "701", "--cone", "eff"],
                  ["cones", "--n", "1000", "--cone", "eff"],
-                 ["cones", "--n", "100000000", "--cone", "mori"]):
+                 ["cones", "--n", "100000000", "--cone", "mori"],
+                 ["multiplicity", "--n", "8", "--trials", "21"],
+                 ["multiplicity", "--n", "8", "--k", "3", "--h", "1", "--trials", "10000000"],
+                 ["verify", "--trials", "10000000"],
+                 ["multiplicity", "--n", "8", "--k", "3", "--h", "1", "--bound", str(10 ** 30)],
+                 ["sample", "--n", "6", "--h", "2", "--bound", "1000001"],
+                 ["secant", "--n", "8", "--bound", str(10 ** 30)],
+                 ["secant", "--n", "14", "--bound", "1000000"],
+                 ["verify", "--only", "secant", "--bound", str(10 ** 7)]):
         code, _ = run_cli(*argv)
         assert code == 3, argv
     for argv in (["verify", "--only", "multiplicity", "--n", "0"],
