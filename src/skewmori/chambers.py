@@ -57,11 +57,6 @@ class VectorConfiguration:
         self.polarization = tuple(int(c) for c in polarization)
         self.vectors = sorted({g.degree for g in self.groups})
         self.ambient = Cone.from_generators(self.vectors, self.rank)
-        for g in self.groups:
-            if len(g.degree) != self.rank:
-                raise ValueError("degree vector does not match the rank")
-            if not self.ambient.contains(g.degree):
-                raise ValueError("degree outside the ambient cone")
         self._subset_cones, self._chambers, self._bases = {}, {}, None
         self.labels = tuple(g.label for g in self.groups)
         if len(set(self.labels)) != len(self.labels):
@@ -245,12 +240,22 @@ def _lift(values, direction):
     return t, [t * a + b for a, b in zip(values, direction)]
 
 
+# Walk times: 0.6 s at n = 11 (rank 5), 0.8 s at n = 12 and 5 s at n = 13 (rank 6,
+# 486 bases, 1285 chambers); `chamber` takes 0.25, 0.45-0.66 and 1.3 s at n = 14, 15
+# and 16 (rank 7), fresh (2 vCPUs, CPython 3.11.7).
+RANK_BUDGETS = {"chamber decomposition": 6, "chamber queries": 7}
+
+
+def check_rank(task, rank):
+    """Refuse a Picard rank past the task's budget; O(1), so callers keyed by n
+    check it before building the configuration."""
+    if rank > RANK_BUDGETS[task]:
+        raise ValueError(f"{task} supported up to rank {RANK_BUDGETS[task]}")
+
+
 def gkz_chambers(config):
     """All maximal chambers of the configuration, canonically ordered."""
-    # Walk times on 2 vCPUs, CPython 3.11.7: 0.6 s at n = 11 (rank 5), 0.8 s
-    # at n = 12 and 5 s at n = 13 (rank 6, 486 bases, 1285 chambers).
-    if config.rank > 6:
-        raise ValueError("chamber decomposition supported up to rank 6")
+    check_rank("chamber decomposition", config.rank)
     start, planes = _held(config, config.polarization, "polarization"), config.bases()[0]
     found, queue, walls = {start: _canonical_chamber(config, start)}, [start], {}
     for held in queue:  # grows as the walk finds neighbours
@@ -283,9 +288,7 @@ def gkz_chambers(config):
 
 def chamber_of(config, w):
     """The chamber (or lower-dimensional face) of the class w."""
-    # `chamber` takes 0.25, 0.45-0.66 and 1.3 s at n = 14, 15, 16, fresh (2 vCPUs, CPython 3.11.7)
-    if config.rank > 7:
-        raise ValueError("chamber queries supported up to rank 7")
+    check_rank("chamber queries", config.rank)
     w = tuple(w)
     signature = sbl_signature(config, w)  # refuses a w outside the effective cone
     planes, _, _, _, direction = config.bases()
@@ -300,6 +303,7 @@ def chamber_of(config, w):
 
 @cache
 def decomposition_for(n):
+    check_rank("chamber decomposition", geometry.picard_rank(n))
     return gkz_chambers(configuration_for(n))
 
 

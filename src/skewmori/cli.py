@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Every subcommand echoes its configuration and emits either aligned text or
-JSON (``--json``); output is deterministic, so identical flags and seed give
-byte-identical reports.  Exit codes: 0 success, 1 failed verification,
-2 usage error, 3 domain error.
+Every subcommand returns its configuration, its results and its text lines;
+``main`` alone writes them, as aligned text or as JSON (``--json``).  Output
+is deterministic, so identical flags and seed give byte-identical reports.
+Exit codes: 0 success, 1 failed verification, 2 usage error, 3 domain error.
 """
 
 from __future__ import annotations
@@ -16,37 +16,24 @@ from . import chambers, geometry, pfaffian, verify
 from .chambers import describe_signature
 
 
-def _emit(args, report, text):
-    if getattr(args, "json", False):
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(text)
-
-
-def _report(command, config, results):
-    return {"command": command, "config": config, "results": results}
+def _vec(v):
+    return f"({','.join(map(str, v))})"
 
 
 def cmd_verify(args):
     report = verify.run(only=args.only, n=args.n, seed=args.seed,
                         bound=args.bound, trials=args.trials)
-    lines = []
-    for c in report["checks"]:
-        status = "PASS" if c["ok"] else "FAIL"
-        lines.append(f"{status}  {c['name']:<20} {c['detail']}")
+    lines = [f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']:<20} {c['detail']}"
+             for c in report["checks"]]
     lines.append(f"{report['passed']}/{report['total']} checks passed")
-    _emit(args, _report("verify", report["config"], report["checks"]),
-          "\n".join(lines) + "\n")
-    return 0 if report["passed"] == report["total"] else 1
+    return report["config"], report["checks"], lines, int(report["passed"] != report["total"])
 
 
 def cmd_pfaffian(args):
     # a range, so an oversized --size is refused before any index list is built
     indices = [int(x) for x in args.minor.split(",")] if args.minor else range(args.size)
     poly = pfaffian.sub_pfaffian(args.size - 1, indices)
-    config = {"size": args.size, "minor": list(indices)}
-    _emit(args, _report("pfaffian", config, poly.to_json()), str(poly) + "\n")
-    return 0
+    return {"size": args.size, "minor": list(indices)}, poly.to_json(), [str(poly)]
 
 
 def cmd_classes(args):
@@ -64,18 +51,13 @@ def cmd_classes(args):
     rows.append(("-K", geometry.anticanonical(n).coeffs))
     cox = [{"label": g.label, "degree": list(g.degree.coeffs), "multiplicity": g.multiplicity}
            for g in geometry.cox_generator_degrees(n)]
-    config = {"n": n}
     results = {"n": n, "classes": [{"label": l, "coeffs": list(c)} for l, c in rows],
                "fano_index": geometry.fano_index(n), "cox_generators": cox}
-    text = [f"classes of A({n}) in the basis (H, E_1, ..., E_r):"]
-    for label, coeffs in rows:
-        text.append(f"  {label:<4} ({','.join(map(str, coeffs))})")
-    text.append(f"fano index: {results['fano_index']}")
-    text.append("cox generators (label degree multiplicity):")
-    for g in cox:
-        text.append(f"  {g['label']:<4} ({','.join(map(str, g['degree']))})  x{g['multiplicity']}")
-    _emit(args, _report("classes", config, results), "\n".join(text) + "\n")
-    return 0
+    lines = [f"classes of A({n}) in the basis (H, E_1, ..., E_r):"]
+    lines += [f"  {label:<4} {_vec(coeffs)}" for label, coeffs in rows]
+    lines += [f"fano index: {results['fano_index']}", "cox generators (label degree multiplicity):"]
+    lines += [f"  {g['label']:<4} {_vec(g['degree'])}  x{g['multiplicity']}" for g in cox]
+    return {"n": n}, results, lines
 
 
 _CONE_BUILDERS = {
@@ -92,16 +74,14 @@ def cmd_cones(args):
     if args.n > 700 and args.cone != "mov":
         raise ValueError("cones are supported up to n = 700")
     cone = _CONE_BUILDERS[args.cone](args.n)
-    config = {"n": args.n, "cone": args.cone}
     lattice = "curve" if args.cone in ("mori", "movcurves") else "divisor"
-    text = [f"{args.cone} cone of A({args.n}) ({lattice} lattice), rays:"]
-    for r in cone.rays:
-        text.append(f"  ({','.join(map(str, r))})")
-    _emit(args, _report("cones", config, cone.to_json()), "\n".join(text) + "\n")
-    return 0
+    lines = [f"{args.cone} cone of A({args.n}) ({lattice} lattice), rays:"]
+    lines += [f"  {_vec(r)}" for r in cone.rays]
+    return {"n": args.n, "cone": args.cone}, cone.to_json(), lines
 
 
-def _decomposition_payload(n, dec):
+def _decomposition(n):
+    dec = chambers.decomposition_for(n)
     region_index = {c: idx for idx, region in enumerate(dec.regions) for c in region.chambers}
     chams = [{"rays": [list(r) for r in ch.rays], "forced": sorted(ch.forced),
               "region": region_index[i]} for i, ch in enumerate(dec.chambers)]
@@ -113,60 +93,44 @@ def _decomposition_payload(n, dec):
 def cmd_gkz(args):
     note = ("toric refinement (coincidence with the Mori chambers unverified)" if args.n > 8
             else "Mori chamber decomposition")
-    dec = chambers.decomposition_for(args.n)
-    payload = _decomposition_payload(args.n, dec)
+    payload = _decomposition(args.n)
     payload["note"] = note
-    config = {"n": args.n}
-    text = [f"chamber decomposition of Eff(A({args.n})): "
-            f"{len(dec.chambers)} chambers ({note})"]
-    for i, ch in enumerate(payload["chambers"]):
-        rays = " ".join("(" + ",".join(map(str, r)) + ")" for r in ch["rays"])
-        text.append(f"  #{i} region {ch['region']} forced {ch['forced'] or '[]'} rays {rays}")
-    _emit(args, _report("gkz", config, payload), "\n".join(text) + "\n")
-    return 0
+    lines = [f"chamber decomposition of Eff(A({args.n})): "
+             f"{len(payload['chambers'])} chambers ({note})"]
+    lines += [f"  #{i} region {ch['region']} forced {ch['forced'] or '[]'} "
+              f"rays {' '.join(map(_vec, ch['rays']))}" for i, ch in enumerate(payload["chambers"])]
+    return {"n": args.n}, payload, lines
 
 
 def cmd_sbl(args):
-    dec = chambers.decomposition_for(args.n)
-    payload = _decomposition_payload(args.n, dec)
-    config = {"n": args.n}
-    text = [f"stable base locus decomposition of Eff(A({args.n})): "
-            f"{len(dec.regions)} regions"]
-    for i, region in enumerate(payload["regions"]):
-        text.append(f"  region {i}: chambers {region['chambers']} "
-                    f"B = {region['base_locus']}")
-    _emit(args, _report("sbl", config, payload), "\n".join(text) + "\n")
-    return 0
+    payload = _decomposition(args.n)
+    lines = [f"stable base locus decomposition of Eff(A({args.n})): "
+             f"{len(payload['regions'])} regions"]
+    lines += [f"  region {i}: chambers {region['chambers']} B = {region['base_locus']}"
+              for i, region in enumerate(payload["regions"])]
+    return {"n": args.n}, payload, lines
 
 
 def cmd_blowup1(args):
-    intervals = chambers.first_blowup_intervals(args.n)
     rows = []
-    for iv in intervals:
+    for iv in chambers.first_blowup_intervals(args.n):
         left = "[" if iv["closed_left"] else "("
         right = "]" if iv["closed_right"] else ")"
-        span = (f"{left}({','.join(map(str, iv['left']))}), "
-                f"({','.join(map(str, iv['right']))}){right}")
-        rows.append({"interval": span, "forced": sorted(iv["forced"]),
+        rows.append({"interval": f"{left}{_vec(iv['left'])}, {_vec(iv['right'])}{right}",
+                     "forced": sorted(iv["forced"]),
                      "base_locus": describe_signature(iv["signature"])})
-    config = {"n": args.n}
-    results = {"n": args.n, "chambers": rows}
-    text = [f"decomposition of Eff(A({args.n})_1), walls at (k+1)H - kE_1:"]
-    for r in rows:
-        text.append(f"  {r['interval']:<24} B = {r['base_locus']}")
-    _emit(args, _report("blowup1", config, results), "\n".join(text) + "\n")
-    return 0
+    lines = [f"decomposition of Eff(A({args.n})_1), walls at (k+1)H - kE_1:"]
+    lines += [f"  {r['interval']:<24} B = {r['base_locus']}" for r in rows]
+    return {"n": args.n}, {"n": args.n, "chambers": rows}, lines
 
 
 def cmd_sample(args):
     z = pfaffian.secant_sample(args.n, args.h, bound=args.bound, seed=args.seed)
     config = {"n": args.n, "h": args.h, "bound": args.bound, "seed": args.seed}
-    results = {"matrix": z.to_json(), "rank": z.rank()}
-    text = [f"rank-{z.rank()} point of the h={args.h} locus, size {z.size}:"]
-    for row in z.to_rows():
-        text.append("  [" + " ".join(str(x) for x in row) + "]")
-    _emit(args, _report("sample", config, results), "\n".join(text) + "\n")
-    return 0
+    rank = z.rank()
+    lines = [f"rank-{rank} point of the h={args.h} locus, size {z.size}:"]
+    lines += ["  [" + " ".join(str(x) for x in row) + "]" for row in z.to_rows()]
+    return config, {"matrix": z.to_json(), "rank": rank}, lines
 
 
 def cmd_multiplicity(args):
@@ -180,11 +144,9 @@ def cmd_multiplicity(args):
               "seed": args.seed, "bound": args.bound}
     results = [{"n": n, "k": k, "h": h, "order": got, "expected": want}
                for n, k, h, got, want in rows]
-    text = ["n k h order expected"]
-    for r in results:
-        text.append(f"{r['n']} {r['k']} {r['h']} {r['order']}     {r['expected']}")
-    _emit(args, _report("multiplicity", config, results), "\n".join(text) + "\n")
-    return 0
+    lines = ["n k h order expected"]
+    lines += [f"{r['n']} {r['k']} {r['h']} {r['order']}     {r['expected']}" for r in results]
+    return config, results, lines
 
 
 def cmd_secant(args):
@@ -197,11 +159,9 @@ def cmd_secant(args):
              "terracini": pfaffian.terracini_dim(args.n, h, bound=args.bound, seed=args.seed)}
             for h in hs]
     config = {"n": args.n, "h": args.h, "bound": args.bound, "seed": args.seed}
-    text = ["h dim codim terracini"]
-    for r in rows:
-        text.append(f"{r['h']} {r['dim']}   {r['codim']}     {r['terracini']}")
-    _emit(args, _report("secant", config, rows), "\n".join(text) + "\n")
-    return 0
+    lines = ["h dim codim terracini"]
+    lines += [f"{r['h']} {r['dim']}   {r['codim']}     {r['terracini']}" for r in rows]
+    return config, rows, lines
 
 
 def point(text):
@@ -211,19 +171,18 @@ def point(text):
 
 def cmd_chamber(args):
     w = args.point
+    chambers.check_rank("chamber queries", geometry.picard_rank(args.n))
     ch = chambers.chamber_of(chambers.configuration_for(args.n), w)
-    config = {"n": args.n, "point": list(w)}
     results = {"rays": [list(r) for r in ch.rays],
                "maximal": ch.is_maximal(),
                "forced": sorted(ch.forced),
                "base_locus": describe_signature(ch.signature)}
     kind = "maximal chamber" if ch.is_maximal() else "lower-dimensional face"
-    text = [f"class ({','.join(map(str, w))}) lies in a {kind}",
-            "rays: " + " ".join("(" + ",".join(map(str, r)) + ")" for r in ch.rays),
-            f"forced: {sorted(ch.forced)}",
-            f"stable base locus: {results['base_locus']}"]
-    _emit(args, _report("chamber", config, results), "\n".join(text) + "\n")
-    return 0
+    lines = [f"class {_vec(w)} lies in a {kind}",
+             "rays: " + " ".join(map(_vec, ch.rays)),
+             f"forced: {sorted(ch.forced)}",
+             f"stable base locus: {results['base_locus']}"]
+    return {"n": args.n, "point": list(w)}, results, lines
 
 
 def _add_common(p, *, seed=False, bound=False, trials=False):
@@ -326,10 +285,14 @@ def main(argv=None):
     try:
         if getattr(args, "trials", 0) > MAX_TRIALS or getattr(args, "bound", 0) > MAX_BOUND:
             raise ValueError(f"--trials is supported up to {MAX_TRIALS}, --bound up to {MAX_BOUND}")
-        return args.fn(args)
+        config, results, lines, *code = args.fn(args)
+        report = {"command": args.command, "config": config, "results": results}
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n" if args.json
+                         else "\n".join(lines) + "\n")
     except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

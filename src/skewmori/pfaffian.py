@@ -299,6 +299,24 @@ def _wedge_pair(x, y):
 # at bound 1, 2000 seeded samples over n = 1..8 needed at most 7 draws.
 MAX_DRAWS = 1000
 
+# A draw takes up to about 45 ns per unit of sample_work, and a Taylor pass up to
+# 60 ns per unit of taylor_work (2 vCPUs, CPython 3.11.7): secant_sample takes 1.3 s
+# at (n, h) = (800, 1) (3.1e7) and 8.3 s at (200, 20) with bound 10^6 (1.7e8);
+# vanishing_order 2.6 s at (n, k) = (11, 5) (4.3e7).  Printing and the rank check double
+# the time of `sample` at h = 1: `--n 1270 --h 1 --json` (7.9e7) took 9.7 s fresh.
+MAX_SAMPLING_WORK = 60_000_000
+
+
+def sample_work(n, h, bound):
+    """(n+1)^2 h (48 + h b^2), b the bound's bits over 7: a fit to secant_sample's times."""
+    return (n + 1) ** 2 * h * (48 + h * max(1, bound.bit_length() / 7) ** 2)
+
+
+def taylor_work(n, k):
+    """(2k+1)!! (2^(k+7) + C(n+1, 2)): terms of a size-(2k+2) sub-Pfaffian times the
+    cost of expanding each at a point, a fit to vanishing_order's times at max_order k+1."""
+    return prod(range(2 * k + 1, 0, -2)) * (2 ** (k + 7) + comb(n + 1, 2))
+
 
 def secant_sample(n, h, bound=100, seed=0):
     """Random integer point of rank exactly 2h: a sum of h integer wedges x ^ y.
@@ -310,6 +328,8 @@ def secant_sample(n, h, bound=100, seed=0):
         raise ValueError(f"h={h} out of range 1..{(n + 1) // 2} for n={n}")
     if bound < 1:
         raise ValueError("bound must be positive")
+    if sample_work(n, h, bound) > MAX_SAMPLING_WORK:
+        raise ValueError(f"a rank-{2 * h} sample of size {n + 1} exceeds the sampling budget")
     rng = _rng("secant", seed)
     for _ in range(MAX_DRAWS):
         rows = [[0] * (n + 1) for _ in range(n + 1)]
@@ -370,9 +390,9 @@ def multiplicity_estimate(n, k, h, trials=5, seed=0, bound=100):
         raise ValueError(f"h={h} out of range 1..{(n + 1) // 2} for n={n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # 11 s at k = 5, over 60 s and 820 MB at k = 6, with 5 trials (2 vCPUs, CPython 3.11.7)
-    if k > 5:
-        raise ValueError("multiplicity estimates are supported up to k = 5")
+    if trials * (taylor_work(n, k) + sample_work(n, h, bound)) > MAX_SAMPLING_WORK:
+        raise ValueError(f"the estimate at (n, k, h) = ({n}, {k}, {h}) with {trials} trials "
+                         "exceeds the sampling budget")
     p = sub_pfaffian(n, range(2 * k + 2))
     best = None
     for t in range(trials):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -5,7 +6,9 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from skewmori import pfaffian
+import pytest
+
+from skewmori import chambers, pfaffian
 from skewmori.chambers import conjecture_counts
 from skewmori.cli import main
 from skewmori.cones import Cone
@@ -155,9 +158,15 @@ def test_domain_error_exit_code(capsys):
                  ["sample", "--n", "6", "--h", "2", "--bound", "1000001"],
                  ["secant", "--n", "8", "--bound", str(10 ** 30)],
                  ["secant", "--n", "14", "--bound", "1000000"],
-                 ["verify", "--only", "secant", "--bound", str(10 ** 7)]):
+                 ["verify", "--only", "secant", "--bound", str(10 ** 7)],
+                 ["sample", "--n", "1600", "--h", "1"], ["sample", "--n", "200", "--h", "100"],
+                 ["multiplicity", "--n", "3200", "--k", "0", "--h", "1"],
+                 ["multiplicity", "--n", "11", "--k", "5", "--h", "1"]):
         code, _ = run_cli(*argv)
         assert code == 3, argv
+    # the largest multiplicity-grid estimate at the --trials cap stays accepted
+    code, _ = run_cli("multiplicity", "--n", "10", "--k", "4", "--h", "5", "--trials", "20")
+    assert code == 0
     for argv in (["verify", "--only", "multiplicity", "--n", "0"],
                  ["verify", "--only", "multiplicity", "--n", "1"], ["verify", "--n", "-3"]):
         code, _ = run_cli(*argv)
@@ -170,6 +179,69 @@ def test_secant_budget_edge():
     assert sum(work(15, h) for h in range(1, 8)) <= budget < sum(work(16, h) for h in range(1, 8))
     assert work(17, 8) <= budget < work(18, 8)
     assert work(50, 1) <= budget < work(60, 1)
+
+
+def test_sampling_budget_edge():
+    # `sample` is accepted up to n = 1100 at h = 1 and a single estimate at
+    # (n, k, h) = (11, 5, 1) for one trial; every grid estimate (n <= 10) at the caps
+    sample, taylor = pfaffian.sample_work, pfaffian.taylor_work
+    budget, bound = pfaffian.MAX_SAMPLING_WORK, 10 ** 6
+    assert sample(1100, 1, 100) <= budget < sample(1110, 1, 100)
+    assert taylor(11, 5) + sample(11, 1, 100) <= budget < 2 * taylor(11, 5)
+    assert 20 * max(taylor(10, k) + sample(10, h, bound)
+                    for k in range(5) for h in range(1, 6)) <= budget
+
+
+@pytest.mark.parametrize("n", [16, 1000])
+def test_chamber_commands_refuse_rank_before_building(monkeypatch, capsys, n):
+    def build(*args):
+        raise AssertionError("a configuration was built")
+
+    monkeypatch.setattr(chambers, "VectorConfiguration", build)
+    for argv, message in ((["gkz"], "chamber decomposition supported up to rank 6"),
+                          (["sbl"], "chamber decomposition supported up to rank 6"),
+                          (["chamber", "--point", "1"], "chamber queries supported up to rank 7")):
+        code, _ = run_cli(*argv, "--n", str(n))
+        assert code == 3 and message in capsys.readouterr().err, argv
+
+
+# SHA-256 of stdout and the exit code of each command, recorded at commit 32c6c42,
+# before `main` became the only writer of reports
+RECORDED_REPORTS = [
+    ("gkz --n 8 --json", 0, "b87f3a4f90346f2b77449a874ff28a7dbc753f6ffadb6384a03000db15a40b29"),
+    ("sbl --n 8", 0, "55cb088c334ec3fe2ac5b973c2dd27c3fb69a0db59e3a2c3dfc6715005f8b7b6"),
+    ("blowup1 --n 7", 0, "0aa21d1ea2274bb1a0b3e7b753f6f4b89a3344b164b38c5942f735c1c5c09741"),
+    ("blowup1 --n 7 --json", 0, "31d8b71a64366e9fda63893fc6d56e33e25bd55da0392b8eba8aaa057b77d80e"),
+    ("classes --n 8", 0, "91391bf9525fcdf510b7be5cc080029eff935e3128dcde57f32448b7efacedec"),
+    ("cones --n 6 --cone mov --json", 0,
+     "b7e0d62c18fac660eaec3c97bdb9fff6fcf470105c799ac33448ad5588aa1335"),
+    ("pfaffian --size 6 --json", 0, "f0b280fa22cfd6d08c1c3512818466a9fadb5209c4b61c0536f82e18c93b2630"),
+    ("sample --n 7 --h 3 --seed 1", 0,
+     "920b936bfc1030c90a4c26bc1b1a037d63cd7b956ffaa2dbd7c3085118784d72"),
+    ("multiplicity --n 7 --k 2 --h 1", 0,
+     "27186beccfdc6377b984f6ce5f951262c47130629c926ccc348679ce0445f615"),
+    ("secant --n 8", 0, "6c573e7b547b837ded6f17aa6dc0e838b892058c5644231fd847cd26c2f595b1"),
+    ("verify --only fano --json", 0, "b77a4528c4adcfe224e6efded9fb7d185f0ff3b6622362300c042f7f4a5b1cf0"),
+    # at n = 6 and 8: a maximal chamber, a face and a class outside Eff
+    ("chamber --n 6 --point 1,3,1", 0, "0948fe773a3a1cad7f665288079b5ebf4051b51cf8026a5ca73e201bec7aa967"),
+    ("chamber --n 6 --point 2,-1,0 --json", 0,
+     "a0aa64ce8d43eebc7a477b089b5db082c7755dc5dca795aa66c38c83dbc9cf2d"),
+    ("chamber --n 6 --point=-1,0,0", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("chamber --n 8 --point 10,-6,-3,-1 --json", 0,
+     "e67c28eedbae329a87aa539d1ce22084878a0ed4962790af35b85df65e3f7303"),
+    ("chamber --n 8 --point 5,1,1,1", 0, "a91403ff00637652fa308597959473613b7989bfa372d0943126cb017782a6a6"),
+    ("chamber --n 8 --point 2,-1,0,0", 0, "8e196ff853760fdac9aeae236080a7805edac14e69e64acd96c9a691c27df518"),
+    ("chamber --n 8 --point 4,-3,-2,-1 --json", 0,
+     "216274d01c6395cf50a7f2c96330c7ec3154dc5ac6addf34c4dfa4ebdd5f41d9"),
+    ("chamber --n 8 --point=-1,0,0,0 --json", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", RECORDED_REPORTS)
+def test_reports_match_recorded_digests(command, code, digest):
+    got, out = run_cli(*command.split())
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 def test_usage_error_exit_code():
