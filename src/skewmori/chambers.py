@@ -10,6 +10,8 @@ cone is crossed once, at an exact point past it.  A class w of the effective
 cone lifts to a generic w' = t w + d, for d interior to it and on no spanned
 hyperplane and t keeping w's side of every hyperplane missing w; the chamber
 of w' holds w, and the cell of w is its face cut out by the facets through w.
+Chambers and their faces are memoised on the configuration, so a warm query
+runs no double description.
 
 A set G of generator families is *forced* at w when w is not a nonnegative
 combination of the degrees of the remaining families, and *empty* when it is
@@ -57,7 +59,7 @@ class VectorConfiguration:
         self.polarization = tuple(int(c) for c in polarization)
         self.vectors = sorted({g.degree for g in self.groups})
         self.ambient = Cone.from_generators(self.vectors, self.rank)
-        self._subset_cones, self._chambers, self._bases = {}, {}, None
+        self._subset_cones, self._chambers, self._faces, self._bases = {}, {}, {}, None
         self.labels = tuple(g.label for g in self.groups)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate group labels")
@@ -139,10 +141,20 @@ def sbl_signature(config, w):
     stratum (see the module docstring); w need not be generic.  A class
     outside the effective cone is refused with ``ValueError``.
     """
+    return _signature(config, _plane_values(config, w))
+
+
+def _plane_values(config, w):
+    """The h.w over the spanned hyperplanes h; a class outside the effective
+    cone is refused with ``ValueError``."""
     if not config.ambient.contains(w):
         raise ValueError("class outside the effective cone")
-    planes, _, _, cocircuits, _ = config.bases()
-    values = [dot(h, w) for h in planes]
+    return [dot(h, w) for h in config.bases()[0]]
+
+
+def _signature(config, values):
+    """``sbl_signature`` of the class with plane values ``values``."""
+    cocircuits = config.bases()[3]
     found = []
     for c in sorted({c for c, x in zip(cocircuits, values + [-x for x in values])
                      if x < 0 and c}, key=int.bit_count):
@@ -287,18 +299,22 @@ def gkz_chambers(config):
 
 
 def chamber_of(config, w):
-    """The chamber (or lower-dimensional face) of the class w."""
+    """The chamber (or lower-dimensional face) of the class w, with its signature.
+
+    Chambers and their faces are memoised on the configuration, so a warm
+    query, one whose face an earlier query met, runs no double description."""
     check_rank("chamber queries", config.rank)
     w = tuple(w)
-    signature = sbl_signature(config, w)  # refuses a w outside the effective cone
-    planes, _, _, _, direction = config.bases()
-    _, values = _lift([dot(h, w) for h in planes], direction)
-    cone = _canonical_chamber(config, _held(config, w, values=values))
+    values = _plane_values(config, w)  # refuses a w outside the effective cone
+    held = _held(config, w, values=_lift(values, config.bases()[4])[1])
+    cone = _canonical_chamber(config, held)
     tight = [f for f in cone.facets if not dot(f, w)]
     if tight:  # the face of the chamber that holds w in its relative interior
-        cone = Cone.from_generators([r for r in cone.rays if not any(dot(f, r) for f in tight)],
-                                    config.rank)
-    return GKZChamber(cone, w, signature)
+        rays = tuple(r for r in cone.rays if not any(dot(f, r) for f in tight))
+        if rays not in config._faces:
+            config._faces[rays] = Cone.from_generators(rays, config.rank)
+        cone = config._faces[rays]
+    return GKZChamber(cone, w, _signature(config, values))
 
 
 @cache

@@ -127,7 +127,7 @@ def cmd_blowup1(args):
 def cmd_sample(args):
     z = pfaffian.secant_sample(args.n, args.h, bound=args.bound, seed=args.seed)
     config = {"n": args.n, "h": args.h, "bound": args.bound, "seed": args.seed}
-    rank = z.rank()
+    rank = 2 * args.h  # secant_sample returns only a point of this rank
     lines = [f"rank-{rank} point of the h={args.h} locus, size {z.size}:"]
     lines += ["  [" + " ".join(str(x) for x in row) + "]" for row in z.to_rows()]
     return config, {"matrix": z.to_json(), "rank": rank}, lines

@@ -302,8 +302,8 @@ MAX_DRAWS = 1000
 # A draw takes up to about 45 ns per unit of sample_work, and a Taylor pass up to
 # 60 ns per unit of taylor_work (2 vCPUs, CPython 3.11.7): secant_sample takes 1.3 s
 # at (n, h) = (800, 1) (3.1e7) and 8.3 s at (200, 20) with bound 10^6 (1.7e8);
-# vanishing_order 2.6 s at (n, k) = (11, 5) (4.3e7).  Printing and the rank check double
-# the time of `sample` at h = 1: `--n 1270 --h 1 --json` (7.9e7) took 9.7 s fresh.
+# vanishing_order 2.6 s at (n, k) = (11, 5) (4.3e7).  Printing adds to `sample` at
+# h = 1: `--n 1100 --h 1 --json` (5.9e7) takes 5.6-5.7 s fresh.
 MAX_SAMPLING_WORK = 60_000_000
 
 

@@ -128,19 +128,29 @@ def check_fano(cfg):
     return True, f"indices {table}; -K(4)=(10,-2), -K(5)=(15,-5); positivity for n = 4..12"
 
 
+# A grid takes 50-60 ns per unit of work, fresh (2 vCPUs, CPython 3.11.7): at n = 10,
+# 2.6 s at the default 5 trials (4.5e7), 4.3 s at 10 trials and bound 10^6 (8.8e7),
+# 7.3 s at 14 and 10^6 (1.21e8), 8.9 s at 20 (1.71e8) and 9.4-10.3 s at 20 and 10^6
+# (1.72e8); n = 9 at 20 and 10^6 took 9.7 s (1.71e8).  n = 11 needs 2.7e8 at one trial.
+MAX_GRID_WORK = 120_000_000
+
+
 def multiplicity_grid(n_values, trials, seed, bound):
     """All (n, k, h) multiplicity estimates against max(k-h+1, 0)."""
-    # one n takes 2.1 s at n = 10 and 55 s at n = 11 in a fresh process (2 vCPUs, CPython 3.11.7)
-    if max(n_values, default=0) > 10:
-        raise ValueError("the multiplicity grid is supported up to n = 10")
-    rows = []
+    entries, work = [], 0
     for n in n_values:
         for k in range((n + 1) // 2):
             for h in range(1, (n + 1) // 2 + 1):
-                got = pfaffian.multiplicity_estimate(n, k, h, trials=trials,
-                                                     seed=f"{seed}:{n}", bound=bound)
-                rows.append((n, k, h, got, max(k - h + 1, 0)))
-    return rows
+                # an estimate with h > k stops at its first sample, of order 0
+                work += (1 if h > k else trials) * (pfaffian.taylor_work(n, k)
+                                                    + pfaffian.sample_work(n, h, bound))
+                if work > MAX_GRID_WORK:
+                    raise ValueError(f"the multiplicity grid at n = {n} with {trials} trials "
+                                     "exceeds the sampling budget")
+                entries.append((n, k, h))
+    return [(n, k, h, pfaffian.multiplicity_estimate(n, k, h, trials=trials, seed=f"{seed}:{n}",
+                                                     bound=bound), max(k - h + 1, 0))
+            for n, k, h in entries]
 
 
 def check_multiplicity(cfg):

@@ -421,6 +421,33 @@ def test_chamber_of_against_oracle_n11():
         assert_oracle(config, w, chamber_of(config, w))
 
 
+@pytest.mark.parametrize("n", [8, 11])
+def test_chamber_of_independent_of_cache_state_and_order(n):
+    # each class on a fresh configuration, then all of them twice on one warm
+    # configuration in shuffled order: the chamber and face memos change no
+    # answer, and the second pass builds no face
+    dec, rng = decomposition_for(n), random.Random(f"order{n}")
+    rays = sorted({r for ch in dec.chambers for r in ch.rays})
+    points = sorted({*rng.sample([vector_sum(on) for _, _, on in dec.walls], 20),
+                     *rng.sample(rays, min(15, len(rays))),
+                     *(ch.representative for ch in rng.sample(dec.chambers, 5)),
+                     *(combination(rng.sample(dec.config.vectors, rng.randint(1, 4)), rng, 1, 9)
+                       for _ in range(20))})
+
+    def answer(ch):
+        return ch.cone.rays, ch.cone.facets, ch.cone.lineality, ch.signature
+
+    fresh = {w: answer(chamber_of(configuration_for(n), w)) for w in points}
+    warm = configuration_for(n)
+    for w in rng.sample(points, len(points)):
+        assert answer(chamber_of(warm, w)) == fresh[w], w
+    faces = dict(warm._faces)
+    assert faces
+    for w in rng.sample(points, len(points)):
+        assert answer(chamber_of(warm, w)) == fresh[w], w
+    assert warm._faces == faces and all(warm._faces[k] is v for k, v in faces.items())
+
+
 def random_configuration(rng):
     """Rank 2-4, 3-8 distinct degrees spanning a pointed cone (each has positive
     coordinate sum), sometimes a second family on one degree, and a random

@@ -161,7 +161,10 @@ def test_domain_error_exit_code(capsys):
                  ["verify", "--only", "secant", "--bound", str(10 ** 7)],
                  ["sample", "--n", "1600", "--h", "1"], ["sample", "--n", "200", "--h", "100"],
                  ["multiplicity", "--n", "3200", "--k", "0", "--h", "1"],
-                 ["multiplicity", "--n", "11", "--k", "5", "--h", "1"]):
+                 ["multiplicity", "--n", "11", "--k", "5", "--h", "1"],
+                 ["multiplicity", "--n", "10", "--trials", "14", "--bound", "1000000"],
+                 ["verify", "--only", "multiplicity", "--n", "10", "--trials", "20",
+                  "--bound", "1000000"]):
         code, _ = run_cli(*argv)
         assert code == 3, argv
     # the largest multiplicity-grid estimate at the --trials cap stays accepted
@@ -190,6 +193,24 @@ def test_sampling_budget_edge():
     assert taylor(11, 5) + sample(11, 1, 100) <= budget < 2 * taylor(11, 5)
     assert 20 * max(taylor(10, k) + sample(10, h, bound)
                     for k in range(5) for h in range(1, 6)) <= budget
+
+
+def test_grid_budget_edge(monkeypatch, capsys):
+    # the grid weighs trials x (taylor_work + sample_work) over its entries, one
+    # trial where h > k: n = 10 runs up to 13 trials at bound 10^6, and no grid
+    # past n = 10 runs; the estimates are stubbed, as only the guard is tested
+    monkeypatch.setattr(pfaffian, "multiplicity_estimate",
+                        lambda n, k, h, **kwargs: max(k - h + 1, 0))
+    for argv in (["verify", "--only", "multiplicity"],
+                 ["verify", "--only", "multiplicity", "--trials", "20", "--bound", "1000000"],
+                 ["multiplicity", "--n", "10"],
+                 ["multiplicity", "--n", "10", "--trials", "13", "--bound", "1000000"]):
+        assert run_cli(*argv)[0] == 0, argv
+    for argv in (["multiplicity", "--n", "10", "--trials", "14", "--bound", "1000000"],
+                 ["multiplicity", "--n", "11", "--trials", "1"],
+                 ["verify", "--only", "multiplicity", "--n", "12", "--trials", "1"]):
+        code, _ = run_cli(*argv)
+        assert code == 3 and "multiplicity grid" in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize("n", [16, 1000])

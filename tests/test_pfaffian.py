@@ -214,6 +214,15 @@ def test_secant_sample_ranks():
                     assert sub_pfaffian(4, (a, b, c, d)).evaluate(z) == 0
 
 
+def test_secant_sample_rank_contract():
+    # `skewmori sample` reports rank 2h without recomputing it
+    for n in range(1, 9):
+        for h in range(1, (n + 1) // 2 + 1):
+            for bound in (1, 2, 100):
+                for seed in (0, 1):
+                    assert secant_sample(n, h, bound=bound, seed=seed).rank() == 2 * h
+
+
 def test_secant_sample_gives_up(monkeypatch):
     monkeypatch.setattr(SkewMatrix, "rank", lambda self: 0)
     with pytest.raises(ValueError, match=f"{pfaffian.MAX_DRAWS} draws"):
