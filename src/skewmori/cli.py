@@ -197,10 +197,11 @@ def _add_common(p, *, seed=False, bound=False, trials=False):
     p.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
-# Other budgets hold at the defaults; time is linear in --trials and grows with the
-# bound (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity --n 10` takes 1.5 s at 5 trials
-# and 7.3 s at 20; `secant --n 14` 3.2, 5.4, 8.2 and 10.3 s at bound 100, 10^3, 10^4 and
-# 10^6, so `secant` scales its work by the bound's bits (n = 13 at 10^6: 9.4 s).
+# Other budgets hold at the defaults; time grows with --trials and with the bound
+# (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity --n 10` takes 1.0-1.2 s at 5 trials
+# and, with its grid budget lifted, 2.9-3.0 s at 20; `secant --n 14` 3.2, 5.4, 8.2 and
+# 10.3 s at bound 100, 10^3, 10^4 and 10^6, so `secant` scales its work by the bound's
+# bits (n = 13 at 10^6: 9.4 s).
 MAX_TRIALS, MAX_BOUND = 20, 10 ** 6
 
 

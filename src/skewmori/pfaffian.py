@@ -91,10 +91,11 @@ class Polynomial:
 
     def _coordinates(self, matrix):
         """Entries of a SkewMatrix in ``var_pairs`` order; it must hold the support."""
-        for (i, j) in self.support_pairs():
-            if j >= matrix.size:
-                raise ValueError(f"unknown variable z_({i},{j}) for size {matrix.size}")
-        return [matrix.entry(i, j) for i, j in var_pairs(self.n)]
+        if matrix.size <= self.n:
+            for (i, j) in self.support_pairs():
+                if j >= matrix.size:
+                    raise ValueError(f"unknown variable z_({i},{j}) for size {matrix.size}")
+        return [matrix._upper.get(pair, 0) for pair in var_pairs(self.n)]
 
     def evaluate(self, matrix):
         """Exact value at a SkewMatrix with size at least the support needs."""
@@ -262,6 +263,7 @@ def pfaffian_value(matrix, indices=None):
     if indices is None:
         indices = range(matrix.size)
     idx = _check_index_set(matrix.size - 1, indices)
+    upper = matrix._upper
     memo = {}
 
     def pf(I):
@@ -270,14 +272,12 @@ def pfaffian_value(matrix, indices=None):
         if I in memo:
             return memo[I]
         i0 = I[0]
-        rest = I[1:]
         total = 0
-        for pos, ij in enumerate(rest):
-            z = matrix.entry(i0, ij)
+        for pos in range(1, len(I)):
+            z = upper.get((i0, I[pos]))
             if z:
-                sign = 1 if pos % 2 == 0 else -1
-                sub = tuple(x for x in rest if x != ij)
-                total += sign * z * pf(sub)
+                term = z * pf(I[1:pos] + I[pos + 1:])
+                total += term if pos % 2 else -term
         memo[I] = total
         return total
 
@@ -299,11 +299,11 @@ def _wedge_pair(x, y):
 # at bound 1, 2000 seeded samples over n = 1..8 needed at most 7 draws.
 MAX_DRAWS = 1000
 
-# A draw takes up to about 45 ns per unit of sample_work, and a Taylor pass up to
-# 60 ns per unit of taylor_work (2 vCPUs, CPython 3.11.7): secant_sample takes 1.3 s
-# at (n, h) = (800, 1) (3.1e7) and 8.3 s at (200, 20) with bound 10^6 (1.7e8);
-# vanishing_order 2.6 s at (n, k) = (11, 5) (4.3e7).  Printing adds to `sample` at
-# h = 1: `--n 1100 --h 1 --json` (5.9e7) takes 5.6-5.7 s fresh.
+# A draw takes up to about 45 ns per unit of sample_work, and a Taylor pass to order
+# k + 1 up to 45 ns per unit of taylor_work (2 vCPUs, CPython 3.11.7): secant_sample
+# takes 1.3 s at (n, h) = (800, 1) (3.1e7) and 8.3 s at (200, 20) with bound 10^6
+# (1.7e8); vanishing_order 1.6-1.7 s at (n, k) = (11, 5) (4.3e7), fresh.  Printing
+# adds to `sample` at h = 1: `--n 1100 --h 1 --json` (5.9e7) takes 5.6-5.7 s fresh.
 MAX_SAMPLING_WORK = 60_000_000
 
 
@@ -314,7 +314,9 @@ def sample_work(n, h, bound):
 
 def taylor_work(n, k):
     """(2k+1)!! (2^(k+7) + C(n+1, 2)): terms of a size-(2k+2) sub-Pfaffian times the
-    cost of expanding each at a point, a fit to vanishing_order's times at max_order k+1."""
+    cost of expanding each at a point, a fit to vanishing_order's times at max_order k+1.
+
+    multiplicity_estimate caps its passes lower, so it costs less than it is priced."""
     return prod(range(2 * k + 1, 0, -2)) * (2 ** (k + 7) + comb(n + 1, 2))
 
 
@@ -358,6 +360,8 @@ def vanishing_order(polynomial, matrix, max_order):
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     point = polynomial._coordinates(matrix)
+    # (k, e) -> the nonzero (a, C(e, a) z_k^(e - a)) of (z_k + x_k)^e, a ascending
+    rows = {}
     taylor = {}
     for exp, coef in polynomial.terms.items():
         # (degree, x-exponent) -> coefficient, one factor (z_k + x_k)^e at a time
@@ -365,13 +369,16 @@ def vanishing_order(polynomial, matrix, max_order):
         for k, e in enumerate(exp):
             if not e:
                 continue
-            z = point[k]
+            row = rows.get((k, e))
+            if row is None:
+                row = rows[k, e] = [(a, w) for a in range(min(e, max_order) + 1)
+                                    if (w := comb(e, a) * point[k] ** (e - a))]
             grown = {}
             for (degree, shift), c in expansion.items():
-                for a in range(min(e, max_order - degree) + 1):
-                    if z or a == e:
-                        key = (degree + a, shift + ((k, a),) if a else shift)
-                        grown[key] = c * comb(e, a) * z ** (e - a)
+                for a, w in row:
+                    if degree + a > max_order:
+                        break
+                    grown[degree + a, shift + ((k, a),) if a else shift] = c * w
             expansion = grown
         for key, c in expansion.items():
             taylor[key] = taylor.get(key, 0) + c
@@ -394,11 +401,11 @@ def multiplicity_estimate(n, k, h, trials=5, seed=0, bound=100):
         raise ValueError(f"the estimate at (n, k, h) = ({n}, {k}, {h}) with {trials} trials "
                          "exceeds the sampling budget")
     p = sub_pfaffian(n, range(2 * k + 2))
-    best = None
+    # p has degree k + 1; each trial's pass is capped to return min(best, its order)
+    best = k + 1
     for t in range(trials):
         z = secant_sample(n, h, bound=bound, seed=f"{seed}:{t}")
-        order = vanishing_order(p, z, max_order=k + 1)
-        best = order if best is None else min(best, order)
+        best = vanishing_order(p, z, max_order=best - 1)
         if best == 0:
             break
     return best

@@ -128,10 +128,12 @@ def check_fano(cfg):
     return True, f"indices {table}; -K(4)=(10,-2), -K(5)=(15,-5); positivity for n = 4..12"
 
 
-# A grid takes 50-60 ns per unit of work, fresh (2 vCPUs, CPython 3.11.7): at n = 10,
-# 2.6 s at the default 5 trials (4.5e7), 4.3 s at 10 trials and bound 10^6 (8.8e7),
-# 7.3 s at 14 and 10^6 (1.21e8), 8.9 s at 20 (1.71e8) and 9.4-10.3 s at 20 and 10^6
-# (1.72e8); n = 9 at 20 and 10^6 took 9.7 s (1.71e8).  n = 11 needs 2.7e8 at one trial.
+# The work prices every trial as a full Taylor pass, but later trials stop below the
+# best order so far, so a grid takes 16-23 ns per unit, fresh (2 vCPUs, CPython
+# 3.11.7; times over the budget with it lifted): at n = 10, 1.05 s at the default 5
+# trials (4.5e7), 1.8 s at 10 trials and bound 10^6 (8.8e7), 2.2 s at 14 and 10^6
+# (1.21e8), 2.6-2.8 s at 20 (1.71e8) and 2.6-3.0 s at 20 and 10^6 (1.72e8); n = 9 at
+# 20 and 10^6 took 2.4-2.8 s (1.71e8).  n = 11 needs 2.7e8 at one trial.
 MAX_GRID_WORK = 120_000_000
 
 

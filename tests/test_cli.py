@@ -241,6 +241,9 @@ RECORDED_REPORTS = [
      "920b936bfc1030c90a4c26bc1b1a037d63cd7b956ffaa2dbd7c3085118784d72"),
     ("multiplicity --n 7 --k 2 --h 1", 0,
      "27186beccfdc6377b984f6ce5f951262c47130629c926ccc348679ce0445f615"),
+    ("multiplicity --n 8 --json", 0, "9d19a426ddaca59222ad60e46b9a4c2c1b64ecd5f3676c3f413d10f508680a96"),
+    ("verify --only multiplicity --json --seed 3", 0,
+     "c4c1f45cb2d09b6fe3a80c81f2fba38ce8e15d45647d682682a6e57c7801d0d7"),
     ("secant --n 8", 0, "6c573e7b547b837ded6f17aa6dc0e838b892058c5644231fd847cd26c2f595b1"),
     ("verify --only fano --json", 0, "b77a4528c4adcfe224e6efded9fb7d185f0ff3b6622362300c042f7f4a5b1cf0"),
     # at n = 6 and 8: a maximal chamber, a face and a class outside Eff

@@ -171,15 +171,19 @@ def test_vanishing_order_matches_sympy_partials():
         assert all(c.is_integer for c in f.coeffs())
         p = Polynomial(n, {exp: int(c) for exp, c in f.terms()})
         assert max((e for exp in p.terms for e in exp), default=0) <= 3
-        rows = [[0] * (n + 1) for _ in range(n + 1)]
-        for (i, j), v in zip(var_pairs(n), values):
+        # every other point sits in a matrix one size larger, whose extra
+        # entries the polynomial does not read
+        size = n + 1 + trial % 2
+        rows = [[0] * size for _ in range(size)]
+        for i, j in var_pairs(size - 1):
+            v = values[var_index(n, i, j)] if j <= n else rng.randint(-2, 2)
             rows[i][j], rows[j][i] = v, -v
         matrix = SkewMatrix(rows)
-        expr = f.as_expr()
-        for cap in (1, 4):
-            got = vanishing_order(p, matrix, cap)
-            assert got == sympy_order(expr, zs, point, cap)
-            orders.add(got)
+        # the order capped at c is min(order, c + 1), so one sympy pass covers caps 0..4
+        want = sympy_order(f.as_expr(), zs, point, 4)
+        for cap in range(5):
+            assert vanishing_order(p, matrix, cap) == min(want, cap + 1)
+        orders.add(want)
     assert orders >= {0, 1, 2, 3}
 
 
@@ -253,6 +257,9 @@ def test_vanishing_order_cases():
     assert vanishing_order(Polynomial(1, {}), z0, 3) == 4
     with pytest.raises(ValueError, match="unknown variable"):
         vanishing_order(monomial(5, (4, 5)), z0, 2)
+    # a smaller matrix is fine when it holds the support
+    assert vanishing_order(monomial(5, (0, 1)), z, 2) == 0
+    assert vanishing_order(monomial(5, (0, 1), (0, 1)), z0, 2) == 2
 
 
 def test_vanishing_order_on_secant_points():
@@ -268,6 +275,28 @@ def test_multiplicity_examples():
     assert multiplicity_estimate(7, 2, 1, trials=3, seed=0, bound=30) == 2
     assert multiplicity_estimate(7, 1, 2, trials=3, seed=0, bound=30) == 0
     assert multiplicity_estimate(6, 2, 2, trials=3, seed=0, bound=30) == 1
+
+
+def uncapped_estimate(n, k, h, trials, seed, bound):
+    """The minimum over all trials of a full Taylor pass to order k + 1."""
+    p = sub_pfaffian(n, range(2 * k + 2))
+    return [vanishing_order(p, secant_sample(n, h, bound=bound, seed=f"{seed}:{t}"), k + 1)
+            for t in range(trials)]
+
+
+def test_capped_estimate_matches_uncapped_minimum():
+    # multiplicity_estimate caps each later trial at the best order so far
+    lowered = 0
+    for n in range(2, 9):
+        for bound in (1, 2, 100):
+            for k in range((n + 1) // 2):
+                for h in range(1, (n + 1) // 2 + 1):
+                    orders = uncapped_estimate(n, k, h, 5, n, bound)
+                    assert multiplicity_estimate(n, k, h, trials=5, seed=n, bound=bound) == min(orders)
+                    assert multiplicity_estimate(n, k, h, trials=1, seed=n, bound=bound) == orders[0]
+                    lowered += min(orders) < orders[0]
+    # some later trial does lower the first trial's order, so the capped passes decide
+    assert lowered
 
 
 def test_multiplicity_parameter_validation():
