@@ -10,8 +10,8 @@ cone is crossed once, at an exact point past it.  A class w of the effective
 cone lifts to a generic w' = t w + d, for d interior to it and on no spanned
 hyperplane and t keeping w's side of every hyperplane missing w; the chamber
 of w' holds w, and the cell of w is its face cut out by the facets through w.
-Chambers and their faces are memoised on the configuration, so a warm query
-runs no double description.
+The lift's signs, those facets and the signature below read only w's sign
+vector over the spanned hyperplanes, so each answer is memoised per sign vector.
 
 A set G of generator families is *forced* at w when w is not a nonnegative
 combination of the degrees of the remaining families, and *empty* when it is
@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import cache, reduce
 from itertools import combinations
 from math import comb
-from operator import or_
+from operator import mul, or_
 
 from . import geometry
 from .cones import Cone, hyperplanes_spanned_by
@@ -59,7 +59,7 @@ class VectorConfiguration:
         self.polarization = tuple(int(c) for c in polarization)
         self.vectors = sorted({g.degree for g in self.groups})
         self.ambient = Cone.from_generators(self.vectors, self.rank)
-        self._subset_cones, self._chambers, self._faces, self._bases = {}, {}, {}, None
+        self._subset_cones, self._chambers, self._faces, self._cells, self._bases = {}, {}, {}, {}, None
         self.labels = tuple(g.label for g in self.groups)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate group labels")
@@ -141,23 +141,33 @@ def sbl_signature(config, w):
     stratum (see the module docstring); w need not be generic.  A class
     outside the effective cone is refused with ``ValueError``.
     """
-    return _signature(config, _plane_values(config, w))
+    return _signature(config, _signs(_plane_values(config, w))[1])
 
 
 def _plane_values(config, w):
     """The h.w over the spanned hyperplanes h; a class outside the effective
-    cone is refused with ``ValueError``."""
+    cone, or inexact or of the wrong length, is refused with ``ValueError``."""
     if not config.ambient.contains(w):
         raise ValueError("class outside the effective cone")
-    return [dot(h, w) for h in config.bases()[0]]
+    return [sum(map(mul, h, w)) for h in config.bases()[0]]
 
 
-def _signature(config, values):
-    """``sbl_signature`` of the class with plane values ``values``."""
+def _signs(values):
+    """Masks of the normals +h_k then -h_k with h_k.w > 0, and with h_k.w < 0."""
+    pos = neg = 0
+    for k, x in enumerate(values):
+        if x > 0:
+            pos |= 1 << k
+        elif x < 0:
+            neg |= 1 << k
+    return pos | neg << len(values), neg | pos << len(values)
+
+
+def _signature(config, below):
+    """``sbl_signature`` of the classes w with h.w < 0 for the normals h in ``below``."""
     cocircuits = config.bases()[3]
     found = []
-    for c in sorted({c for c, x in zip(cocircuits, values + [-x for x in values])
-                     if x < 0 and c}, key=int.bit_count):
+    for c in sorted({cocircuits[k] for k in _bits(below)} - {0}, key=int.bit_count):
         if not any(f & c == f for f in found):
             found.append(c)
     return frozenset(frozenset().union(*(config.owners[i] for i in _bits(c))) for c in found)
@@ -236,9 +246,7 @@ def _held(config, w, name="class", values=None):
     planes, _, bases, _, _ = config.bases()
     if values is None:
         values = [dot(h, w) for h in planes]
-    values = values + [-x for x in values]
-    above = sum(1 << k for k, x in enumerate(values) if x > 0)
-    below = sum(1 << k for k, x in enumerate(values) if x < 0)
+    above, below = _signs(values)
     held = tuple(b for b in bases if not b[1] & below)
     if not held or any(f & ~above for _, f in held):
         raise ValueError(f"{name} {w} is not interior to a chamber")
@@ -301,20 +309,26 @@ def gkz_chambers(config):
 def chamber_of(config, w):
     """The chamber (or lower-dimensional face) of the class w, with its signature.
 
-    Chambers and their faces are memoised on the configuration, so a warm
-    query, one whose face an earlier query met, runs no double description."""
+    Both depend only on w's sign vector over the spanned hyperplanes h (the lift
+    t w + d has the sign of h.w, or of the fixed h.d where h.w = 0; the tight
+    facets are the h with h.w = 0; the signature reads the h with h.w < 0), so
+    they are memoised per sign vector: a warm query is one pass over the planes."""
     check_rank("chamber queries", config.rank)
     w = tuple(w)
     values = _plane_values(config, w)  # refuses a w outside the effective cone
-    held = _held(config, w, values=_lift(values, config.bases()[4])[1])
-    cone = _canonical_chamber(config, held)
-    tight = [f for f in cone.facets if not dot(f, w)]
-    if tight:  # the face of the chamber that holds w in its relative interior
-        rays = tuple(r for r in cone.rays if not any(dot(f, r) for f in tight))
-        if rays not in config._faces:
-            config._faces[rays] = Cone.from_generators(rays, config.rank)
-        cone = config._faces[rays]
-    return GKZChamber(cone, w, _signature(config, values))
+    above, below = _signs(values)
+    if above not in config._cells:
+        held = _held(config, w, values=_lift(values, config.bases()[4])[1])
+        cone = _canonical_chamber(config, held)
+        tight = [f for f in cone.facets if not dot(f, w)]
+        if tight:  # the face of the chamber that holds w in its relative interior
+            rays = tuple(r for r in cone.rays if not any(dot(f, r) for f in tight))
+            if rays not in config._faces:
+                config._faces[rays] = Cone.from_generators(rays, config.rank)
+            cone = config._faces[rays]
+        config._cells[above] = cone, _signature(config, below)
+    cone, signature = config._cells[above]
+    return GKZChamber(cone, w, signature)
 
 
 @cache

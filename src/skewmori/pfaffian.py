@@ -391,6 +391,13 @@ def multiplicity_estimate(n, k, h, trials=5, seed=0, bound=100):
     Minimum over independent samples; special points can only raise the
     order, so the minimum recovers the generic value.
     """
+    return _capped_minimum(n, k, h, trials, bound, lambda: sub_pfaffian(n, range(2 * k + 2)),
+                           lambda t: secant_sample(n, h, bound=bound, seed=f"{seed}:{t}"))
+
+
+def _capped_minimum(n, k, h, trials, bound, build, sample):
+    """multiplicity_estimate's refusals, then the least vanishing order of
+    p = build() at sample(0), ..., sample(trials - 1), each drawn when needed."""
     if 2 * k + 2 > n + 1:
         raise ValueError(f"sub-Pfaffian size {2 * k + 2} exceeds matrix size {n + 1}")
     if not 1 <= h <= (n + 1) // 2:
@@ -400,12 +407,11 @@ def multiplicity_estimate(n, k, h, trials=5, seed=0, bound=100):
     if trials * (taylor_work(n, k) + sample_work(n, h, bound)) > MAX_SAMPLING_WORK:
         raise ValueError(f"the estimate at (n, k, h) = ({n}, {k}, {h}) with {trials} trials "
                          "exceeds the sampling budget")
-    p = sub_pfaffian(n, range(2 * k + 2))
+    p = build()
     # p has degree k + 1; each trial's pass is capped to return min(best, its order)
     best = k + 1
     for t in range(trials):
-        z = secant_sample(n, h, bound=bound, seed=f"{seed}:{t}")
-        best = vanishing_order(p, z, max_order=best - 1)
+        best = vanishing_order(p, sample(t), max_order=best - 1)
         if best == 0:
             break
     return best

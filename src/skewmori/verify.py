@@ -10,6 +10,7 @@ property suites (seeded, reproducible).  No network, no external solver.
 from __future__ import annotations
 
 import random
+from functools import cache, partial
 from math import comb
 
 from . import chambers, cones, geometry, linalg, pfaffian
@@ -150,8 +151,13 @@ def multiplicity_grid(n_values, trials, seed, bound):
                     raise ValueError(f"the multiplicity grid at n = {n} with {trials} trials "
                                      "exceeds the sampling budget")
                 entries.append((n, k, h))
-    return [(n, k, h, pfaffian.multiplicity_estimate(n, k, h, trials=trials, seed=f"{seed}:{n}",
-                                                     bound=bound), max(k - h + 1, 0))
+    # multiplicity_estimate(n, k, h, trials, f"{seed}:{n}", bound) entry by entry, with
+    # p built once per (n, k) and each (n, h, trial) sample drawn once, when first needed
+    pfaffians = cache(lambda n, k: pfaffian.sub_pfaffian(n, range(2 * k + 2)))
+    samples = cache(lambda n, h, t: pfaffian.secant_sample(n, h, bound=bound,
+                                                           seed=f"{seed}:{n}:{t}"))
+    return [(n, k, h, pfaffian._capped_minimum(n, k, h, trials, bound, partial(pfaffians, n, k),
+                                               partial(samples, n, h)), max(k - h + 1, 0))
             for n, k, h in entries]
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -421,11 +422,15 @@ def test_chamber_of_against_oracle_n11():
         assert_oracle(config, w, chamber_of(config, w))
 
 
+def answer(ch):
+    return ch.cone.rays, ch.cone.facets, ch.cone.lineality, ch.signature
+
+
 @pytest.mark.parametrize("n", [8, 11])
 def test_chamber_of_independent_of_cache_state_and_order(n):
     # each class on a fresh configuration, then all of them twice on one warm
-    # configuration in shuffled order: the chamber and face memos change no
-    # answer, and the second pass builds no face
+    # configuration in shuffled order: the sign-vector, chamber and face memos
+    # change no answer, and the second pass adds no cell, face or chamber
     dec, rng = decomposition_for(n), random.Random(f"order{n}")
     rays = sorted({r for ch in dec.chambers for r in ch.rays})
     points = sorted({*rng.sample([vector_sum(on) for _, _, on in dec.walls], 20),
@@ -433,19 +438,71 @@ def test_chamber_of_independent_of_cache_state_and_order(n):
                      *(ch.representative for ch in rng.sample(dec.chambers, 5)),
                      *(combination(rng.sample(dec.config.vectors, rng.randint(1, 4)), rng, 1, 9)
                        for _ in range(20))})
-
-    def answer(ch):
-        return ch.cone.rays, ch.cone.facets, ch.cone.lineality, ch.signature
-
     fresh = {w: answer(chamber_of(configuration_for(n), w)) for w in points}
     warm = configuration_for(n)
     for w in rng.sample(points, len(points)):
         assert answer(chamber_of(warm, w)) == fresh[w], w
-    faces = dict(warm._faces)
-    assert faces
+    memos = [dict(warm._cells), dict(warm._faces), dict(warm._chambers)]
+    assert all(memos)
     for w in rng.sample(points, len(points)):
         assert answer(chamber_of(warm, w)) == fresh[w], w
-    assert warm._faces == faces and all(warm._faces[k] is v for k, v in faces.items())
+    for memo, before in zip((warm._cells, warm._faces, warm._chambers), memos):
+        assert memo == before and all(memo[k] is v for k, v in before.items())
+
+
+def sign_vector(config, w):
+    return tuple((x > 0) - (x < 0) for x in (dot(h, w) for h in config.bases()[0]))
+
+
+def assert_sign_vector_rule(config, points):
+    """Query ``points`` on ``config``, then per sign vector over the spanned
+    hyperplanes its first class w, 3w, its second class w2 and w + w2 again:
+    each warm answer equals the cold answer on a fresh copy of the configuration,
+    and the memo holds one entry per sign vector.  Returns how many sums it tried."""
+    cells = {}
+    for w in points:
+        cells.setdefault(sign_vector(config, w), []).append(w)
+        chamber_of(config, w)
+    sums = 0
+    for ws in cells.values():
+        classes = [ws[0], tuple(3 * x for x in ws[0])]
+        if len(ws) > 1:
+            classes += [ws[1], vector_sum(ws[:2])]
+            sums += 1
+        for v in classes:
+            assert sign_vector(config, v) == sign_vector(config, ws[0]), v
+            cold = VectorConfiguration(config.rank, config.groups, config.polarization)
+            assert answer(chamber_of(config, v)) == answer(chamber_of(cold, v)), v
+    assert len(config._cells) == len(cells)
+    return sums
+
+
+@pytest.mark.parametrize("n, count", [(8, 60), (11, 20)])
+def test_chamber_of_answer_depends_on_sign_vector_alone(n, count):
+    dec, rng = decomposition_for(n), random.Random(f"signs{n}")
+    rays = sorted({r for ch in dec.chambers for r in ch.rays})
+    points = [*rng.sample(rays, min(10, len(rays))), *(ch.representative for ch in dec.chambers[:5]),
+              *(vector_sum(on) for _, _, on in dec.walls[:5])]
+    points += [combination(rng.sample(dec.config.vectors, rng.randint(1, 2)), rng, 1, 4)
+               for _ in range(count)]
+    assert assert_sign_vector_rule(configuration_for(n), points)
+
+
+def test_chamber_of_refuses_on_a_memoised_sign_vector():
+    # (10.0, -6, -3, -1) and (10, -6, -3, -1, 0) would share the sign vector of
+    # (10, -6, -3, -1): the refusals come before the memo is read
+    config = configuration_for(8)
+    chamber_of(config, (10, -6, -3, -1))
+    cells = dict(config._cells)
+    assert len(cells) == 1
+    for w, message in (((10.0, -6, -3, -1), "inexact entry 10.0: use int or Fraction"),
+                       ((-10, 6, 3, 1), "class outside the effective cone"),
+                       ((0, 0, 0, -1), "class outside the effective cone"),
+                       ((10, -6, -3), "dimension mismatch"),
+                       ((10, -6, -3, -1, 0), "dimension mismatch")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            chamber_of(config, w)
+    assert config._cells == cells
 
 
 def random_configuration(rng):
@@ -473,13 +530,21 @@ def random_configuration(rng):
 
 
 def test_random_configurations_against_oracle():
-    rng = random.Random(2024)
-    for _ in range(40):
+    rng, sums = random.Random(2024), 0
+    for i in range(40):
         config = random_configuration(rng)
         dec = assert_walk_and_queries_match_oracle(config, rng, limit=25)
         for _ in range(10):  # random effective classes lie in a found chamber
             w = combination(config.vectors, rng, 0, 6)
             assert any(ch.cone.contains(w) for ch in dec.chambers), w
+        # classes for the sign-vector rule come from their own stream, which
+        # leaves the configurations drawn above as they were
+        signs = random.Random(f"signs{i}")
+        sums += assert_sign_vector_rule(
+            VectorConfiguration(config.rank, config.groups, config.polarization),
+            [combination(signs.sample(config.vectors, signs.randint(1, 3)), signs, 1, 3)
+             for _ in range(15)])
+    assert sums
 
 
 def test_generic_path_refuses_walls():

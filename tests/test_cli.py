@@ -199,8 +199,7 @@ def test_grid_budget_edge(monkeypatch, capsys):
     # the grid weighs trials x (taylor_work + sample_work) over its entries, one
     # trial where h > k: n = 10 runs up to 13 trials at bound 10^6, and no grid
     # past n = 10 runs; the estimates are stubbed, as only the guard is tested
-    monkeypatch.setattr(pfaffian, "multiplicity_estimate",
-                        lambda n, k, h, **kwargs: max(k - h + 1, 0))
+    monkeypatch.setattr(pfaffian, "_capped_minimum", lambda n, k, h, *args: max(k - h + 1, 0))
     for argv in (["verify", "--only", "multiplicity"],
                  ["verify", "--only", "multiplicity", "--trials", "20", "--bound", "1000000"],
                  ["multiplicity", "--n", "10"],

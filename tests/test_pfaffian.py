@@ -8,7 +8,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from skewmori import linalg, pfaffian
+from skewmori import linalg, pfaffian, verify
 from skewmori.pfaffian import (
     Polynomial,
     SkewMatrix,
@@ -297,6 +297,34 @@ def test_capped_estimate_matches_uncapped_minimum():
                     lowered += min(orders) < orders[0]
     # some later trial does lower the first trial's order, so the capped passes decide
     assert lowered
+
+
+def counted(calls, f):
+    def wrapper(*args, **kwargs):
+        calls.append(repr((args, kwargs)))
+        return f(*args, **kwargs)
+    return wrapper
+
+
+def test_grid_shares_samples_and_pfaffians(monkeypatch):
+    # the grid equals multiplicity_estimate entry by entry, while it builds each
+    # sub-Pfaffian once and draws each (n, h, trial) sample once, when needed
+    pfaffians, samples = [], []
+    monkeypatch.setattr(pfaffian, "sub_pfaffian", counted(pfaffians, sub_pfaffian))
+    monkeypatch.setattr(pfaffian, "secant_sample", counted(samples, secant_sample))
+    for seed in range(3):
+        for bound in (1, 2, 100):
+            for trials in (1, 5):
+                pfaffians.clear()
+                samples.clear()
+                rows = verify.multiplicity_grid(range(2, 9), trials, seed, bound)
+                assert len(pfaffians) == len(set(pfaffians)) == sum((n + 1) // 2 for n in range(2, 9))
+                drawn = list(samples)
+                samples.clear()
+                assert rows == [(n, k, h, multiplicity_estimate(
+                    n, k, h, trials=trials, seed=f"{seed}:{n}", bound=bound), max(k - h + 1, 0))
+                    for n, k, h, _, _ in rows]
+                assert len(drawn) == len(set(drawn)) < len(samples) and set(drawn) == set(samples)
 
 
 def test_multiplicity_parameter_validation():
