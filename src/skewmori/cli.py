@@ -199,9 +199,9 @@ def _add_common(p, *, seed=False, bound=False, trials=False):
 
 # Other budgets hold at the defaults; time grows with --trials and with the bound
 # (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity --n 10` takes 1.0-1.2 s at 5 trials
-# and, with its grid budget lifted, 2.9-3.0 s at 20; `secant --n 14` 3.2, 5.4, 8.2 and
-# 10.3 s at bound 100, 10^3, 10^4 and 10^6, so `secant` scales its work by the bound's
-# bits (n = 13 at 10^6: 9.4 s).
+# and, with its grid budget lifted, 2.9-3.0 s at 20; `secant --n 14 --json` 3.0-3.4,
+# 4.8-5.0, 6.8-7.6 and 11.4-14.5 s at bound 100, 10^3, 10^4 and 10^6, so `secant`
+# scales its work by the bound's bits (n = 13 at 10^6: 7.8-8.7 s).
 MAX_TRIALS, MAX_BOUND = 20, 10 ** 6
 
 

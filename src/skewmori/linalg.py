@@ -7,9 +7,13 @@ integer-preserving pass ``rref`` (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
 each row is scaled to integers first and every step divides exactly by the
 previous pivot, so ``rank``, ``det`` and ``kernel_basis`` never leave the
-integers.  ``rank`` and ``det`` stop at echelon form; only ``kernel_basis``
-and ``inverse`` reduce fully.  A quotient only appears where it is the
-answer: ``inverse``, ``matmul`` by a fractional matrix and ``det`` of one.
+integers.  A step rewrites only the rows with a nonzero entry in its pivot
+column: the others would merely be scaled by d/prev, so each row keeps the
+pivot of the step that last rewrote it and is scaled up to date when it
+becomes the pivot row or the reduction ends.  ``rank`` and ``det`` stop at
+echelon form; only ``kernel_basis`` and ``inverse`` reduce fully.  A
+quotient only appears where it is the answer: ``inverse``, ``matmul`` by a
+fractional matrix and ``det`` of one.
 """
 
 from __future__ import annotations
@@ -48,10 +52,21 @@ def rref(rows, echelon=False):
     pivot column on (both rows are zero left of it): the pivots, the sign
     and d are the same, but the pivot entry of row i is the minor on the
     first i + 1 rows and pivot columns rather than d.  Ragged rows raise.
+
+    Rows are rescaled lazily.  ``den[i]`` is the pivot of the last step
+    that rewrote row i (1 before any step), and after a step with pivot d
+    the Bareiss row is the stored row times d / den[i], an integer row: the
+    factors d_k / d_(k-1) of the steps that skipped it multiply out to that
+    ratio.  So a step with pivot row y rewrites each row x whose entry f in
+    the pivot column is nonzero as (d x - f y) / den[i], which is Bareiss's
+    (d x' - f' y) / prev for the up-to-date x' = x prev / den[i], and leaves
+    every other row alone.  The pivot row is brought up to date first, and
+    full reduction rescales any row that still lags at the end.
     """
     m = [clear_denominators(row)[0] for row in rows]
     if any(len(row) != len(m[0]) for row in m):
         raise ValueError("rows do not match the column count")
+    den = [1] * len(m)
     pivots, sign, prev, r = [], 1, 1, 0
     for c in range(len(m[0]) if m else 0):
         if r == len(m):
@@ -61,15 +76,24 @@ def rref(rows, echelon=False):
             continue
         if p != r:
             m[r], m[p] = m[p], m[r]
+            den[r], den[p] = den[p], den[r]
             sign = -sign
+        if den[r] != prev:
+            e = den[r]
+            m[r] = tuple([x * prev // e for x in m[r]])
         row, d, lo = m[r], m[r][c], c if echelon else 0
+        den[r], tail = d, row[lo:]
         for i in range(r + 1, len(m)) if echelon else range(len(m)):
-            if i != r:
-                f = m[i][c]
-                m[i] = m[i][:lo] + tuple((d * x - f * y) // prev for x, y in zip(m[i][lo:], row[lo:]))
+            f = m[i][c]
+            if f and i != r:
+                e, den[i] = den[i], d
+                m[i] = m[i][:lo] + tuple([(d * x - f * y) // e for x, y in zip(m[i][lo:], tail)])
         pivots.append(c)
         prev = d
         r += 1
+    if not echelon:
+        m[:r] = [row if e == prev else tuple([x * prev // e for x in row])
+                 for row, e in zip(m[:r], den)]
     return m[:r], pivots, sign
 
 

@@ -446,9 +446,10 @@ def _wedge_coordinates(n, x, v_index):
     return tuple(coords)
 
 
-# terracini_dim takes about 22 ns per unit of terracini_work, within 30% at 13 (n, h)
-# (2 vCPUs, CPython 3.11.7): the `secant` listing takes 10.4 s at n = 15 (4.4e8) and
-# 12.7 s at n = 16 (6.1e8); h = 8 alone 7.8 s at n = 17 (4.0e8), 11.7 s at n = 18 (5.5e8).
+# `secant` takes 14-22 ns per unit of terracini_work at bound 100 (fresh, --json, two
+# runs each, 2 vCPUs, CPython 3.11.7): the listing 6.1-7.6 s at n = 15 (4.3e8) and
+# 8.5-10.3 s at n = 16 (6.0e8); h = 8 alone 7.1-7.2 s at n = 17 (4.0e8) and 10.4-11.8 s
+# at n = 18 (5.5e8), so a budget that admitted n = 16 would admit runs past 10 s.
 MAX_TERRACINI_WORK = 450_000_000
 
 

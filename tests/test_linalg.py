@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 import sympy
 
-from skewmori import linalg
+from skewmori import linalg, pfaffian
 
 
 def sym(rows, ncols):
@@ -173,6 +173,103 @@ def test_echelon_form_keeps_pivots_sign_and_last_pivot():
         for i, p in enumerate(pivots):
             assert all(row[p] == 0 for row in ech[i + 1:])
         assert sym(ech + full, ncols).rank() == len(pivots)
+
+
+def textbook_rref(rows, echelon=False):
+    """Bareiss elimination that rewrites every other row at every step: the oracle."""
+    m = [linalg.clear_denominators(row)[0] for row in rows]
+    pivots, sign, prev, r = [], 1, 1, 0
+    for c in range(len(m[0]) if m else 0):
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        row, d, lo = m[r], m[r][c], c if echelon else 0
+        for i in range(r + 1, len(m)) if echelon else range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = m[i][:lo] + tuple((d * x - f * y) // prev for x, y in zip(m[i][lo:], row[lo:]))
+        pivots.append(c)
+        prev = d
+        r += 1
+    return m[:r], pivots, sign
+
+
+def sparse_matrix(rng, nrows, ncols, density, rational=False):
+    rows = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    for _ in range(rng.randint(0, 2)):  # repeated and zero rows
+        i, j = rng.randrange(nrows), rng.randrange(nrows)
+        rows[i] = list(rows[j]) if rng.random() < 0.5 else [0] * ncols
+    if rational:
+        rows = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in rows]
+    return [tuple(row) for row in rows]
+
+
+def terracini_matrix(rng, n, h, bound):
+    """terracini_dim's matrix: x ^ e_m and y ^ e_m for h random pairs (x, y) and every m."""
+    rows = []
+    for _ in range(h):
+        x, y = ([rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(2))
+        for m in range(n + 1):
+            rows += [pfaffian._wedge_coordinates(n, x, m), pfaffian._wedge_coordinates(n, y, m)]
+    return rows
+
+
+def oracle_cases():
+    """Sparse (density 0.1-0.5), dense, wide, tall, rank-deficient, rational and Terracini."""
+    rng = random.Random("sparse-bareiss")
+    out = list(SWAPS) + [NEGATIVE_LAST_PIVOT, ZERO_ROWS]
+    for i in range(400):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        if i % 4 == 0:
+            nrows, ncols = rng.randint(8, 16), rng.randint(1, 5)
+        elif i % 4 == 1:
+            nrows, ncols = rng.randint(1, 5), rng.randint(8, 16)
+        density = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 1.0])
+        out.append(sparse_matrix(rng, nrows, ncols, density, rational=i % 5 == 0))
+    out += cases(13)
+    out += [terracini_matrix(rng, n, h, bound) for n in range(2, 9)
+            for h in range(1, (n + 1) // 2 + 1) for bound in (1, 100)]
+    return out
+
+
+@pytest.mark.parametrize("echelon", [False, True])
+def test_rref_matches_the_textbook_elimination(echelon):
+    # skipping the rows a step would only rescale leaves every output unchanged
+    for rows in oracle_cases():
+        assert linalg.rref(rows, echelon) == textbook_rref(rows, echelon), rows
+
+
+def pivot_order(rows):
+    """The row order rref's pivot rule gives, found by rational elimination."""
+    m, order, r = [list(map(Fraction, row)) for row in rows], list(range(len(rows))), 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p], order[r], order[p] = m[p], m[r], order[p], order[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return order
+
+
+def test_echelon_pivot_entries_are_leading_minors():
+    # row i's pivot entry is the minor of the scaled, row-permuted matrix on
+    # its first i + 1 rows and pivot columns
+    for rows in oracle_cases()[:200]:
+        ech, pivots, _ = linalg.rref(rows, echelon=True)
+        scaled = [linalg.clear_denominators(row)[0] for row in rows]
+        permuted = [scaled[i] for i in pivot_order(rows)]
+        for i, p in enumerate(pivots):
+            minor = sympy.Matrix([[permuted[a][b] for b in pivots[:i + 1]] for a in range(i + 1)])
+            assert ech[i][p] == minor.det(), rows
 
 
 @pytest.mark.parametrize("rows", [[(1,), (3, 4)], [(1, 2), (3,)]])

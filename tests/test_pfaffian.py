@@ -354,6 +354,19 @@ def test_terracini_oracle():
     assert terracini_dim(7, 2, seed=0) == 21
 
 
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_terracini_oracle_past_eight(n):
+    for h in range(1, (n + 1) // 2):
+        assert terracini_dim(n, h, seed=0) == dim_secant(n, h), h
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_multiplicity_grid_past_eight(n):
+    rows = verify.multiplicity_grid([n], 5, 0, 100)
+    assert len(rows) == 25
+    assert all(got == want == max(k - h + 1, 0) for _, k, h, got, want in rows)
+
+
 def wedge_power_cases(size):
     """Seeded integer, rational and rank-deficient skew matrices of one size."""
     rng = random.Random(f"wedge-power:{size}")
