@@ -138,6 +138,8 @@ def cmd_multiplicity(args):
         got = pfaffian.multiplicity_estimate(args.n, args.k, args.h, trials=args.trials,
                                              seed=args.seed, bound=args.bound)
         rows = [(args.n, args.k, args.h, got, max(args.k - args.h + 1, 0))]
+    elif args.n < 2:
+        raise ValueError("n must be at least 2")
     else:
         rows = verify.multiplicity_grid([args.n], args.trials, args.seed, args.bound)
     config = {"n": args.n, "k": args.k, "h": args.h, "trials": args.trials,
@@ -150,6 +152,8 @@ def cmd_multiplicity(args):
 
 
 def cmd_secant(args):
+    if args.n < 3:  # the dimension formula needs 1 <= h < (n + 1) // 2
+        raise ValueError("n must be at least 3")
     hs = list(range(1, (args.n + 1) // 2)) if args.h is None else [args.h]
     bits = max(1, args.bound.bit_length() / 7)  # see MAX_BOUND
     if bits * sum(pfaffian.terracini_work(args.n, h) for h in hs) > pfaffian.MAX_TERRACINI_WORK:

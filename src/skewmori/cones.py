@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .linalg import clear_denominators, dot, primitive, sign_normalize
@@ -34,34 +35,35 @@ def _both_signs(vectors):
 def _reduce(v):
     """Primitive form of a nonzero integer vector (no denominators to clear)."""
     g = gcd(*v)
-    return tuple(x // g for x in v)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def _double_description(normals, ambient_rank):
     """Lineality basis and extremal rays of {x : a.x >= 0 for all a}.
 
-    Each nonzero normal is scaled to a primitive integer vector first.
-    Returns (lineality, rays, tight): lists of primitive integer tuples, the
-    rays sorted and extremal modulo the lineality space, and for each ray the
-    frozenset of the indices, among the nonzero normals only, of the normals
-    it is tight on.  Two rays are adjacent iff no third ray is tight on every
-    normal both are tight on (Fukuda-Prodon, "Double description method
-    revisited", 1996).
+    The normals are integer vectors; each nonzero one is scaled to a
+    primitive vector first.  Returns (lineality, rays, tight): lists of
+    primitive integer tuples, the rays sorted and extremal modulo the
+    lineality space, and for each ray the bitmask of the indices, among the
+    nonzero normals only, of the normals it is tight on (bit i for the i-th).
+    Two rays are adjacent iff no third ray is tight on every normal both are
+    tight on (Fukuda-Prodon, "Double description method revisited", 1996).
     """
     lin = [_unit(ambient_rank, i) for i in range(ambient_rank)]
-    rays = []  # (vector, frozenset of tight constraint indices)
+    rays = []  # (vector, bitmask of tight constraint indices)
     idx = -1  # index of the current normal among the nonzero ones
 
     for a in normals:
         if not any(a):
             continue
-        a = primitive(a)
+        a = _reduce(a)
         idx += 1
+        bit = 1 << idx
 
-        pivot = next((i for i, l in enumerate(lin) if dot(a, l) != 0), None)
+        pivot = next((i for i, l in enumerate(lin) if sum(map(mul, a, l))), None)
         if pivot is not None:
             l0 = lin[pivot]
-            v0 = dot(a, l0)
+            v0 = sum(map(mul, a, l0))
             if v0 < 0:
                 l0 = tuple(-x for x in l0)
                 v0 = -v0
@@ -69,26 +71,26 @@ def _double_description(normals, ambient_rank):
             for i, l in enumerate(lin):
                 if i == pivot:
                     continue
-                vl = dot(a, l)
+                vl = sum(map(mul, a, l))
                 new_lin.append(_reduce([v0 * x - vl * y for x, y in zip(l, l0)]))
             new_rays = []
             for r, tight in rays:
-                vr = dot(a, r)
+                vr = sum(map(mul, a, r))
                 r2 = [v0 * x - vr * y for x, y in zip(r, l0)]
                 if any(r2):
-                    new_rays.append((_reduce(r2), tight | {idx}))
-            new_rays.append((l0, frozenset(range(idx))))
+                    new_rays.append((_reduce(r2), tight | bit))
+            new_rays.append((l0, bit - 1))  # tight on every earlier normal
             lin = new_lin
             rays = list(dict(new_rays).items())
             continue
 
         plus, zero, minus = [], [], []
         for r, tight in rays:
-            v = dot(a, r)
+            v = sum(map(mul, a, r))
             if v > 0:
                 plus.append((r, tight, v))
             elif v == 0:
-                zero.append((r, tight | {idx}))
+                zero.append((r, tight | bit))
             else:
                 minus.append((r, tight, v))
         need = ambient_rank - len(lin) - 2
@@ -96,13 +98,13 @@ def _double_description(normals, ambient_rank):
         for rp, tp, vp in plus:
             for rm, tm, vm in minus:
                 common = tp & tm
-                if len(common) < need:
+                if common.bit_count() < need:
                     continue
                 # adjacent iff only rp and rm are tight on all of common
-                if sum(common <= t for _, t in rays) > 2:
+                if sum(common & t == common for _, t in rays) > 2:
                     continue
                 w = tuple(vp * x - vm * y for x, y in zip(rm, rp))
-                new_rays.append((_reduce(w), common | {idx}))
+                new_rays.append((_reduce(w), common | bit))
         rays = list(dict(new_rays).items())
 
     lin_rows, pivots, _ = linalg.rref(lin)
@@ -124,8 +126,10 @@ def _facets(normals, rays, tight):
     normals = [a for a in normals if any(a)]
     masks = [0] * len(normals)
     for j, t in enumerate(tight):
-        for i in t:
-            masks[i] |= 1 << j
+        while t:
+            low = t & -t
+            masks[low.bit_length() - 1] |= 1 << j
+            t ^= low
     if (1 << len(rays)) - 1 in masks:
         return None
     kept = set()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt, prod
+from math import comb, isqrt, lcm, prod
 
 from . import linalg
 from .linalg import dot
@@ -173,6 +173,14 @@ class SkewMatrix:
     def zero(cls, size):
         return cls([[0] * size for _ in range(size)])
 
+    @classmethod
+    def _from_upper(cls, size, upper):
+        """Unchecked: ``upper`` maps i < j to the nonzero exact entries above the diagonal."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "size", size)
+        object.__setattr__(matrix, "_upper", upper)
+        return matrix
+
     def entry(self, i, j):
         if i == j:
             return 0
@@ -181,8 +189,10 @@ class SkewMatrix:
         return -self._upper.get((j, i), 0)
 
     def to_rows(self):
-        return [tuple(self.entry(i, j) for j in range(self.size))
-                for i in range(self.size)]
+        rows = [[0] * self.size for _ in range(self.size)]
+        for (i, j), x in self._upper.items():
+            rows[i][j], rows[j][i] = x, -x
+        return [tuple(row) for row in rows]
 
     def is_zero(self):
         return not self._upper
@@ -398,6 +408,8 @@ def multiplicity_estimate(n, k, h, trials=5, seed=0, bound=100):
 def _capped_minimum(n, k, h, trials, bound, build, sample):
     """multiplicity_estimate's refusals, then the least vanishing order of
     p = build() at sample(0), ..., sample(trials - 1), each drawn when needed."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if 2 * k + 2 > n + 1:
         raise ValueError(f"sub-Pfaffian size {2 * k + 2} exceeds matrix size {n + 1}")
     if not 1 <= h <= (n + 1) // 2:
@@ -469,6 +481,8 @@ def terracini_dim(n, h, bound=100, seed=0):
     """
     if not 1 <= h <= (n + 1) // 2:
         raise ValueError(f"h={h} out of range 1..{(n + 1) // 2} for n={n}")
+    if bound < 1:
+        raise ValueError("bound must be positive")
     best = 0
     for attempt in range(3):
         rng = _rng("terracini", f"{seed}:{attempt}")
@@ -488,9 +502,10 @@ def wedge_power(matrix, k):
 
     Entry (I, J) is det of the submatrix with rows I and columns J; the
     transpose equals (-1)^k times the matrix, and its rank is C(rank, k).
-    Minors are Laplace expansions along their first row, memoised on (rows,
-    columns), so all row sets share the minors of their lower rows.  Entries
-    are ints for an integer matrix and Fractions otherwise.
+    Minors are Laplace expansions along their first row: each row suffix I
+    gets the dict of all its |I|-column minors, built from the dict of I[1:],
+    so all row sets share the minors of their lower rows.  Entries are ints
+    for an integer matrix and Fractions otherwise.
     """
     m = matrix.size
     if not 1 <= k <= m - 1:
@@ -498,32 +513,51 @@ def wedge_power(matrix, k):
     # one common denominator D: the k x k minors of D * A are D^k times those of A
     flat, scale = linalg.clear_denominators([x for row in matrix.to_rows() for x in row])
     rows = [flat[i * m:(i + 1) * m] for i in range(m)]
-    memo = {}
+    memo = {(): {(): 1}}
 
-    def minor(I, J):
-        if not I:
-            return 1
-        if (I, J) in memo:
-            return memo[I, J]
-        row, total = rows[I[0]], 0
-        for p, j in enumerate(J):
-            if row[j]:
-                term = row[j] * minor(I[1:], J[:p] + J[p + 1:])
-                total += -term if p % 2 else term
-        memo[I, J] = total
-        return total
+    def minors(I):
+        """{J: det of rows I and columns J} over the |I|-subsets J, in combinations order."""
+        if I in memo:
+            return memo[I]
+        row, sub, got = rows[I[0]], minors(I[1:]), {}
+        for J in combinations(range(m), len(I)):
+            total = 0
+            for p, j in enumerate(J):
+                if row[j]:
+                    term = row[j] * sub[J[:p] + J[p + 1:]]
+                    total += -term if p % 2 else term
+            got[J] = total
+        memo[I] = got
+        return got
 
-    subsets = list(combinations(range(m), k))
+    subsets = combinations(range(m), k)
     if scale == 1:
-        return [tuple(minor(I, J) for J in subsets) for I in subsets]
-    return [tuple(Fraction(minor(I, J), scale ** k) for J in subsets) for I in subsets]
+        return [tuple(minors(I).values()) for I in subsets]
+    return [tuple(Fraction(x, scale ** k) for x in minors(I).values()) for I in subsets]
 
 
 def skew_inverse(matrix):
-    """Exact inverse of an invertible skew matrix; skew again, and an involution."""
-    if matrix.size % 2 == 1:
+    """Exact inverse of an invertible skew matrix; skew again, and an involution.
+
+    With s the common denominator of the entries, one fraction-free pass
+    reduces the integer matrix [sA | I] to [dI | (d/s) A^-1], so the inverse
+    is s/d times its right half; only the upper triangle is read off, as
+    Fractions.  Raises ValueError on singular input.
+    """
+    n = matrix.size
+    if n % 2 == 1:
         raise ValueError("odd-size skew matrices are singular")
-    return SkewMatrix(linalg.inverse(matrix.to_rows()))
+    s = lcm(*(x.denominator for x in matrix._upper.values()))
+    scaled = SkewMatrix._from_upper(n, {p: x.numerator * (s // x.denominator)
+                                        for p, x in matrix._upper.items()})
+    red, pivots, _ = linalg.rref([row + tuple(int(i == j) for j in range(n))
+                                  for i, row in enumerate(scaled.to_rows())])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    d = red[-1][n - 1] if n else 1
+    return SkewMatrix._from_upper(n, {(i, j): Fraction(s * red[i][n + j], d)
+                                      for i in range(n) for j in range(i + 1, n)
+                                      if red[i][n + j]})
 
 
 def validate_complete_form(stages):

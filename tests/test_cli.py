@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -13,6 +14,11 @@ from skewmori.chambers import conjecture_counts
 from skewmori.cli import main
 from skewmori.cones import Cone
 from skewmori.pfaffian import Polynomial
+
+
+# child interpreters import the package under test, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    str(Path(chambers.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(*argv):
@@ -171,9 +177,35 @@ def test_domain_error_exit_code(capsys):
     code, _ = run_cli("multiplicity", "--n", "10", "--k", "4", "--h", "5", "--trials", "20")
     assert code == 0
     for argv in (["verify", "--only", "multiplicity", "--n", "0"],
-                 ["verify", "--only", "multiplicity", "--n", "1"], ["verify", "--n", "-3"]):
+                 ["verify", "--only", "multiplicity", "--n", "1"], ["verify", "--n", "-3"],
+                 ["multiplicity", "--n", "0"], ["multiplicity", "--n", "-4"],
+                 ["multiplicity", "--n", "1"]):
         code, _ = run_cli(*argv)
         assert code == 3 and "n must be at least 2" in capsys.readouterr().err, argv
+    # the secant listing runs h over 1..(n + 1) // 2 - 1, empty below n = 3
+    for argv in (["secant", "--n", "2"], ["secant", "--n", "-3"],
+                 ["secant", "--n", "2", "--h", "1"]):
+        code, _ = run_cli(*argv)
+        assert code == 3 and "n must be at least 3" in capsys.readouterr().err, argv
+    # single estimates keep their range: z01 does not vanish at a rank-2 point of size 2
+    code, out = run_cli("multiplicity", "--n", "1", "--k", "0", "--h", "1")
+    assert code == 0 and out.splitlines()[1].split() == ["1", "0", "1", "0", "0"]
+    code, out = run_cli("secant", "--n", "3")
+    assert code == 0 and out.splitlines()[1:] == ["1 4   1     4"]
+
+
+def test_bound_and_k_refused_before_any_work(monkeypatch, capsys):
+    for argv in (["secant", "--n", "8", "--bound", "0"], ["secant", "--n", "8", "--bound", "-5"],
+                 ["verify", "--only", "secant", "--bound", "0"]):
+        code, _ = run_cli(*argv)
+        assert code == 3 and "bound must be positive" in capsys.readouterr().err, argv
+    with pytest.raises(ValueError, match="bound must be positive"):
+        pfaffian.terracini_dim(8, 1, bound=0)
+    # k < 0 is refused by the estimate itself, before it builds the sub-Pfaffian
+    monkeypatch.setattr(pfaffian, "sub_pfaffian", lambda *a: pytest.fail("built p"))
+    code, _ = run_cli("multiplicity", "--n", "5", "--k", "-1", "--h", "1")
+    err = capsys.readouterr().err
+    assert code == 3 and "k must be >= 0" in err and "max_order" not in err
 
 
 def test_secant_budget_edge():
@@ -270,14 +302,14 @@ def test_reports_match_recorded_digests(command, code, digest):
 def test_usage_error_exit_code():
     for argv in (["cones", "--n", "6"], ["chamber", "--n", "6", "--point", "a,b,c"]):
         result = subprocess.run([sys.executable, "-m", "skewmori.cli", *argv],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=CHILD_ENV)
         assert result.returncode == 2, argv
 
 
 def test_byte_identical_reports():
     cmd = [sys.executable, "-m", "skewmori.cli", "gkz", "--n", "6", "--json"]
-    first = subprocess.run(cmd, capture_output=True).stdout
-    second = subprocess.run(cmd, capture_output=True).stdout
+    first = subprocess.run(cmd, capture_output=True, env=CHILD_ENV).stdout
+    second = subprocess.run(cmd, capture_output=True, env=CHILD_ENV).stdout
     assert first == second and first
 
 
@@ -315,7 +347,7 @@ def loaded_modules(code):
     """The names in sys.modules after running code in a fresh interpreter."""
     probe = code + "\nimport sys\nprint(' '.join(sys.modules))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True)
+                            check=True, env=CHILD_ENV)
     return set(result.stdout.split())
 
 

@@ -273,6 +273,24 @@ def test_double_description_against_brute_force(seed):
                 assert rank_tight == ambient - len(lineality) - 1, normals
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_tight_masks_are_the_zero_products(seed):
+    """Bit i of a ray's tight mask is set iff the i-th nonzero normal is tight on it."""
+    rng = random.Random(f"double-description:{seed}")
+    for rank, pointed, bound in product(range(2, 6), (True, False), (1, 1, 3)):
+        ambient = rank if pointed else rank + rng.randint(1, 2)
+        normals = random_normals(rng, rank, ambient, bound)
+        half = len(normals) // 2
+        # the brute-force test's normals, then with a zero normal, which takes no index
+        for system in (normals, normals[:half] + [(0,) * ambient] + normals[half:]):
+            _, rays, tight = _double_description(system, ambient)
+            nonzero = [a for a in system if any(a)]
+            assert len(tight) == len(rays)
+            for r, mask in zip(rays, tight):
+                assert mask == sum(1 << i for i, a in enumerate(nonzero)
+                                   if sum(x * y for x, y in zip(a, r)) == 0), system
+
+
 @pytest.mark.parametrize("build", [
     lambda: Cone.from_generators([(0.5, 1.0), (1, 0)]),
     lambda: Cone.from_generators([(0.0, 0.0)]),

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -439,6 +440,80 @@ def test_skew_inverse():
         skew_inverse(SkewMatrix.zero(3))
     with pytest.raises(ValueError, match="singular"):
         skew_inverse(SkewMatrix.zero(4))
+
+
+def skew_cases(seed, size):
+    """Seeded dense, sparse and rational skew matrices of one size."""
+    rng = random.Random(f"skew-cases:{seed}:{size}")
+    out = [random_skew(rng, size), random_skew(rng, size, bound=1)]
+    for make in (lambda: rng.choice([0, 0, 0, rng.randint(-3, 3)]),
+                 lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))):
+        rows = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                rows[i][j] = make()
+                rows[j][i] = -rows[i][j]
+        out.append(SkewMatrix(rows))
+    return out
+
+
+def refusal(fn, *args):
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("size", range(9))
+def test_skew_inverse_matches_the_general_inverse(size):
+    """The one-denominator pass against linalg.inverse of the full matrix."""
+    odd = singular = 0
+    for seed in range(12):
+        for z in skew_cases(seed, size):
+            got, why = refusal(skew_inverse, z)
+            want, want_why = refusal(linalg.inverse, z.to_rows())
+            if size % 2:
+                assert why == "odd-size skew matrices are singular" and want_why is not None
+                odd += 1
+                continue
+            assert why == want_why, z.to_rows()
+            if why is not None:
+                singular += 1
+                continue
+            want = SkewMatrix(want)
+            assert got._upper == want._upper, z.to_rows()
+            assert [type(x) for x in got._upper.values()] == \
+                [type(x) for x in want._upper.values()]
+            assert all(type(x) is Fraction for x in got._upper.values())
+    if size % 2:
+        assert odd == 48
+    elif size:
+        assert singular > 0  # the sparse cases reach the singular refusal
+
+
+def test_skew_inverse_is_one_elimination_at_size_16(monkeypatch):
+    """No sub-Pfaffian adjugate: one rref of the 16 x 32 matrix, in well under a second."""
+    z = next(z for z in skew_cases(0, 16)[::-1] if pfaffian_value(z))
+    want = SkewMatrix(linalg.inverse(z.to_rows()))
+    calls = []
+    monkeypatch.setattr(linalg, "rref", lambda *a, _rref=linalg.rref: calls.append(a)
+                        or _rref(*a))
+    monkeypatch.setattr(pfaffian, "pfaffian_value", lambda *a: pytest.fail("adjugate"))
+    start = time.perf_counter()
+    got = skew_inverse(z)
+    assert time.perf_counter() - start < 1.0
+    assert got == want and len(calls) == 1
+
+
+def test_to_rows_matches_entry():
+    for size in range(9):
+        for z in skew_cases(size, size):
+            rows = z.to_rows()
+            assert type(rows) is list and all(type(row) is tuple for row in rows)
+            assert len(rows) == size and all(len(row) == size for row in rows)
+            for i, row in enumerate(rows):
+                for j, x in enumerate(row):
+                    assert x == z.entry(i, j) and type(x) is type(z.entry(i, j))
 
 
 def test_validate_complete_form():
