@@ -156,12 +156,13 @@ def cmd_secant(args):
         raise ValueError("n must be at least 3")
     hs = list(range(1, (args.n + 1) // 2)) if args.h is None else [args.h]
     bits = max(1, args.bound.bit_length() / 7)  # see MAX_BOUND
-    if bits * sum(pfaffian.terracini_work(args.n, h) for h in hs) > pfaffian.MAX_TERRACINI_WORK:
+    # one elimination per attempt answers every h up to the last, so a listing costs that h
+    if bits * pfaffian.terracini_work(args.n, hs[-1]) > pfaffian.MAX_TERRACINI_WORK:
         raise ValueError(f"secant dimensions at n={args.n} exceed the elimination budget")
+    dims = pfaffian.terracini_dims(args.n, hs[-1], bound=args.bound, seed=args.seed)
     rows = [{"h": h, "dim": pfaffian.dim_secant(args.n, h),
-             "codim": pfaffian.codim_secant(args.n, h),
-             "terracini": pfaffian.terracini_dim(args.n, h, bound=args.bound, seed=args.seed)}
-            for h in hs]
+             "codim": pfaffian.codim_secant(args.n, h), "terracini": t}
+            for h, t in zip(hs, dims[-len(hs):])]
     config = {"n": args.n, "h": args.h, "bound": args.bound, "seed": args.seed}
     lines = ["h dim codim terracini"]
     lines += [f"{r['h']} {r['dim']}   {r['codim']}     {r['terracini']}" for r in rows]
@@ -203,9 +204,9 @@ def _add_common(p, *, seed=False, bound=False, trials=False):
 
 # Other budgets hold at the defaults; time grows with --trials and with the bound
 # (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity --n 10` takes 1.0-1.2 s at 5 trials
-# and, with its grid budget lifted, 2.9-3.0 s at 20; `secant --n 14 --json` 3.0-3.4,
-# 4.8-5.0, 6.8-7.6 and 11.4-14.5 s at bound 100, 10^3, 10^4 and 10^6, so `secant`
-# scales its work by the bound's bits (n = 13 at 10^6: 7.8-8.7 s).
+# and, with its grid budget lifted, 2.9-3.0 s at 20; `secant --n 14 --json` 0.9, 1.5,
+# 2.0 and 4.0 s at bound 100, 10^3, 10^4 and 10^6, so `secant` scales its work by the
+# bound's bits (at 10^6: h = 4 at n = 19 takes 9.3-10.1 s, h = 5 at n = 17 7.7-10.1 s).
 MAX_TRIALS, MAX_BOUND = 20, 10 ** 6
 
 

@@ -107,7 +107,7 @@ def _double_description(normals, ambient_rank):
                 new_rays.append((_reduce(w), common | bit))
         rays = list(dict(new_rays).items())
 
-    lin_rows, pivots, _ = linalg.rref(lin)
+    lin_rows, pivots, _ = linalg._bareiss(lin)
     lineality = [primitive(l if l[p] > 0 else [-x for x in l])
                  for l, p in zip(lin_rows, pivots)]
     rays.sort()

@@ -20,6 +20,7 @@ generated or cut out by these classes.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb, gcd
 
 from .cones import Cone
@@ -270,6 +271,7 @@ def cox_generator_degrees(n):
     return gens
 
 
+@cache
 def movable_cone(n):
     """Intersection over each generator of the hull of all the other degrees.
 

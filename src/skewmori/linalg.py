@@ -5,9 +5,10 @@ or ``fractions.Fraction`` entries; anything else (a float in particular) is
 refused with ``ValueError`` rather than rounded.  Every elimination is the
 integer-preserving pass ``rref`` (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
-each row is scaled to integers first and every step divides exactly by the
-previous pivot, so ``rank``, ``det`` and ``kernel_basis`` never leave the
-integers.  A step rewrites only the rows with a nonzero entry in its pivot
+each row is scaled to integers first (rows the package already holds as
+integers enter unchecked through ``_bareiss``) and every step divides
+exactly by the previous pivot, so ``rank``, ``det`` and ``kernel_basis``
+never leave the integers.  A step rewrites only the rows with a nonzero entry in its pivot
 column: the others would merely be scaled by d/prev, so each row keeps the
 pivot of the step that last rewrote it and is scaled up to date when it
 becomes the pivot row or the reduction ends.  ``rank`` and ``det`` stop at
@@ -66,6 +67,11 @@ def rref(rows, echelon=False):
     m = [clear_denominators(row)[0] for row in rows]
     if any(len(row) != len(m[0]) for row in m):
         raise ValueError("rows do not match the column count")
+    return _bareiss(m, echelon)
+
+
+def _bareiss(m, echelon=False):
+    """``rref`` on a list of integer row tuples of one length, unchecked; rewrites m."""
     den = [1] * len(m)
     pivots, sign, prev, r = [], 1, 1, 0
     for c in range(len(m[0]) if m else 0):
@@ -129,7 +135,7 @@ def det(rows):
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
     cleared = [clear_denominators(row) for row in rows]
-    red, pivots, sign = rref([row for row, _ in cleared], echelon=True)
+    red, pivots, sign = _bareiss([row for row, _ in cleared], echelon=True)
     if len(pivots) < n:
         return 0
     d = sign * red[-1][-1] if n else 1

@@ -458,10 +458,10 @@ def _wedge_coordinates(n, x, v_index):
     return tuple(coords)
 
 
-# `secant` takes 14-22 ns per unit of terracini_work at bound 100 (fresh, --json, two
-# runs each, 2 vCPUs, CPython 3.11.7): the listing 6.1-7.6 s at n = 15 (4.3e8) and
-# 8.5-10.3 s at n = 16 (6.0e8); h = 8 alone 7.1-7.2 s at n = 17 (4.0e8) and 10.4-11.8 s
-# at n = 18 (5.5e8), so a budget that admitted n = 16 would admit runs past 10 s.
+# `secant` takes 10-16 ns per unit of terracini_work at bound 100 (fresh, --json, 2 vCPUs,
+# CPython 3.11.7) on the edge of one h: 4.1 s at (58, 1), 6.4 s at (24, 4), 5.2 s at
+# (17, 8) (4.0e8).  A listing is one elimination for its largest h and is priced so:
+# 4.8 s at n = 17 (4.0e8) and, refused, 9.0 s at n = 18 (5.5e8, as (18, 8)).
 MAX_TERRACINI_WORK = 450_000_000
 
 
@@ -471,19 +471,24 @@ def terracini_work(n, h):
     return isqrt(isqrt(((rows * rank) ** 2 * comb(n + 1, 2)) ** 3))
 
 
-def terracini_dim(n, h, bound=100, seed=0):
-    """Dimension of the span of h generic tangent spaces of the rank-2 locus.
+def terracini_dims(n, h, bound=100, seed=0):
+    """Dimensions of the spans of j generic tangent spaces of the rank-2 locus, j = 1..h.
 
     The affine tangent space at [x ^ y] is x ^ V + y ^ V; the projective
-    dimension of the join is the rank of the stacked coordinate vectors minus
-    one.  Random integer samples only ever undershoot the generic value, so
-    the maximum over a few attempts is taken.
+    dimension of the join of j of them is the rank of their stacked
+    coordinate vectors minus one.  An attempt draws its pairs in order, so
+    the rows for j pairs are the first 2j(n+1) rows for h, and one
+    fraction-free elimination of the transpose answers every j: a column of
+    the transpose is a pivot iff it is independent of the columns before
+    it, so the rank of the first 2j(n+1) rows is the number of pivots below
+    2j(n+1).  Random integer samples only ever undershoot the generic value,
+    so each entry is the maximum over a few attempts.
     """
     if not 1 <= h <= (n + 1) // 2:
         raise ValueError(f"h={h} out of range 1..{(n + 1) // 2} for n={n}")
     if bound < 1:
         raise ValueError("bound must be positive")
-    best = 0
+    best, size = [0] * h, 2 * (n + 1)
     for attempt in range(3):
         rng = _rng("terracini", f"{seed}:{attempt}")
         rows = []
@@ -493,8 +498,14 @@ def terracini_dim(n, h, bound=100, seed=0):
             for m in range(n + 1):
                 rows.append(_wedge_coordinates(n, x, m))
                 rows.append(_wedge_coordinates(n, y, m))
-        best = max(best, linalg.rank(rows) - 1)
+        pivots = linalg._bareiss(list(zip(*rows)), echelon=True)[1]
+        best = [max(b, sum(p < size * j for p in pivots) - 1) for j, b in enumerate(best, 1)]
     return best
+
+
+def terracini_dim(n, h, bound=100, seed=0):
+    """Dimension of the span of h generic tangent spaces: the last of terracini_dims."""
+    return terracini_dims(n, h, bound, seed)[-1]
 
 
 def wedge_power(matrix, k):
@@ -550,8 +561,8 @@ def skew_inverse(matrix):
     s = lcm(*(x.denominator for x in matrix._upper.values()))
     scaled = SkewMatrix._from_upper(n, {p: x.numerator * (s // x.denominator)
                                         for p, x in matrix._upper.items()})
-    red, pivots, _ = linalg.rref([row + tuple(int(i == j) for j in range(n))
-                                  for i, row in enumerate(scaled.to_rows())])
+    red, pivots, _ = linalg._bareiss([row + tuple(int(i == j) for j in range(n))
+                                      for i, row in enumerate(scaled.to_rows())])
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     d = red[-1][n - 1] if n else 1

@@ -150,7 +150,7 @@ def test_domain_error_exit_code(capsys):
     for argv in (["multiplicity", "--n", "11"],
                  ["multiplicity", "--n", "13", "--k", "6", "--h", "1"],
                  ["verify", "--only", "multiplicity", "--n", "12"],
-                 ["secant", "--n", "16"], ["secant", "--n", "20"],
+                 ["secant", "--n", "18"], ["secant", "--n", "20"],
                  ["secant", "--n", "18", "--h", "8"], ["secant", "--n", "8", "--h", "0"],
                  ["blowup1", "--n", "401"], ["blowup1", "--n", "1000"],
                  ["classes", "--n", "4001"], ["classes", "--n", "10000"],
@@ -163,7 +163,7 @@ def test_domain_error_exit_code(capsys):
                  ["multiplicity", "--n", "8", "--k", "3", "--h", "1", "--bound", str(10 ** 30)],
                  ["sample", "--n", "6", "--h", "2", "--bound", "1000001"],
                  ["secant", "--n", "8", "--bound", str(10 ** 30)],
-                 ["secant", "--n", "14", "--bound", "1000000"],
+                 ["secant", "--n", "15", "--bound", "1000000"],
                  ["verify", "--only", "secant", "--bound", str(10 ** 7)],
                  ["sample", "--n", "1600", "--h", "1"], ["sample", "--n", "200", "--h", "100"],
                  ["multiplicity", "--n", "3200", "--k", "0", "--h", "1"],
@@ -209,11 +209,15 @@ def test_bound_and_k_refused_before_any_work(monkeypatch, capsys):
 
 
 def test_secant_budget_edge():
-    # the secant listing is accepted up to n = 15; one h up to (17, 8) and (50, 1)
+    # a listing is priced as its largest h: accepted up to n = 17 at bound 100 and
+    # n = 14 at 10^6; one h up to (17, 8) and (58, 1)
     work, budget = pfaffian.terracini_work, pfaffian.MAX_TERRACINI_WORK
-    assert sum(work(15, h) for h in range(1, 8)) <= budget < sum(work(16, h) for h in range(1, 8))
+    last = lambda n: work(n, (n + 1) // 2 - 1)
+    bits = (10 ** 6).bit_length() / 7
+    assert last(17) <= budget < last(18)
+    assert bits * last(14) <= budget < bits * last(15)
     assert work(17, 8) <= budget < work(18, 8)
-    assert work(50, 1) <= budget < work(60, 1)
+    assert work(58, 1) <= budget < work(59, 1)
 
 
 def test_sampling_budget_edge():

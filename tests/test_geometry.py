@@ -191,6 +191,16 @@ def test_movable_equals_nef_for_small_n():
         assert movable_cone(n) == nef_cone(n)
 
 
+@pytest.mark.parametrize("order", [range(4, 14), range(13, 3, -1)])
+def test_movable_cone_cold_and_warm_agree(order):
+    # the cache hands out one shared cone per n, equal to a fresh build in either order
+    movable_cone.cache_clear()
+    cold = {n: movable_cone(n) for n in order}
+    for n in order:
+        assert movable_cone(n) is cold[n]
+        assert movable_cone.__wrapped__(n) == cold[n], n
+
+
 def test_cox_generator_counts():
     assert sum(g.multiplicity for g in cox_generator_degrees(4)) == 16
     assert sum(g.multiplicity for g in cox_generator_degrees(5)) == 32

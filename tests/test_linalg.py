@@ -303,6 +303,17 @@ def test_floats_are_refused():
             call()
 
 
+def test_public_entries_validate_each_row_once(monkeypatch):
+    # the elimination itself takes the cleared integer rows unchecked
+    calls, real = [], linalg.clear_denominators
+    monkeypatch.setattr(linalg, "clear_denominators", lambda v: calls.append(v) or real(v))
+    rows = [(2, 1, 0), (1, Fraction(3, 2), 1), (0, 1, 4)]
+    for entry in (linalg.rref, linalg.rank, linalg.det, linalg.kernel_basis, linalg.inverse):
+        calls.clear()
+        entry(rows)
+        assert len(calls) == 3, entry
+
+
 def test_primitive_and_dot():
     assert linalg.primitive((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)
     assert linalg.primitive((0, -6, 4)) == (0, -3, 2)

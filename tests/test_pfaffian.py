@@ -21,6 +21,7 @@ from skewmori.pfaffian import (
     skew_inverse,
     sub_pfaffian,
     terracini_dim,
+    terracini_dims,
     validate_complete_form,
     vanishing_order,
     var_index,
@@ -357,8 +358,41 @@ def test_terracini_oracle():
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_terracini_oracle_past_eight(n):
-    for h in range(1, (n + 1) // 2):
-        assert terracini_dim(n, h, seed=0) == dim_secant(n, h), h
+    top = (n + 1) // 2 - 1
+    assert terracini_dims(n, top, seed=0) == [dim_secant(n, h) for h in range(1, top + 1)]
+
+
+def textbook_terracini(n, h, bound=100, seed=0):
+    """The per-h oracle: one rank of all 2h(n+1) stacked rows per attempt."""
+    best = 0
+    for attempt in range(3):
+        rng = pfaffian._rng("terracini", f"{seed}:{attempt}")
+        rows = []
+        for _ in range(h):
+            x = [rng.randint(-bound, bound) for _ in range(n + 1)]
+            y = [rng.randint(-bound, bound) for _ in range(n + 1)]
+            for m in range(n + 1):
+                rows.append(pfaffian._wedge_coordinates(n, x, m))
+                rows.append(pfaffian._wedge_coordinates(n, y, m))
+        best = max(best, linalg.rank(rows) - 1)
+    return best
+
+
+@pytest.mark.parametrize("bound", [1, 2, 100])
+def test_terracini_dims_match_the_per_h_oracle(bound):
+    for n in range(3, 13):
+        top = (n + 1) // 2
+        for seed in range(3):
+            want = [textbook_terracini(n, h, bound, seed) for h in range(1, top + 1)]
+            assert terracini_dims(n, top, bound, seed) == want, (n, seed)
+
+
+def test_terracini_dims_on_degenerate_draws():
+    # at bound 1 an attempt may draw dependent points, and then the maximum over the
+    # attempts and the cut at 2j(n+1) rows decide the answer (at seed 292, both do)
+    for seed in range(300):
+        want = [textbook_terracini(3, h, 1, seed) for h in (1, 2)]
+        assert terracini_dims(3, 2, 1, seed) == want, seed
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -492,12 +526,12 @@ def test_skew_inverse_matches_the_general_inverse(size):
 
 
 def test_skew_inverse_is_one_elimination_at_size_16(monkeypatch):
-    """No sub-Pfaffian adjugate: one rref of the 16 x 32 matrix, in well under a second."""
+    """No sub-Pfaffian adjugate: one elimination of the 16 x 32 matrix, in well under a second."""
     z = next(z for z in skew_cases(0, 16)[::-1] if pfaffian_value(z))
     want = SkewMatrix(linalg.inverse(z.to_rows()))
     calls = []
-    monkeypatch.setattr(linalg, "rref", lambda *a, _rref=linalg.rref: calls.append(a)
-                        or _rref(*a))
+    monkeypatch.setattr(linalg, "_bareiss", lambda *a, _run=linalg._bareiss: calls.append(a)
+                        or _run(*a))
     monkeypatch.setattr(pfaffian, "pfaffian_value", lambda *a: pytest.fail("adjugate"))
     start = time.perf_counter()
     got = skew_inverse(z)
