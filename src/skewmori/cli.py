@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb, prod
 
 from . import chambers, geometry, pfaffian, verify
 from .chambers import describe_signature
@@ -29,18 +30,34 @@ def cmd_verify(args):
     return report["config"], report["checks"], lines, int(report["passed"] != report["total"])
 
 
+# `pfaffian --json` writes C(size, 2) entries for the variable list and as many
+# for each of the (|I| - 1)!! terms, about 1 us an entry: fresh, with --json, the
+# edges take 4.7 s at size 31 on 12 indices (4.8e6 entries), 5.0 s at size 307 on 8
+# and 5.7 s at size 2236 on 2 (5.0e6); the full Pfaffian of size 14 (1.2e7) took
+# 13.1 s, and size 4000 on 2 indices 23.6 s and 2.2 GB (2 vCPUs, CPython 3.11.7).
+MAX_PFAFFIAN_REPORT = 5_000_000
+
+
 def cmd_pfaffian(args):
     # a range, so an oversized --size is refused before any index list is built
     indices = [int(x) for x in args.minor.split(",")] if args.minor else range(args.size)
+    width = comb(max(args.size, 0), 2)
+    # the width alone first, as a report has at least one term: a huge size is
+    # refused before its (|I| - 1)!! terms are counted
+    if 2 * width > MAX_PFAFFIAN_REPORT or (
+            width * (prod(range(len(indices) - 1, 0, -2)) + 1) > MAX_PFAFFIAN_REPORT):
+        raise ValueError(f"a sub-Pfaffian report on {len(indices)} indices of size "
+                         f"{args.size} exceeds {MAX_PFAFFIAN_REPORT} entries")
     poly = pfaffian.sub_pfaffian(args.size - 1, indices)
     return {"size": args.size, "minor": list(indices)}, poly.to_json(), [str(poly)]
 
 
 def cmd_classes(args):
     n = args.n
-    # 9.7 s and 457 MB at n = 4000, 11.3 s at n = 4500 (2 vCPUs, CPython 3.11.7)
-    if n > 4000:
-        raise ValueError("classes are supported up to n = 4000")
+    # the report grows as n^2: fresh, with --json, 7.2 s at n = 2500, 10.8 s at
+    # n = 3000 and 15.8 s at n = 4000 (text: 4.1 s at n = 3000; 2 vCPUs, CPython 3.11.7)
+    if n > 2500:
+        raise ValueError("classes are supported up to n = 2500")
     rows, r = [], geometry.exceptional_count(n)
     for k in range(r + 1):
         rows.append((f"D{2 * k + 2}", geometry.divisor_class_D(n, k).coeffs))
@@ -70,7 +87,8 @@ _CONE_BUILDERS = {
 
 
 def cmd_cones(args):
-    # all but mov (n <= 30) take 7.9-9.2 s at n = 700, growing as n^3 (2 vCPUs, CPython 3.11.7)
+    # fresh, with --json, every cone takes 1.6-1.7 s at n = 700, mov at n = 30
+    # (2 vCPUs, CPython 3.11.7)
     if args.n > 700 and args.cone != "mov":
         raise ValueError("cones are supported up to n = 700")
     cone = _CONE_BUILDERS[args.cone](args.n)
@@ -155,7 +173,7 @@ def cmd_secant(args):
     if args.n < 3:  # the dimension formula needs 1 <= h < (n + 1) // 2
         raise ValueError("n must be at least 3")
     hs = list(range(1, (args.n + 1) // 2)) if args.h is None else [args.h]
-    bits = max(1, args.bound.bit_length() / 7)  # see MAX_BOUND
+    bits = max(1, args.bound.bit_length() / 7) ** 1.4  # see MAX_BOUND
     # one elimination per attempt answers every h up to the last, so a listing costs that h
     if bits * pfaffian.terracini_work(args.n, hs[-1]) > pfaffian.MAX_TERRACINI_WORK:
         raise ValueError(f"secant dimensions at n={args.n} exceed the elimination budget")
@@ -204,9 +222,11 @@ def _add_common(p, *, seed=False, bound=False, trials=False):
 
 # Other budgets hold at the defaults; time grows with --trials and with the bound
 # (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity --n 10` takes 1.0-1.2 s at 5 trials
-# and, with its grid budget lifted, 2.9-3.0 s at 20; `secant --n 14 --json` 0.9, 1.5,
-# 2.0 and 4.0 s at bound 100, 10^3, 10^4 and 10^6, so `secant` scales its work by the
-# bound's bits (at 10^6: h = 4 at n = 19 takes 9.3-10.1 s, h = 5 at n = 17 7.7-10.1 s).
+# and, with its grid budget lifted, 2.9-3.0 s at 20.  At 10^6 one h costs 3.7-6.6 times
+# its time at bound 100 ((46, 1) 1.8 -> 6.8 s, (22, 3) 2.2 -> 11.1 s, (19, 4) 2.1 ->
+# 13.3 s), so `secant` scales its work by (bits / 7)^1.4, 4.35 at 10^6.  The edges at
+# 10^6 then take 3.5-6.9 s with --json ((42, 1), (26, 2), (20, 3), (17, 4), (15, 5),
+# (14, 6) and the listing at n = 14), and those at 10^3-10^5 4.4-7.1 s.
 MAX_TRIALS, MAX_BOUND = 20, 10 ** 6
 
 

@@ -5,12 +5,19 @@ in integers: rational input is scaled to primitive integer vectors, then
 constraints are added one at a time to a (lineality, rays) pair whose
 vectors stay primitive integer tuples.  The sets of constraints the rays
 are tight on decide ray adjacency, with no elimination, and give the
-irredundant constraints of a pointed, full-dimensional cone, so one pass
-canonicalises it.  Floats are refused, so membership, duality and
-intersection are exact.
+irredundant constraints of a full-dimensional cone.  So one pass over the
+generators of a pointed cone C canonicalises it, even when C is
+lower-dimensional: the pass computes the dual cone, whose lineality is
+C^perp, and every generator vanishes on C^perp, so a generator's tight set
+over the dual's rays does not depend on which representative of each ray
+the pass returned.  C is pointed iff no generator is tight on every dual
+ray, and then its extremal rays are the generators with inclusion-maximal
+tight sets.  Only a non-pointed cone takes a second pass.  Floats are
+refused, so membership, duality and intersection are exact.
 
 Extremal rays are kept in canonical primitive integer form and sorted
-lexicographically, which makes every operation deterministic.
+lexicographically, which makes every operation deterministic and lets two
+pointed cones be compared by their rays alone.
 """
 
 from __future__ import annotations
@@ -60,27 +67,26 @@ def _double_description(normals, ambient_rank):
         idx += 1
         bit = 1 << idx
 
-        pivot = next((i for i, l in enumerate(lin) if sum(map(mul, a, l))), None)
+        values = [sum(map(mul, a, l)) for l in lin]
+        pivot = next((i for i, v in enumerate(values) if v), None)
         if pivot is not None:
-            l0 = lin[pivot]
-            v0 = sum(map(mul, a, l0))
+            l0, v0 = lin[pivot], values[pivot]
             if v0 < 0:
                 l0 = tuple(-x for x in l0)
                 v0 = -v0
-            new_lin = []
-            for i, l in enumerate(lin):
-                if i == pivot:
-                    continue
-                vl = sum(map(mul, a, l))
-                new_lin.append(_reduce([v0 * x - vl * y for x, y in zip(l, l0)]))
+            # a primitive vector with a.l = 0 would combine and reduce to itself
+            lin = [l if not vl else _reduce([v0 * x - vl * y for x, y in zip(l, l0)])
+                   for i, (l, vl) in enumerate(zip(lin, values)) if i != pivot]
             new_rays = []
             for r, tight in rays:
                 vr = sum(map(mul, a, r))
+                if not vr:
+                    new_rays.append((r, tight | bit))
+                    continue
                 r2 = [v0 * x - vr * y for x, y in zip(r, l0)]
                 if any(r2):
                     new_rays.append((_reduce(r2), tight | bit))
             new_rays.append((l0, bit - 1))  # tight on every earlier normal
-            lin = new_lin
             rays = list(dict(new_rays).items())
             continue
 
@@ -100,28 +106,38 @@ def _double_description(normals, ambient_rank):
                 common = tp & tm
                 if common.bit_count() < need:
                     continue
-                # adjacent iff only rp and rm are tight on all of common
-                if sum(common & t == common for _, t in rays) > 2:
-                    continue
-                w = tuple(vp * x - vm * y for x, y in zip(rm, rp))
-                new_rays.append((_reduce(w), common | bit))
+                # adjacent iff only rp and rm are tight on all of common: stop at a third
+                holders = 0
+                for _, t in rays:
+                    if common & t == common:
+                        holders += 1
+                        if holders > 2:
+                            break
+                else:
+                    w = tuple(vp * x - vm * y for x, y in zip(rm, rp))
+                    new_rays.append((_reduce(w), common | bit))
         rays = list(dict(new_rays).items())
 
-    lin_rows, pivots, _ = linalg._bareiss(lin)
-    lineality = [primitive(l if l[p] > 0 else [-x for x in l])
-                 for l, p in zip(lin_rows, pivots)]
+    lineality = []
+    if lin:
+        lin_rows, pivots, _ = linalg._bareiss(lin)
+        lineality = [primitive(l if l[p] > 0 else [-x for x in l])
+                     for l, p in zip(lin_rows, pivots)]
     rays.sort()
     return lineality, [r for r, _ in rays], [t for _, t in rays]
 
 
 def _facets(normals, rays, tight):
-    """Sorted primitive facet normals of a pointed {x : a.x >= 0}; None if lower-dimensional.
+    """Sorted primitive facet normals of {x : a.x >= 0}; None if it is lower-dimensional.
 
-    ``rays`` and ``tight`` are a pass over ``normals`` that left no lineality.
-    Unless a normal is tight on every ray (as all are if there is none), the
-    cone is full-dimensional, and a facet's rays span its hyperplane: a
-    normal tight on exactly those rays is the facet's normal, and the facets
-    are the normals whose sets of tight rays are inclusion-maximal.
+    ``rays`` and ``tight`` are a pass over ``normals``.  Every normal vanishes
+    on the pass's lineality, so its set of tight rays does not depend on the
+    representative of each ray modulo the lineality.  Unless a normal is
+    tight on every ray (as all are if there is none), the cone is
+    full-dimensional, and a facet's rays together with the lineality span
+    its hyperplane: a normal tight on exactly those rays is the facet's
+    normal, and the facets are the normals whose sets of tight rays are
+    inclusion-maximal.
     """
     normals = [a for a in normals if any(a)]
     masks = [0] * len(normals)
@@ -147,6 +163,12 @@ class Cone:
     as +/- pairs; ``lineality`` is a basis of the largest linear subspace
     contained in the cone (empty iff the cone is pointed).  Instances are
     immutable and safe to share between threads.
+
+    The extremal rays of a pointed cone are unique up to positive scaling,
+    so in primitive form and sorted they are canonical: two pointed cones
+    are equal iff their ambient ranks and ``rays`` are, and ``__eq__``
+    compares them so.  A non-pointed cone's rays are representatives modulo
+    the lineality, so any other pair is compared by mutual containment.
     """
 
     __slots__ = ("ambient_rank", "rays", "facets", "lineality")
@@ -165,7 +187,13 @@ class Cone:
         """Nonnegative hull of the given vectors.
 
         Redundant generators are dropped; the empty (or all-zero) list gives
-        the zero cone, for which ``ambient_rank`` must be supplied.
+        the zero cone, for which ``ambient_rank`` must be supplied.  One pass
+        computes the dual: its rays, with its lineality (the cone's
+        orthogonal complement) as +/- pairs, are the cone's facets.  Every
+        generator vanishes on that lineality, so its tight set over the
+        dual's rays is well defined, and when no generator is tight on every
+        dual ray the cone is pointed and its rays are the dual's facets.
+        Only a non-pointed cone takes a second pass, over its facets.
         """
         vs = [clear_denominators(v)[0] for v in vectors]
         if vs:
@@ -183,10 +211,10 @@ class Cone:
             return cls(ambient_rank, (), sorted(_both_signs(units)), ())
 
         dual_lin, dual_rays, tight = _double_description(vs, ambient_rank)
-        rays = None if dual_lin else _facets(vs, dual_rays, tight)  # the dual's facets
-        if rays is not None:
-            return cls(ambient_rank, rays, dual_rays, ())
         facets = sorted(dual_rays + _both_signs(dual_lin))
+        rays = _facets(vs, dual_rays, tight)  # the dual's facets, if the cone is pointed
+        if rays is not None:
+            return cls(ambient_rank, rays, facets, ())
         lineality, rays, _ = _double_description(facets, ambient_rank)
         return cls(ambient_rank, rays, facets, lineality)
 
@@ -240,6 +268,8 @@ class Cone:
     def __eq__(self, other):
         if not isinstance(other, Cone):
             return NotImplemented
+        if self.pointed and other.pointed:  # canonical rays, see the class docstring
+            return self.ambient_rank == other.ambient_rank and self.rays == other.rays
         return (self.ambient_rank == other.ambient_rank
                 and self.is_subset(other) and other.is_subset(self))
 

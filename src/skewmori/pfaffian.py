@@ -231,7 +231,9 @@ def _check_index_set(n, indices):
 
 
 # Cap on the exponent entries sub_pfaffian writes: (|I| - 1)!! terms of
-# C(size, 2) exponents each.  The full Pfaffian of size 14 needs 135135 * 91.
+# C(size, 2) exponents each.  The full Pfaffian of size 14 needs 135135 * 91, and
+# a single estimate at k = 5 and n = 50 (3.8 s fresh) 10395 * 1275.  Writing them
+# as JSON costs more than building them: cli.MAX_PFAFFIAN_REPORT prices that.
 MAX_PFAFFIAN_ENTRIES = 15_000_000
 
 
@@ -461,7 +463,8 @@ def _wedge_coordinates(n, x, v_index):
 # `secant` takes 10-16 ns per unit of terracini_work at bound 100 (fresh, --json, 2 vCPUs,
 # CPython 3.11.7) on the edge of one h: 4.1 s at (58, 1), 6.4 s at (24, 4), 5.2 s at
 # (17, 8) (4.0e8).  A listing is one elimination for its largest h and is priced so:
-# 4.8 s at n = 17 (4.0e8) and, refused, 9.0 s at n = 18 (5.5e8, as (18, 8)).
+# 4.8 s at n = 17 (4.0e8) and, refused, 9.0 s at n = 18 (5.5e8, as (18, 8)).  Past
+# bound 100 the `secant` command weighs the work by (bits / 7)^1.4: see cli.MAX_BOUND.
 MAX_TERRACINI_WORK = 450_000_000
 
 

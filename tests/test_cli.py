@@ -137,8 +137,10 @@ def test_domain_error_exit_code(capsys):
     code, _ = run_cli("chamber", "--n", "6", "--point", "1,3")
     assert code == 3
     for argv in (["--size", "4", "--minor", "0,0,1,1"], ["--size", "4", "--minor", "0,1,1,2"],
-                 ["--size", "-3"], ["--size", "16"], ["--size", "100000", "--minor", "0,1,2,3"],
-                 ["--size", "1000000000"]):
+                 ["--size", "-3"], ["--size", "14"], ["--size", "16"],
+                 ["--size", "100000", "--minor", "0,1,2,3"], ["--size", "1000000000"],
+                 ["--size", "1000000000", "--json"], ["--size", "2237", "--minor", "0,1"],
+                 ["--size", "32", "--minor", ",".join(map(str, range(12)))]):
         code, _ = run_cli("pfaffian", *argv)
         assert code == 3, argv
     code, _ = run_cli("gkz", "--n", "14")
@@ -153,7 +155,8 @@ def test_domain_error_exit_code(capsys):
                  ["secant", "--n", "18"], ["secant", "--n", "20"],
                  ["secant", "--n", "18", "--h", "8"], ["secant", "--n", "8", "--h", "0"],
                  ["blowup1", "--n", "401"], ["blowup1", "--n", "1000"],
-                 ["classes", "--n", "4001"], ["classes", "--n", "10000"],
+                 ["classes", "--n", "2501"], ["classes", "--n", "4001"],
+                 ["classes", "--n", "10000"],
                  ["cones", "--n", "701", "--cone", "eff"],
                  ["cones", "--n", "1000", "--cone", "eff"],
                  ["cones", "--n", "100000000", "--cone", "mori"],
@@ -164,6 +167,8 @@ def test_domain_error_exit_code(capsys):
                  ["sample", "--n", "6", "--h", "2", "--bound", "1000001"],
                  ["secant", "--n", "8", "--bound", str(10 ** 30)],
                  ["secant", "--n", "15", "--bound", "1000000"],
+                 ["secant", "--n", "18", "--h", "4", "--bound", "1000000"],
+                 ["secant", "--n", "43", "--h", "1", "--bound", "1000000"],
                  ["verify", "--only", "secant", "--bound", str(10 ** 7)],
                  ["sample", "--n", "1600", "--h", "1"], ["sample", "--n", "200", "--h", "100"],
                  ["multiplicity", "--n", "3200", "--k", "0", "--h", "1"],
@@ -210,14 +215,31 @@ def test_bound_and_k_refused_before_any_work(monkeypatch, capsys):
 
 def test_secant_budget_edge():
     # a listing is priced as its largest h: accepted up to n = 17 at bound 100 and
-    # n = 14 at 10^6; one h up to (17, 8) and (58, 1)
+    # n = 14 at 10^6; one h up to (17, 8) and (58, 1), and at 10^6 up to (17, 4)
+    # and (42, 1), the work weighed by (bits / 7)^1.4
     work, budget = pfaffian.terracini_work, pfaffian.MAX_TERRACINI_WORK
     last = lambda n: work(n, (n + 1) // 2 - 1)
-    bits = (10 ** 6).bit_length() / 7
+    bits = ((10 ** 6).bit_length() / 7) ** 1.4
     assert last(17) <= budget < last(18)
     assert bits * last(14) <= budget < bits * last(15)
     assert work(17, 8) <= budget < work(18, 8)
     assert work(58, 1) <= budget < work(59, 1)
+    assert bits * work(17, 4) <= budget < bits * work(18, 4)
+    assert bits * work(42, 1) <= budget < bits * work(43, 1)
+
+
+def test_pfaffian_report_budget_edge(monkeypatch, capsys):
+    # C(size, 2) entries per term and for the variable list, at most 5 million:
+    # the full Pfaffian up to size 12, 12 indices up to size 31, 8 up to 307 and
+    # 2 up to 2236; the polynomial is stubbed, as only the guard is tested
+    monkeypatch.setattr(pfaffian, "sub_pfaffian", lambda n, idx: Polynomial(n, {}))
+    assert run_cli("pfaffian", "--size", "12")[0] == 0
+    assert run_cli("pfaffian", "--size", "14")[0] == 3
+    for size, count in ((31, 12), (307, 8), (2236, 2)):
+        for grown, code in ((size, 0), (size + 1, 3)):
+            minor = ",".join(map(str, range(count)))
+            assert run_cli("pfaffian", "--size", str(grown), "--minor", minor)[0] == code
+    assert "exceeds 5000000 entries" in capsys.readouterr().err
 
 
 def test_sampling_budget_edge():

@@ -1,8 +1,10 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from sympy import QQ
@@ -10,8 +12,10 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
 from skewmori.chambers import configuration_for, gkz_chambers
-from skewmori.cones import Cone, _double_description, nonneg_combination
-from skewmori import cones, geometry
+from skewmori.cones import (Cone, _both_signs, _double_description, _reduce, _unit,
+                            nonneg_combination)
+from skewmori.linalg import clear_denominators, primitive
+from skewmori import cones, geometry, linalg
 
 
 OCTANT2 = Cone.from_generators([(1, 0), (0, 1)])
@@ -365,3 +369,233 @@ def test_walk_makes_one_pass_per_chamber(monkeypatch):
     dec = gkz_chambers(configuration_for(8))
     assert len(dec.chambers) == 15
     assert len(calls) == 16  # the effective cone, then one per chamber
+
+
+# The textbook passes, kept as the oracle: a from_generators that takes a
+# second pass for every cone whose dual has lineality, and a double description
+# that recombines every vector in its lineality step and counts every ray tight
+# on a common set.  The one-pass canonical form of pointed cones and the
+# shortcuts in the lineality step and adjacency test must reproduce them exactly.
+
+def textbook_double_description(normals, ambient_rank):
+    lin = [_unit(ambient_rank, i) for i in range(ambient_rank)]
+    rays = []  # (vector, bitmask of tight constraint indices)
+    idx = -1  # index of the current normal among the nonzero ones
+
+    for a in normals:
+        if not any(a):
+            continue
+        a = _reduce(a)
+        idx += 1
+        bit = 1 << idx
+
+        pivot = next((i for i, l in enumerate(lin) if sum(map(mul, a, l))), None)
+        if pivot is not None:
+            l0 = lin[pivot]
+            v0 = sum(map(mul, a, l0))
+            if v0 < 0:
+                l0 = tuple(-x for x in l0)
+                v0 = -v0
+            new_lin = []
+            for i, l in enumerate(lin):
+                if i == pivot:
+                    continue
+                vl = sum(map(mul, a, l))
+                new_lin.append(_reduce([v0 * x - vl * y for x, y in zip(l, l0)]))
+            new_rays = []
+            for r, tight in rays:
+                vr = sum(map(mul, a, r))
+                r2 = [v0 * x - vr * y for x, y in zip(r, l0)]
+                if any(r2):
+                    new_rays.append((_reduce(r2), tight | bit))
+            new_rays.append((l0, bit - 1))  # tight on every earlier normal
+            lin = new_lin
+            rays = list(dict(new_rays).items())
+            continue
+
+        plus, zero, minus = [], [], []
+        for r, tight in rays:
+            v = sum(map(mul, a, r))
+            if v > 0:
+                plus.append((r, tight, v))
+            elif v == 0:
+                zero.append((r, tight | bit))
+            else:
+                minus.append((r, tight, v))
+        need = ambient_rank - len(lin) - 2
+        new_rays = [(r, t) for r, t, _ in plus] + zero
+        for rp, tp, vp in plus:
+            for rm, tm, vm in minus:
+                common = tp & tm
+                if common.bit_count() < need:
+                    continue
+                # adjacent iff only rp and rm are tight on all of common
+                if sum(common & t == common for _, t in rays) > 2:
+                    continue
+                w = tuple(vp * x - vm * y for x, y in zip(rm, rp))
+                new_rays.append((_reduce(w), common | bit))
+        rays = list(dict(new_rays).items())
+
+    lin_rows, pivots, _ = linalg._bareiss(lin)
+    lineality = [primitive(l if l[p] > 0 else [-x for x in l])
+                 for l, p in zip(lin_rows, pivots)]
+    rays.sort()
+    return lineality, [r for r, _ in rays], [t for _, t in rays]
+
+
+def textbook_facets(normals, rays, tight):
+    normals = [a for a in normals if any(a)]
+    masks = [0] * len(normals)
+    for j, t in enumerate(tight):
+        while t:
+            low = t & -t
+            masks[low.bit_length() - 1] |= 1 << j
+            t ^= low
+    if (1 << len(rays)) - 1 in masks:
+        return None
+    kept = set()
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if all(m & k != m for k in kept):
+            kept.add(m)
+    return sorted({primitive(a) for a, m in zip(normals, masks) if m in kept})
+
+
+def triple(ambient_rank, rays, facets, lineality=()):
+    return tuple(rays), tuple(facets), tuple(lineality)
+
+
+def textbook_from_generators(vectors, ambient_rank=None):
+    cls, _double_description, _facets = triple, textbook_double_description, textbook_facets
+    vs = [clear_denominators(v)[0] for v in vectors]
+    if vs:
+        ranks = {len(v) for v in vs}
+        if len(ranks) != 1:
+            raise ValueError("dimension mismatch among generators")
+        if ambient_rank is not None and ambient_rank != ranks.pop():
+            raise ValueError("generators do not match the ambient rank")
+        ambient_rank = len(vs[0])
+    elif ambient_rank is None:
+        raise ValueError("ambient rank required for the zero cone")
+    vs = [v for v in vs if any(v)]
+    if not vs:
+        units = [_unit(ambient_rank, i) for i in range(ambient_rank)]
+        return cls(ambient_rank, (), sorted(_both_signs(units)), ())
+
+    dual_lin, dual_rays, tight = _double_description(vs, ambient_rank)
+    rays = None if dual_lin else _facets(vs, dual_rays, tight)  # the dual's facets
+    if rays is not None:
+        return cls(ambient_rank, rays, dual_rays, ())
+    facets = sorted(dual_rays + _both_signs(dual_lin))
+    lineality, rays, _ = _double_description(facets, ambient_rank)
+    return cls(ambient_rank, rays, facets, lineality)
+
+
+def textbook_from_inequalities(normals, ambient_rank):
+    lineality, rays, tight = textbook_double_description(normals, ambient_rank)
+    facets = None if lineality else textbook_facets(normals, rays, tight)
+    if facets is not None:
+        return triple(ambient_rank, rays, facets, ())
+    return textbook_from_generators(rays + _both_signs(lineality), ambient_rank)
+
+
+def shape(vectors, cone):
+    """The kind of cone and input a draw covers, for the coverage count."""
+    nonzero = [v for v in vectors if any(v)]
+    kinds = {"zero generator"} if len(nonzero) < len(vectors) else set()
+    if len({_reduce(v) for v in nonzero}) < len(nonzero):
+        kinds.add("repeated generator")
+    if not cone.rays and cone.pointed:
+        kinds.add("zero cone")
+    elif not cone.pointed:
+        kinds.add("not pointed")
+    elif len(cone.rays) == 1:
+        kinds.add("single ray")
+    elif cone.dim() == cone.ambient_rank:
+        kinds.add("full pointed")
+    else:
+        kinds.add("lower-dimensional pointed")
+    return kinds
+
+
+def test_canonical_forms_match_the_textbook_passes(monkeypatch):
+    """2,400 seeded cones: the one-pass canonical form, the double description and
+    from_inequalities all equal the textbook passes, with one pass per pointed
+    cone and two per non-pointed one."""
+    calls = []
+    monkeypatch.setattr(cones, "_double_description",
+                        lambda *a: calls.append(a) or _double_description(*a))
+    rng = random.Random("textbook-oracle")
+    seen = Counter()
+    for i in range(2400):
+        rank = 1 + i % 6
+        vectors = random_vectors(rng, rank)
+        calls.clear()
+        cone = Cone.from_generators(vectors, rank)
+        assert (cone.rays, cone.facets, cone.lineality) == \
+            textbook_from_generators(vectors, rank), vectors
+        assert len(calls) == (0 if not any(map(any, vectors)) else 1 if cone.pointed else 2)
+        seen.update(shape(vectors, cone))
+        for normals in (vectors, list(cone.facets)):
+            assert _double_description(normals, rank) == \
+                textbook_double_description(normals, rank), normals
+        got = Cone.from_inequalities(vectors, rank)
+        assert (got.rays, got.facets, got.lineality) == \
+            textbook_from_inequalities(vectors, rank), vectors
+    assert all(seen[k] >= 50 for k in ("zero generator", "repeated generator", "zero cone",
+                                       "not pointed", "single ray", "full pointed",
+                                       "lower-dimensional pointed")), seen
+
+
+@pytest.mark.parametrize("gens, rank, passes", [
+    ([(1, 0, 0), (1, 1, 0), (0, 1, 0)], 3, 1),          # pointed, lower-dimensional
+    ([(2, -1, 3)], 3, 1),                               # a single ray
+    ([(1, 2, 0, -1), (0, 1, 1, 1), (3, 0, -2, 1)], 4, 1),  # pointed, lower-dimensional
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0)], 3, 2),         # a half-plane: not pointed
+    ([(1, 1), (-1, -1)], 2, 2),                         # a line: not pointed
+])
+def test_pass_count_of_from_generators(gens, rank, passes, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cones, "_double_description",
+                        lambda *a: calls.append(a) or _double_description(*a))
+    cone = Cone.from_generators(gens, rank)
+    assert len(calls) == passes
+    assert cone.pointed == (passes == 1)
+    # a pointed lower-dimensional cone from inequalities: its pass, then the generators'
+    if passes == 1 and cone.dim() < rank:
+        calls.clear()
+        assert Cone.from_inequalities(cone.facets, rank) == cone
+        assert len(calls) == 2
+
+
+def scaled(v, k):
+    return tuple(k * x for x in v)
+
+
+def test_equal_pointed_cones_compare_and_hash_by_rays():
+    rng = random.Random(19)
+    for gens in ([(1, 0, 0), (1, 2, 0), (3, -1, 2)],        # full
+                 [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0)],  # lower-dimensional
+                 [(2, -1, 3)]):                          # a single ray
+        reference = Cone.from_generators(gens)
+        redundant = gens + [tuple(map(sum, zip(*gens)))]
+        for _ in range(10):
+            shuffled = [scaled(v, rng.randint(1, 5)) for v in redundant]
+            rng.shuffle(shuffled)
+            other = Cone.from_generators(shuffled)
+            assert other.pointed and other == reference and reference == other
+            assert hash(other) == hash(reference)
+    assert Cone.zero(3) == Cone.from_generators([(0, 0, 0)]) != Cone.from_generators([(1, 0, 0)])
+    assert Cone.zero(2) != Cone.zero(3)
+
+
+def test_non_pointed_cones_compare_by_containment():
+    ray = Cone.from_generators([(1, 0)])
+    half = Cone.from_generators([(1, 0), (0, 1), (0, -1)])
+    assert ray.rays == half.rays == ((1, 0),) and half.lineality == ((0, 1),)
+    assert ray != half and half != ray  # same rays, one side pointed
+    # the rays of a non-pointed cone are representatives modulo its lineality
+    moved = Cone(2, [(1, 3)], half.facets, half.lineality)
+    assert moved.rays != half.rays and moved == half and half == moved
+    assert Cone(2, [(1, 3)], half.facets, [(1, 1)]) != half
+    assert Cone.__eq__(ray, 3) is NotImplemented
+    assert (ray == 3) is False and (half != "cone") is True
