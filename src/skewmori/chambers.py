@@ -1,7 +1,8 @@
 """Chamber decompositions of the effective cone of A(n).
 
 The degrees of the total-coordinate-ring generators form a vector
-configuration V in the Picard lattice.  The chamber of a divisor class w is the
+configuration V in the Picard lattice, given as (label, degree) pairs, one per
+family: a family's size moves no chamber.  The chamber of a divisor class w is the
 intersection of all subset cones containing w.  The decomposition walks the
 chamber graph (Keicher, "Computing the GIT-fan", 2012) from the polarization
 through generic classes only; by Caratheodory those lie in basis cones alone,
@@ -25,48 +26,71 @@ signed spanned-hyperplane normal (Bjorner-Las Vergnas-Sturmfels-White-Ziegler,
 forced G Farkas gives y with y.w < 0 <= y.v off G, whose cell in the
 arrangement of the v^perp and w^perp is pointed, as V spans, with a ray y' off
 w^perp, cut out by V alone, so N_y' lies in G.  G is empty iff it holds an N_h
-with h.p < 0.  None of this needs w generic.
+with h.p < 0.  None of this needs w generic.  Chambers and regions are
+immutable ``linalg.Record`` values.
 """
 
 from __future__ import annotations
 
 from functools import cache, reduce
 from itertools import combinations
-from math import comb
 from operator import mul, or_
 
 from . import geometry
 from .cones import Cone, hyperplanes_spanned_by
-from .linalg import dot
-
-
-class GeneratorGroup(geometry.Record):
-    """One family of Cox generators sharing a degree: label, degree, count."""
-    __slots__ = _fields = ("label", "degree", "multiplicity")
+from .linalg import Record, dot
 
 
 class VectorConfiguration:
-    """Degrees of the generator families plus the ambient effective cone.
+    """Degrees of (label, degree) generator families plus the ambient effective cone.
 
     ``polarization`` is an interior point of the nef chamber; it pins down
     the ambient toric model and is used to discard family sets whose common
-    zero locus is empty there.
+    zero locus is empty there.  Built once with it: the K spanned hyperplanes
+    h_k, ``planes``; ``normals``, +h_k then -h_k; ``bases``, each independent
+    ``rank``-subset of ``vectors`` as (vector mask, mask of its facets' normals),
+    the facet opposite v lying on the hyperplane missing v alone;
+    ``cocircuits``, per normal h the mask of N_h, or 0 if it holds an empty
+    stratum; ``direction``, the h_k.d of the lift.
     """
 
-    def __init__(self, rank, groups, polarization):
+    def __init__(self, rank, families, polarization):
         self.rank = int(rank)
-        self.groups = tuple(groups)
+        self.families = tuple(families)
         self.polarization = tuple(int(c) for c in polarization)
-        self.vectors = sorted({g.degree for g in self.groups})
+        self.vectors = sorted({degree for _, degree in self.families})
         self.ambient = Cone.from_generators(self.vectors, self.rank)
-        self._subset_cones, self._chambers, self._faces, self._cells, self._bases = {}, {}, {}, {}, None
-        self.labels = tuple(g.label for g in self.groups)
+        self._subset_cones, self._chambers, self._faces, self._cells = {}, {}, {}, {}
+        self.labels = tuple(label for label, _ in self.families)
         if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate group labels")
+            raise ValueError("duplicate family labels")
         # each family has one degree, so a degree set and the families of its
         # degrees determine each other: minimality and nonemptiness carry over
-        self.owners = [frozenset(g.label for g in self.groups if g.degree == v)
+        self.owners = [frozenset(label for label, degree in self.families if degree == v)
                        for v in self.vectors]
+        self.planes = planes = hyperplanes_spanned_by(self.vectors, self.rank)
+        self.normals = normals = planes + [tuple(-x for x in h) for h in planes]
+        sides = [[dot(h, v) for v in self.vectors] for h in normals]
+        zeros = [sum(1 << i for i, x in enumerate(side) if not x) for side in sides[:len(planes)]]
+        cocircuits = [sum(1 << i for i, x in enumerate(side) if x < 0) for side in sides]
+        empty = [c for c, h in zip(cocircuits, normals) if dot(h, self.polarization) < 0]
+        self.cocircuits = [0 if any(e & c == e for e in empty) else c for c in cocircuits]
+        self.bases = []
+        for subset in combinations(range(len(self.vectors)), self.rank):
+            mask = sum(1 << i for i in subset)
+            facets = covered = 0
+            for k, zero in enumerate(zeros):
+                off = mask & ~zero
+                if off and not off & (off - 1):
+                    covered |= off
+                    facets |= 1 << k + len(planes) * (sides[k][off.bit_length() - 1] < 0)
+            if covered == mask:
+                self.bases.append((mask, facets))
+        # d = t p + (1, m, ..., m^(r-1)): the last term is on no h_k, as each
+        # |h_k| < m/2, and t keeps the polarization's side of every other h_k
+        m = 2 * max(abs(x) for h in planes for x in h) + 1
+        _, self.direction = _lift([dot(h, self.polarization) for h in planes],
+                                  [dot(h, [m ** i for i in range(self.rank)]) for h in planes])
 
     def subset_cone(self, vectors):
         key = frozenset(vectors)
@@ -74,47 +98,12 @@ class VectorConfiguration:
             self._subset_cones[key] = Cone.from_generators(sorted(key), self.rank)
         return self._subset_cones[key]
 
-    def bases(self):
-        """(planes, normals, bases, cocircuits, direction), computed once: the K
-        spanned hyperplanes h_k; the normals +h_k then -h_k; each independent
-        ``rank``-subset of ``vectors`` as (vector mask, mask of its facets' normals),
-        the facet opposite v lying on the hyperplane missing v alone; per normal h,
-        the mask of N_h, or 0 if it holds an empty stratum; the h_k.d of the lift."""
-        if self._bases is None:
-            planes = hyperplanes_spanned_by(self.vectors, self.rank)
-            normals = planes + [tuple(-x for x in h) for h in planes]
-            sides = [[dot(h, v) for v in self.vectors] for h in normals]
-            zeros = [sum(1 << i for i, x in enumerate(side) if not x)
-                     for side in sides[:len(planes)]]
-            cocircuits = [sum(1 << i for i, x in enumerate(side) if x < 0) for side in sides]
-            empty = [c for c, h in zip(cocircuits, normals) if dot(h, self.polarization) < 0]
-            cocircuits = [0 if any(e & c == e for e in empty) else c for c in cocircuits]
-            bases = []
-            for subset in combinations(range(len(self.vectors)), self.rank):
-                mask = sum(1 << i for i in subset)
-                facets = covered = 0
-                for k, zero in enumerate(zeros):
-                    off = mask & ~zero
-                    if off and not off & (off - 1):
-                        covered |= off
-                        facets |= 1 << k + len(planes) * (sides[k][off.bit_length() - 1] < 0)
-                if covered == mask:
-                    bases.append((mask, facets))
-            # d = t p + (1, m, ..., m^(r-1)): the last term is on no h_k, as each
-            # |h_k| < m/2, and t keeps the polarization's side of every other h_k
-            m = 2 * max(abs(x) for h in planes for x in h) + 1
-            _, direction = _lift([dot(h, self.polarization) for h in planes],
-                                 [dot(h, [m ** i for i in range(self.rank)]) for h in planes])
-            self._bases = planes, normals, bases, cocircuits, direction
-        return self._bases
-
 
 def configuration_for(n):
     """Degree configuration of A(n), polarized at the interior of the nef cone."""
-    groups = [GeneratorGroup(g.label, g.degree.coeffs, g.multiplicity)
-              for g in geometry.cox_generator_degrees(n)]
+    families = [(g.label, g.degree.coeffs) for g in geometry.cox_generator_degrees(n)]
     polarization = tuple(map(sum, zip(*(g.coeffs for g in geometry.nef_generators(n)))))
-    return VectorConfiguration(geometry.picard_rank(n), groups, polarization)
+    return VectorConfiguration(geometry.picard_rank(n), families, polarization)
 
 
 def first_blowup_configuration(n):
@@ -123,12 +112,12 @@ def first_blowup_configuration(n):
     (k+1) H - k E_1, for sizes up to n+1 for odd n (the full Pfaffian), n for even n."""
     if n < 4:
         raise ValueError("the single blow-up model needs n >= 4")
-    # `blowup1` takes 2.5-3.3 s at n = 400 and 4.1 s at n = 450, fresh (2 vCPUs, CPython 3.11.7)
+    # `blowup1 --json` takes 2.9-3.9 s at n = 400 and 4.0-4.1 s at n = 450, fresh (2 vCPUs,
+    # CPython 3.11.7)
     if n > 400:
         raise ValueError("the single blow-up model is supported up to n = 400")
-    groups = [GeneratorGroup(f"T{2 * k + 2}", (k + 1, -k), comb(n + 1, 2 * k + 2))
-              for k in range((n - 1) // 2 + 1)]
-    return VectorConfiguration(2, groups + [GeneratorGroup("S1", (0, 1), 1)], (3, -1))
+    families = [(f"T{2 * k + 2}", (k + 1, -k)) for k in range((n - 1) // 2 + 1)]
+    return VectorConfiguration(2, families + [("S1", (0, 1))], (3, -1))
 
 
 def sbl_signature(config, w):
@@ -149,7 +138,7 @@ def _plane_values(config, w):
     cone, or inexact or of the wrong length, is refused with ``ValueError``."""
     if not config.ambient.contains(w):
         raise ValueError("class outside the effective cone")
-    return [sum(map(mul, h, w)) for h in config.bases()[0]]
+    return [sum(map(mul, h, w)) for h in config.planes]
 
 
 def _signs(values):
@@ -165,7 +154,7 @@ def _signs(values):
 
 def _signature(config, below):
     """``sbl_signature`` of the classes w with h.w < 0 for the normals h in ``below``."""
-    cocircuits = config.bases()[3]
+    cocircuits = config.cocircuits
     found = []
     for c in sorted({cocircuits[k] for k in _bits(below)} - {0}, key=int.bit_count):
         if not any(f & c == f for f in found):
@@ -178,7 +167,7 @@ def _divisorial(signature):
     return frozenset(l for s in signature if len(s) == 1 for l in s)
 
 
-class GKZChamber(geometry.Record):
+class GKZChamber(Record):
     """A cell of the chamber decomposition with its base-locus signature."""
     __slots__ = _fields = ("cone", "representative", "signature")
 
@@ -194,7 +183,7 @@ class GKZChamber(geometry.Record):
         return self.cone.dim() == self.cone.ambient_rank
 
 
-class Region(geometry.Record):
+class Region(Record):
     """A stable-base-locus region: chambers glued along vanished walls."""
     __slots__ = _fields = ("signature", "chambers")  # chambers index Decomposition.chambers
 
@@ -230,12 +219,11 @@ def _bits(mask):
 
 def _canonical_chamber(config, held):
     """The chamber of the generic classes the bases ``held`` hold: the
-    intersection of their cones, memoised on the configuration."""
+    intersection of their cones, memoised on the configuration.  Each basis
+    cone lies in the effective cone, so its facets cut out no more."""
     if held not in config._chambers:
-        normals = config.bases()[1]
-        facets = set(config.ambient.facets)
-        facets.update(normals[k] for k in _bits(reduce(or_, (f for _, f in held))))
-        config._chambers[held] = Cone.from_inequalities(sorted(facets), config.rank)
+        normals = sorted(config.normals[k] for k in _bits(reduce(or_, (f for _, f in held))))
+        config._chambers[held] = Cone.from_inequalities(normals, config.rank)
     return config._chambers[held]
 
 
@@ -243,11 +231,10 @@ def _held(config, w, name="class", values=None):
     """Masks of the bases holding w (``values`` are its h.w, if known).  A basis
     holding w on its boundary puts w in a lower-dimensional subset cone, a wall,
     and no basis holds a w outside the effective cone; either is a ``ValueError``."""
-    planes, _, bases, _, _ = config.bases()
     if values is None:
-        values = [dot(h, w) for h in planes]
+        values = [dot(h, w) for h in config.planes]
     above, below = _signs(values)
-    held = tuple(b for b in bases if not b[1] & below)
+    held = tuple(b for b in config.bases if not b[1] & below)
     if not held or any(f & ~above for _, f in held):
         raise ValueError(f"{name} {w} is not interior to a chamber")
     return held
@@ -261,8 +248,9 @@ def _lift(values, direction):
 
 
 # Walk times: 0.6 s at n = 11 (rank 5), 0.8 s at n = 12 and 5 s at n = 13 (rank 6,
-# 486 bases, 1285 chambers); `chamber` takes 0.25, 0.45-0.66 and 1.3 s at n = 14, 15
-# and 16 (rank 7), fresh (2 vCPUs, CPython 3.11.7).
+# 486 bases, 1285 chambers); `chamber --json` takes 0.3-0.5 s at n = 14 and 0.5-0.7 s
+# at n = 15 (rank 7), 0.44-0.62 s to refuse a class outside Eff at n = 15, and 1.0-1.1 s
+# at n = 16 (rank 8), fresh (2 vCPUs, CPython 3.11.7).
 RANK_BUDGETS = {"chamber decomposition": 6, "chamber queries": 7}
 
 
@@ -276,7 +264,7 @@ def check_rank(task, rank):
 def gkz_chambers(config):
     """All maximal chambers of the configuration, canonically ordered."""
     check_rank("chamber decomposition", config.rank)
-    start, planes = _held(config, config.polarization, "polarization"), config.bases()[0]
+    start, planes = _held(config, config.polarization, "polarization"), config.planes
     found, queue, walls = {start: _canonical_chamber(config, start)}, [start], {}
     for held in queue:  # grows as the walk finds neighbours
         cone = found[held]
@@ -318,7 +306,7 @@ def chamber_of(config, w):
     values = _plane_values(config, w)  # refuses a w outside the effective cone
     above, below = _signs(values)
     if above not in config._cells:
-        held = _held(config, w, values=_lift(values, config.bases()[4])[1])
+        held = _held(config, w, values=_lift(values, config.direction)[1])
         cone = _canonical_chamber(config, held)
         tight = [f for f in cone.facets if not dot(f, w)]
         if tight:  # the face of the chamber that holds w in its relative interior

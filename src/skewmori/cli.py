@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from math import comb, prod
 
 from . import chambers, geometry, pfaffian, verify
@@ -32,9 +33,10 @@ def cmd_verify(args):
 
 # `pfaffian --json` writes C(size, 2) entries for the variable list and as many
 # for each of the (|I| - 1)!! terms, about 1 us an entry: fresh, with --json, the
-# edges take 4.7 s at size 31 on 12 indices (4.8e6 entries), 5.0 s at size 307 on 8
-# and 5.7 s at size 2236 on 2 (5.0e6); the full Pfaffian of size 14 (1.2e7) took
-# 13.1 s, and size 4000 on 2 indices 23.6 s and 2.2 GB (2 vCPUs, CPython 3.11.7).
+# edges take 4.3-5.5 s and 95 MB at size 31 on 12 indices (4.8e6 entries), 4.8-5.2 s
+# at size 307 on 8 and 6.5-7.4 s and 474 MB at size 2236 on 2 (5.0e6); the full
+# Pfaffian of size 14 (1.2e7) took 13.1 s, and size 4000 on 2 indices 23.6 s and
+# 2.2 GB (2 vCPUs, CPython 3.11.7).
 MAX_PFAFFIAN_REPORT = 5_000_000
 
 
@@ -54,8 +56,8 @@ def cmd_pfaffian(args):
 
 def cmd_classes(args):
     n = args.n
-    # the report grows as n^2: fresh, with --json, 7.2 s at n = 2500, 10.8 s at
-    # n = 3000 and 15.8 s at n = 4000 (text: 4.1 s at n = 3000; 2 vCPUs, CPython 3.11.7)
+    # the report grows as n^2: fresh, with --json, 7.6-8.1 s and 155 MB at n = 2500 and
+    # 11.1-11.2 s at n = 3000 (text: 4.1 s at n = 3000; 2 vCPUs, CPython 3.11.7)
     if n > 2500:
         raise ValueError("classes are supported up to n = 2500")
     rows, r = [], geometry.exceptional_count(n)
@@ -221,7 +223,7 @@ def _add_common(p, *, seed=False, bound=False, trials=False):
 
 
 # Other budgets hold at the defaults; time grows with --trials and with the bound
-# (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity --n 10` takes 1.0-1.2 s at 5 trials
+# (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity --n 10` takes 1.0-1.1 s at 5 trials
 # and, with its grid budget lifted, 2.9-3.0 s at 20.  At 10^6 one h costs 3.7-6.6 times
 # its time at bound 100 ((46, 1) 1.8 -> 6.8 s, (22, 3) 2.2 -> 11.1 s, (19, 4) 2.1 ->
 # 13.3 s), so `secant` scales its work by (bits / 7)^1.4, 4.35 at 10^6.  The edges at
@@ -312,9 +314,16 @@ def main(argv=None):
         if getattr(args, "trials", 0) > MAX_TRIALS or getattr(args, "bound", 0) > MAX_BOUND:
             raise ValueError(f"--trials is supported up to {MAX_TRIALS}, --bound up to {MAX_BOUND}")
         config, results, lines, *code = args.fn(args)
-        report = {"command": args.command, "config": config, "results": results}
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n" if args.json
-                         else "\n".join(lines) + "\n")
+        if args.json:
+            # json.dumps joins every chunk at once (5x the peak memory); json.dump
+            # writes each chunk alone (2-3x the time); batches of chunks cost neither
+            report = {"command": args.command, "config": config, "results": results}
+            chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+            while batch := "".join(islice(chunks, 8192)):
+                sys.stdout.write(batch)
+        else:
+            sys.stdout.write("\n".join(lines))
+        sys.stdout.write("\n")
     except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

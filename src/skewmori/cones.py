@@ -28,7 +28,7 @@ from math import gcd
 from operator import mul
 
 from . import linalg
-from .linalg import clear_denominators, dot, primitive, sign_normalize
+from .linalg import Record, clear_denominators, dot, primitive, sign_normalize
 
 
 def _unit(rank, i):
@@ -155,14 +155,14 @@ def _facets(normals, rays, tight):
     return sorted({primitive(a) for a, m in zip(normals, masks) if m in kept})
 
 
-class Cone:
+class Cone(Record):
     """A rational polyhedral cone through the origin.
 
     ``rays`` are the extremal rays (canonical primitive integers, sorted);
     ``facets`` are inward halfspace normals, with linear equalities stored
     as +/- pairs; ``lineality`` is a basis of the largest linear subspace
     contained in the cone (empty iff the cone is pointed).  Instances are
-    immutable and safe to share between threads.
+    immutable records, safe to share between threads.
 
     The extremal rays of a pointed cone are unique up to positive scaling,
     so in primitive form and sorted they are canonical: two pointed cones
@@ -171,16 +171,10 @@ class Cone:
     the lineality, so any other pair is compared by mutual containment.
     """
 
-    __slots__ = ("ambient_rank", "rays", "facets", "lineality")
+    __slots__ = _fields = ("ambient_rank", "rays", "facets", "lineality")
 
     def __init__(self, ambient_rank, rays, facets, lineality=()):
-        object.__setattr__(self, "ambient_rank", int(ambient_rank))
-        object.__setattr__(self, "rays", tuple(rays))
-        object.__setattr__(self, "facets", tuple(facets))
-        object.__setattr__(self, "lineality", tuple(lineality))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Cone is immutable")
+        super().__init__(int(ambient_rank), tuple(rays), tuple(facets), tuple(lineality))
 
     @classmethod
     def from_generators(cls, vectors, ambient_rank=None):

@@ -15,7 +15,8 @@ The distinguished classes are D_{2k+2} = (k+1)H - sum_h (k-h+1) E_h (strict
 transforms of the size-(2k+2) sub-Pfaffian hypersurfaces) and, for odd n,
 the boundary class D_{n+1} obtained by truncating the same formula at
 k = (n-1)/2.  All cones (effective, nef, movable, Mori, moving curves) are
-generated or cut out by these classes.
+generated or cut out by these classes.  Classes, generators and cones are
+immutable ``linalg.Record`` values.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from functools import cache
 from math import comb, gcd
 
 from .cones import Cone
+from .linalg import Record
 
 
 def exceptional_count(n):
@@ -44,37 +46,6 @@ def _int_coefficients(n, coeffs, lattice):
     if len(coeffs) != picard_rank(n):
         raise ValueError(f"coefficient vector does not match the {lattice} rank")
     return tuple(map(int, coeffs))
-
-
-class Record:
-    """Immutable ``_fields``, equal only within one class, hashed and shown by value."""
-
-    __slots__ = _fields = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *args):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), self._values()
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
 
 
 class DivisorClass(Record):
@@ -257,8 +228,6 @@ def cox_generator_degrees(n):
     C(n+1, 2k+2); plus the multiplicity-one boundary sections S_i.  For odd n
     the last S has degree D_{n+1}.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
     gens, r = [], exceptional_count(n)
     for k in range(r + 1):
         size = 2 * k + 2

@@ -177,3 +177,53 @@ def sign_normalize(v):
     p = primitive(v)
     lead = next(x for x in p if x != 0)
     return p if lead > 0 else tuple(-x for x in p)
+
+
+class Record:
+    """Immutable ``_fields``, equal only within one class, hashed and shown by value.
+
+    The package's one value type: cones, skew matrices, polynomials, classes,
+    chambers and regions.  Each subclass's slot setters are collected once, so
+    a record is built with one call per field; copy and pickle rebuild through
+    ``_make``, as the values were checked when the original was built.
+    """
+
+    __slots__ = _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._setters):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values")
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    @classmethod
+    def _make(cls, *values):
+        """The record with these field values, skipping ``cls.__init__``'s checks."""
+        record = object.__new__(cls)
+        Record.__init__(record, *values)
+        return record
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        return self._make, self._values()
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"

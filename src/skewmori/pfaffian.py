@@ -24,7 +24,7 @@ from itertools import combinations
 from math import comb, isqrt, lcm, prod
 
 from . import linalg
-from .linalg import dot
+from .linalg import Record, dot
 
 
 def var_pairs(n):
@@ -43,18 +43,17 @@ def var_name(n, i, j):
     return f"z{i}{j}" if n <= 9 else f"z{i}_{j}"
 
 
-class Polynomial:
+class Polynomial(Record):
     """Sparse multivariate polynomial with integer coefficients in the z_ij.
 
     ``terms`` maps exponent tuples (aligned with ``var_pairs(n)``) to nonzero
     integer coefficients; any other coefficient or exponent is refused with
-    ``ValueError``.  Instances are treated as immutable.
+    ``ValueError``.  Instances are immutable records.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = _fields = ("n", "terms")
 
     def __init__(self, n, terms=None):
-        self.n = int(n)
         width = len(var_pairs(n))
         clean = {}
         for exp, coef in (terms or {}).items():
@@ -66,18 +65,16 @@ class Polynomial:
                                  "and coefficients")
             if coef:
                 clean[exp] = clean.get(exp, 0) + coef
-        self.terms = {e: c for e, c in clean.items() if c}
+        super().__init__(int(n), {e: c for e, c in clean.items() if c})
 
     def is_zero(self):
         return not self.terms
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        return f"Polynomial(n={self.n}, {len(self.terms)} terms)"
 
     def support_pairs(self):
         """Variable pairs that actually occur in some term."""
@@ -136,14 +133,15 @@ class Polynomial:
                 "terms": [{"exp": list(e), "coef": c} for e, c in self.sorted_terms()]}
 
 
-class SkewMatrix:
+class SkewMatrix(Record):
     """Skew-symmetric matrix with exact entries (zero diagonal).
 
     Entries are kept as given: ``int`` or ``Fraction``; anything else, a
-    float in particular, is refused with ``ValueError``.
+    float in particular, is refused with ``ValueError``.  ``_upper`` maps
+    each i < j with a nonzero entry to it.  Instances are immutable records.
     """
 
-    __slots__ = ("size", "_upper")
+    __slots__ = _fields = ("size", "_upper")
 
     def __init__(self, rows):
         rows = [tuple(row) for row in rows]
@@ -163,23 +161,11 @@ class SkewMatrix:
             for j in range(i + 1, size):
                 if rows[i][j]:
                     upper[(i, j)] = rows[i][j]
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "_upper", upper)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SkewMatrix is immutable")
+        super().__init__(size, upper)
 
     @classmethod
     def zero(cls, size):
         return cls([[0] * size for _ in range(size)])
-
-    @classmethod
-    def _from_upper(cls, size, upper):
-        """Unchecked: ``upper`` maps i < j to the nonzero exact entries above the diagonal."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "size", size)
-        object.__setattr__(matrix, "_upper", upper)
-        return matrix
 
     def entry(self, i, j):
         if i == j:
@@ -196,11 +182,6 @@ class SkewMatrix:
 
     def is_zero(self):
         return not self._upper
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewMatrix):
-            return NotImplemented
-        return self.size == other.size and self._upper == other._upper
 
     def __hash__(self):
         return hash((self.size, frozenset(self._upper.items())))
@@ -296,6 +277,12 @@ def pfaffian_value(matrix, indices=None):
     return pf(idx)
 
 
+def _check_h(n, h):
+    """Refuse an h outside 1..(n+1)//2, the nonzero half-ranks at size n + 1."""
+    if not 1 <= h <= (n + 1) // 2:
+        raise ValueError(f"h={h} out of range 1..{(n + 1) // 2} for n={n}")
+
+
 def _rng(label, seed):
     return random.Random(f"{label}:{seed}")
 
@@ -315,7 +302,7 @@ MAX_DRAWS = 1000
 # k + 1 up to 45 ns per unit of taylor_work (2 vCPUs, CPython 3.11.7): secant_sample
 # takes 1.3 s at (n, h) = (800, 1) (3.1e7) and 8.3 s at (200, 20) with bound 10^6
 # (1.7e8); vanishing_order 1.6-1.7 s at (n, k) = (11, 5) (4.3e7), fresh.  Printing
-# adds to `sample` at h = 1: `--n 1100 --h 1 --json` (5.9e7) takes 5.6-5.7 s fresh.
+# adds to `sample` at h = 1: `--n 1100 --h 1 --json` (5.9e7) takes 3.1-3.4 s fresh.
 MAX_SAMPLING_WORK = 60_000_000
 
 
@@ -338,8 +325,7 @@ def secant_sample(n, h, bound=100, seed=0):
     Resamples until the rank is exactly 2h, which holds generically, and
     raises ValueError after MAX_DRAWS draws.
     """
-    if not 1 <= h <= (n + 1) // 2:
-        raise ValueError(f"h={h} out of range 1..{(n + 1) // 2} for n={n}")
+    _check_h(n, h)
     if bound < 1:
         raise ValueError("bound must be positive")
     if sample_work(n, h, bound) > MAX_SAMPLING_WORK:
@@ -414,8 +400,7 @@ def _capped_minimum(n, k, h, trials, bound, build, sample):
         raise ValueError("k must be >= 0")
     if 2 * k + 2 > n + 1:
         raise ValueError(f"sub-Pfaffian size {2 * k + 2} exceeds matrix size {n + 1}")
-    if not 1 <= h <= (n + 1) // 2:
-        raise ValueError(f"h={h} out of range 1..{(n + 1) // 2} for n={n}")
+    _check_h(n, h)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials * (taylor_work(n, k) + sample_work(n, h, bound)) > MAX_SAMPLING_WORK:
@@ -487,8 +472,7 @@ def terracini_dims(n, h, bound=100, seed=0):
     2j(n+1).  Random integer samples only ever undershoot the generic value,
     so each entry is the maximum over a few attempts.
     """
-    if not 1 <= h <= (n + 1) // 2:
-        raise ValueError(f"h={h} out of range 1..{(n + 1) // 2} for n={n}")
+    _check_h(n, h)
     if bound < 1:
         raise ValueError("bound must be positive")
     best, size = [0] * h, 2 * (n + 1)
@@ -562,16 +546,15 @@ def skew_inverse(matrix):
     if n % 2 == 1:
         raise ValueError("odd-size skew matrices are singular")
     s = lcm(*(x.denominator for x in matrix._upper.values()))
-    scaled = SkewMatrix._from_upper(n, {p: x.numerator * (s // x.denominator)
-                                        for p, x in matrix._upper.items()})
+    scaled = SkewMatrix._make(n, {p: x.numerator * (s // x.denominator)
+                                  for p, x in matrix._upper.items()})
     red, pivots, _ = linalg._bareiss([row + tuple(int(i == j) for j in range(n))
                                       for i, row in enumerate(scaled.to_rows())])
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     d = red[-1][n - 1] if n else 1
-    return SkewMatrix._from_upper(n, {(i, j): Fraction(s * red[i][n + j], d)
-                                      for i in range(n) for j in range(i + 1, n)
-                                      if red[i][n + j]})
+    return SkewMatrix._make(n, {(i, j): Fraction(s * red[i][n + j], d)
+                                for i in range(n) for j in range(i + 1, n) if red[i][n + j]})
 
 
 def validate_complete_form(stages):

@@ -7,7 +7,6 @@ import pytest
 
 from skewmori import chambers, geometry
 from skewmori.chambers import (
-    GeneratorGroup,
     VectorConfiguration,
     blowup_one_decomposition,
     chamber_of,
@@ -53,7 +52,7 @@ def test_chamber_counts():
 
 def test_unit_vectors_single_chamber():
     config = VectorConfiguration(
-        2, [GeneratorGroup("A", (1, 0), 1), GeneratorGroup("B", (0, 1), 1)], (1, 1))
+        2, [("A", (1, 0)), ("B", (0, 1))], (1, 1))
     assert len(gkz_chambers(config).chambers) == 1
 
 
@@ -124,7 +123,7 @@ def test_forced_raw_rule_vs_filtered():
     w = (5, -3, 0)
 
     def others(label):
-        return [g.degree for g in config.groups if g.label != label]
+        return [degree for other, degree in config.families if other != label]
 
     assert nonneg_combination(others("T6"), w) is None
     assert chamber_of(config, w).forced == frozenset({"S2"})
@@ -228,11 +227,10 @@ def test_walls_between_chambers():
 
 
 def test_polarization_on_a_wall_is_refused():
-    groups = [GeneratorGroup("A", (1, 0), 1), GeneratorGroup("B", (0, 1), 1),
-              GeneratorGroup("C", (1, 1), 1)]
-    assert len(gkz_chambers(VectorConfiguration(2, groups, (2, 1))).chambers) == 2
+    families = [("A", (1, 0)), ("B", (0, 1)), ("C", (1, 1))]
+    assert len(gkz_chambers(VectorConfiguration(2, families, (2, 1))).chambers) == 2
     with pytest.raises(ValueError, match="polarization"):
-        gkz_chambers(VectorConfiguration(2, groups, (1, 1)))
+        gkz_chambers(VectorConfiguration(2, families, (1, 1)))
 
 
 def test_determinism_fresh_recomputation():
@@ -347,8 +345,8 @@ def subset_signature(config, w):
     """Oracle for the signature: every family set, smallest first, that is
     forced at w, not forced at the polarization, and holds no set found before."""
     def forced(families, v):
-        return not config.subset_cone([g.degree for g in config.groups
-                                       if g.label not in families]).contains(v)
+        return not config.subset_cone([degree for label, degree in config.families
+                                       if label not in families]).contains(v)
 
     found = []
     for size in range(1, len(config.labels) + 1):
@@ -451,7 +449,7 @@ def test_chamber_of_independent_of_cache_state_and_order(n):
 
 
 def sign_vector(config, w):
-    return tuple((x > 0) - (x < 0) for x in (dot(h, w) for h in config.bases()[0]))
+    return tuple((x > 0) - (x < 0) for x in (dot(h, w) for h in config.planes))
 
 
 def assert_sign_vector_rule(config, points):
@@ -471,7 +469,7 @@ def assert_sign_vector_rule(config, points):
             sums += 1
         for v in classes:
             assert sign_vector(config, v) == sign_vector(config, ws[0]), v
-            cold = VectorConfiguration(config.rank, config.groups, config.polarization)
+            cold = VectorConfiguration(config.rank, config.families, config.polarization)
             assert answer(chamber_of(config, v)) == answer(chamber_of(cold, v)), v
     assert len(config._cells) == len(cells)
     return sums
@@ -519,13 +517,13 @@ def random_configuration(rng):
         degrees = sorted(degrees)
         if len(degrees) >= 3 and rank(degrees) == r:
             break
-    groups = [GeneratorGroup(f"G{i}", v, 1) for i, v in enumerate(degrees)]
+    families = [(f"G{i}", v) for i, v in enumerate(degrees)]
     if rng.random() < 0.3:
-        groups.append(GeneratorGroup("twin", rng.choice(degrees), 1))
+        families.append(("twin", rng.choice(degrees)))
     while True:
         polarization = combination(degrees, rng, 1, 4)
-        config = VectorConfiguration(r, groups, polarization)
-        if all(dot(h, polarization) for h in config.bases()[0]):
+        config = VectorConfiguration(r, families, polarization)
+        if all(dot(h, polarization) for h in config.planes):
             return config
 
 
@@ -541,7 +539,7 @@ def test_random_configurations_against_oracle():
         # leaves the configurations drawn above as they were
         signs = random.Random(f"signs{i}")
         sums += assert_sign_vector_rule(
-            VectorConfiguration(config.rank, config.groups, config.polarization),
+            VectorConfiguration(config.rank, config.families, config.polarization),
             [combination(signs.sample(config.vectors, signs.randint(1, 3)), signs, 1, 3)
              for _ in range(15)])
     assert sums
@@ -574,8 +572,7 @@ def test_families_sharing_a_degree():
              "E": (1, 1, 0), "F": (0, 1, 1), "H": (1, 0, 0)}
     signatures = []
     for degrees, polarization in ((plane, (1, 2)), (space, (3, 2, 1))):
-        config = VectorConfiguration(len(polarization), [
-            GeneratorGroup(label, d, 1) for label, d in degrees.items()], polarization)
+        config = VectorConfiguration(len(polarization), list(degrees.items()), polarization)
         dec = assert_walk_and_queries_match_oracle(config, random.Random(len(degrees)))
         signatures += [ch.signature for ch in dec.chambers]
     assert frozenset({frozenset({"A", "E"})}) in signatures

@@ -5,7 +5,7 @@ from math import comb, gcd
 
 import pytest
 
-from skewmori.chambers import GeneratorGroup, GKZChamber, Region
+from skewmori.chambers import GKZChamber, Region
 from skewmori.cones import Cone
 from skewmori.geometry import (
     CoxGenerator,
@@ -29,6 +29,7 @@ from skewmori.geometry import (
     nef_generators,
     pair,
 )
+from skewmori.pfaffian import SkewMatrix, sub_pfaffian
 
 
 def test_lattice_ranks():
@@ -85,9 +86,17 @@ RECORDS = {
                      lambda: CoxGenerator("S1", DivisorClass(4, (0, 1)), 2),
                      "CoxGenerator(label='S1', degree=DivisorClass(n=4, coeffs=(0, 1)), "
                      "multiplicity=1)"),
-    "GeneratorGroup": (lambda: GeneratorGroup("A", (1, 0), 1),
-                       lambda: GeneratorGroup("B", (1, 0), 1),
-                       "GeneratorGroup(label='A', degree=(1, 0), multiplicity=1)"),
+    "Cone": (lambda: Cone.from_generators([(1, 0), (0, 1)]),
+             lambda: Cone.from_generators([(1, 0), (1, 1)]),
+             "Cone(rank=2, rays=[(0, 1), (1, 0)])"),
+    "Cone-not-pointed": (lambda: Cone.from_generators([(1, 0), (-1, 0), (0, 1)]),
+                         lambda: Cone.from_generators([(1, 0), (-1, 0), (0, -1)]),
+                         "Cone(rank=2, rays=[(0, 1)], not pointed)"),
+    "SkewMatrix": (lambda: SkewMatrix([[0, 1], [-1, 0]]),
+                   lambda: SkewMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]),
+                   "SkewMatrix(size=2)"),
+    "Polynomial": (lambda: sub_pfaffian(3, range(4)), lambda: sub_pfaffian(3, (0, 1)),
+                   "Polynomial(n=3, 3 terms)"),
     "GKZChamber": (lambda: GKZChamber(Cone.from_generators([(1, 0), (0, 1)]), (1, 1), frozenset()),
                    lambda: GKZChamber(Cone.from_generators([(1, 0), (0, 1)]), (2, 1), frozenset()),
                    "GKZChamber(cone=Cone(rank=2, rays=[(0, 1), (1, 0)]), representative=(1, 1), "
@@ -105,7 +114,8 @@ def test_records_are_immutable_values(make, make_other, text):
     assert a != make_other() and not a == make_other()
     assert a != tuple(getattr(a, name) for name in a._fields)
     assert repr(a) == text
-    assert copy.copy(a) == a and type(copy.copy(a)) is type(a)
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is type(a) and twin == a and hash(twin) == hash(a)
     for name in a._fields + ("extra",):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
