@@ -3,7 +3,8 @@
 Every subcommand returns its configuration, its results and its text lines;
 ``main`` alone writes them, as aligned text or as JSON (``--json``).  Output
 is deterministic, so identical flags and seed give byte-identical reports.
-Exit codes: 0 success, 1 failed verification, 2 usage error, 3 domain error.
+Exit codes: 0 success, 1 failed verification, 2 usage error, 3 domain error
+(a documented refusal of the input; a broken internal invariant propagates).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ def cmd_verify(args):
 
 # `pfaffian --json` writes C(size, 2) entries for the variable list and as many
 # for each of the (|I| - 1)!! terms, about 1 us an entry: fresh, with --json, the
-# edges take 4.3-5.5 s and 95 MB at size 31 on 12 indices (4.8e6 entries), 4.8-5.2 s
-# at size 307 on 8 and 6.5-7.4 s and 474 MB at size 2236 on 2 (5.0e6); the full
+# edges take 2.5-2.9 s and 95 MB at size 31 on 12 indices (4.8e6 entries), 2.8-2.9 s
+# at size 307 on 8 and 4.0-4.7 s and 474 MB at size 2236 on 2 (5.0e6); the full
 # Pfaffian of size 14 (1.2e7) took 13.1 s, and size 4000 on 2 indices 23.6 s and
 # 2.2 GB (2 vCPUs, CPython 3.11.7).
 MAX_PFAFFIAN_REPORT = 5_000_000
@@ -161,7 +162,7 @@ def cmd_multiplicity(args):
     elif args.n < 2:
         raise ValueError("n must be at least 2")
     else:
-        rows = verify.multiplicity_grid([args.n], args.trials, args.seed, args.bound)
+        rows = verify.multiplicity_grid([args.n])
     config = {"n": args.n, "k": args.k, "h": args.h, "trials": args.trials,
               "seed": args.seed, "bound": args.bound}
     results = [{"n": n, "k": k, "h": h, "order": got, "expected": want}
@@ -222,13 +223,13 @@ def _add_common(p, *, seed=False, bound=False, trials=False):
     p.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
-# Other budgets hold at the defaults; time grows with --trials and with the bound
-# (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity --n 10` takes 1.0-1.1 s at 5 trials
-# and, with its grid budget lifted, 2.9-3.0 s at 20.  At 10^6 one h costs 3.7-6.6 times
-# its time at bound 100 ((46, 1) 1.8 -> 6.8 s, (22, 3) 2.2 -> 11.1 s, (19, 4) 2.1 ->
-# 13.3 s), so `secant` scales its work by (bits / 7)^1.4, 4.35 at 10^6.  The edges at
-# 10^6 then take 3.5-6.9 s with --json ((42, 1), (26, 2), (20, 3), (17, 4), (15, 5),
-# (14, 6) and the listing at n = 14), and those at 10^3-10^5 4.4-7.1 s.
+# Other budgets hold at the defaults; time grows with --trials and with the bound,
+# neither read by the multiplicity grid (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity
+# --n 44 --k 4 --h 1` takes 0.6-0.7 s at 5 trials and 2.0-2.3 s at 20.  At 10^6 one h
+# costs 3.7-6.6 times its time at bound 100 ((46, 1) 1.8 -> 6.8 s, (22, 3) 2.2 -> 11.1 s,
+# (19, 4) 2.1 -> 13.3 s), so `secant` scales its work by (bits / 7)^1.4, 4.35 at 10^6.
+# The edges at 10^6 then take 3.5-6.9 s with --json ((42, 1), (26, 2), (20, 3), (17, 4),
+# (15, 5), (14, 6) and the listing at n = 14), and those at 10^3-10^5 4.4-7.1 s.
 MAX_TRIALS, MAX_BOUND = 20, 10 ** 6
 
 
@@ -311,7 +312,10 @@ def main(argv=None):
     if args.command == "multiplicity" and (args.k is None) != (args.h is None):
         parser.error("--k and --h must be given together")
     try:
-        if getattr(args, "trials", 0) > MAX_TRIALS or getattr(args, "bound", 0) > MAX_BOUND:
+        trials, bound = getattr(args, "trials", 1), getattr(args, "bound", 1)
+        if trials < 1 or bound < 1:
+            raise ValueError("trials must be >= 1" if trials < 1 else "bound must be positive")
+        if trials > MAX_TRIALS or bound > MAX_BOUND:
             raise ValueError(f"--trials is supported up to {MAX_TRIALS}, --bound up to {MAX_BOUND}")
         config, results, lines, *code = args.fn(args)
         if args.json:
@@ -324,7 +328,7 @@ def main(argv=None):
         else:
             sys.stdout.write("\n".join(lines))
         sys.stdout.write("\n")
-    except (ValueError, KeyError, ArithmeticError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return code[0] if code else 0

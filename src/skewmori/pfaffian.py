@@ -10,10 +10,10 @@ with first-row expansion
 so that pf(Z)^2 = det(Z).
 
 Points come as ``SkewMatrix`` values with ``int`` or ``Fraction`` entries,
-kept as given.  Rank-2h points of the Pfaffian degeneracy loci are sampled
-as sums of h random wedges x ^ y with integer entries, and orders of
-vanishing are read off the exact Taylor expansion at the point, so no
-numerical tolerance exists anywhere in this module.
+kept as given.  Orders of vanishing are read off the exact Taylor expansion
+at a point: the rank-2h normal form for the multiplicity grid, where they are
+exact, or random sums of h integer wedges x ^ y for the estimate that checks
+it.  No numerical tolerance exists anywhere in this module.
 """
 
 from __future__ import annotations
@@ -93,18 +93,6 @@ class Polynomial(Record):
                 if j >= matrix.size:
                     raise ValueError(f"unknown variable z_({i},{j}) for size {matrix.size}")
         return [matrix._upper.get(pair, 0) for pair in var_pairs(self.n)]
-
-    def evaluate(self, matrix):
-        """Exact value at a SkewMatrix with size at least the support needs."""
-        point = self._coordinates(matrix)
-        total = 0
-        for exp, coef in self.terms.items():
-            value = coef
-            for z, e in zip(point, exp):
-                if e:
-                    value *= z ** e
-            total += value
-        return total
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
@@ -248,7 +236,8 @@ def sub_pfaffian(n, indices):
             exp[k] = 0
 
     match(idx, 1, [0] * len(var_pairs(n)))
-    return Polynomial(n, terms)
+    # distinct 0/1 exponent tuples with coefficients +-1: nothing for __init__ to check
+    return Polynomial._make(n, terms)
 
 
 def pfaffian_value(matrix, indices=None):
@@ -303,6 +292,7 @@ MAX_DRAWS = 1000
 # takes 1.3 s at (n, h) = (800, 1) (3.1e7) and 8.3 s at (200, 20) with bound 10^6
 # (1.7e8); vanishing_order 1.6-1.7 s at (n, k) = (11, 5) (4.3e7), fresh.  Printing
 # adds to `sample` at h = 1: `--n 1100 --h 1 --json` (5.9e7) takes 3.1-3.4 s fresh.
+# The multiplicity grid at n = 12 (4.55e7; passes at a sparse point) takes 0.85-1.15 s fresh.
 MAX_SAMPLING_WORK = 60_000_000
 
 
@@ -384,18 +374,12 @@ def vanishing_order(polynomial, matrix, max_order):
 
 
 def multiplicity_estimate(n, k, h, trials=5, seed=0, bound=100):
-    """Vanishing order of a fixed size-(2k+2) sub-Pfaffian at rank-2h points.
+    """Vanishing order of a fixed size-(2k+2) sub-Pfaffian at random rank-2h points.
 
-    Minimum over independent samples; special points can only raise the
-    order, so the minimum recovers the generic value.
+    Minimum over independent samples, each drawn when needed; special points can
+    only raise the order, so the minimum recovers the generic value, which
+    `verify.multiplicity_grid` proves exactly.
     """
-    return _capped_minimum(n, k, h, trials, bound, lambda: sub_pfaffian(n, range(2 * k + 2)),
-                           lambda t: secant_sample(n, h, bound=bound, seed=f"{seed}:{t}"))
-
-
-def _capped_minimum(n, k, h, trials, bound, build, sample):
-    """multiplicity_estimate's refusals, then the least vanishing order of
-    p = build() at sample(0), ..., sample(trials - 1), each drawn when needed."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if 2 * k + 2 > n + 1:
@@ -406,11 +390,12 @@ def _capped_minimum(n, k, h, trials, bound, build, sample):
     if trials * (taylor_work(n, k) + sample_work(n, h, bound)) > MAX_SAMPLING_WORK:
         raise ValueError(f"the estimate at (n, k, h) = ({n}, {k}, {h}) with {trials} trials "
                          "exceeds the sampling budget")
-    p = build()
+    p = sub_pfaffian(n, range(2 * k + 2))
     # p has degree k + 1; each trial's pass is capped to return min(best, its order)
     best = k + 1
     for t in range(trials):
-        best = vanishing_order(p, sample(t), max_order=best - 1)
+        best = vanishing_order(p, secant_sample(n, h, bound=bound, seed=f"{seed}:{t}"),
+                               max_order=best - 1)
         if best == 0:
             break
     return best

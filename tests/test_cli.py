@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -149,9 +150,9 @@ def test_domain_error_exit_code(capsys):
     assert code == 3
     code, _ = run_cli("cones", "--n", "31", "--cone", "mov")
     assert code == 3
-    for argv in (["multiplicity", "--n", "11"],
+    for argv in (["multiplicity", "--n", "13"],
                  ["multiplicity", "--n", "13", "--k", "6", "--h", "1"],
-                 ["verify", "--only", "multiplicity", "--n", "12"],
+                 ["verify", "--only", "multiplicity", "--n", "13"],
                  ["secant", "--n", "18"], ["secant", "--n", "20"],
                  ["secant", "--n", "18", "--h", "8"], ["secant", "--n", "8", "--h", "0"],
                  ["blowup1", "--n", "401"], ["blowup1", "--n", "1000"],
@@ -172,15 +173,17 @@ def test_domain_error_exit_code(capsys):
                  ["verify", "--only", "secant", "--bound", str(10 ** 7)],
                  ["sample", "--n", "1600", "--h", "1"], ["sample", "--n", "200", "--h", "100"],
                  ["multiplicity", "--n", "3200", "--k", "0", "--h", "1"],
-                 ["multiplicity", "--n", "11", "--k", "5", "--h", "1"],
-                 ["multiplicity", "--n", "10", "--trials", "14", "--bound", "1000000"],
-                 ["verify", "--only", "multiplicity", "--n", "10", "--trials", "20",
-                  "--bound", "1000000"]):
+                 ["multiplicity", "--n", "11", "--k", "5", "--h", "1"]):
         code, _ = run_cli(*argv)
         assert code == 3, argv
-    # the largest multiplicity-grid estimate at the --trials cap stays accepted
-    code, _ = run_cli("multiplicity", "--n", "10", "--k", "4", "--h", "5", "--trials", "20")
-    assert code == 0
+    # the grid reads neither --trials nor --bound, and a single estimate at n = 10
+    # stays accepted at the --trials cap
+    for argv in (["multiplicity", "--n", "10", "--trials", "14", "--bound", "1000000"],
+                 ["verify", "--only", "multiplicity", "--n", "10", "--trials", "20",
+                  "--bound", "1000000"],
+                 ["multiplicity", "--n", "10", "--k", "4", "--h", "5", "--trials", "20"]):
+        code, _ = run_cli(*argv)
+        assert code == 0, argv
     for argv in (["verify", "--only", "multiplicity", "--n", "0"],
                  ["verify", "--only", "multiplicity", "--n", "1"], ["verify", "--n", "-3"],
                  ["multiplicity", "--n", "0"], ["multiplicity", "--n", "-4"],
@@ -200,14 +203,24 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_bound_and_k_refused_before_any_work(monkeypatch, capsys):
-    for argv in (["secant", "--n", "8", "--bound", "0"], ["secant", "--n", "8", "--bound", "-5"],
-                 ["verify", "--only", "secant", "--bound", "0"]):
+    monkeypatch.setattr(pfaffian, "sub_pfaffian", lambda *a: pytest.fail("built p"))
+    # main refuses --trials and --bound below 1 itself, as the grid reads neither
+    for argv, message in ((["secant", "--n", "8", "--bound", "0"], "bound must be positive"),
+                          (["secant", "--n", "8", "--bound", "-5"], "bound must be positive"),
+                          (["verify", "--only", "secant", "--bound", "0"], "bound must be positive"),
+                          (["multiplicity", "--n", "8", "--bound", "0"], "bound must be positive"),
+                          (["verify", "--only", "multiplicity", "--bound", "0"],
+                           "bound must be positive"),
+                          (["verify", "--only", "multiplicity", "--trials", "0"],
+                           "trials must be >= 1"),
+                          (["multiplicity", "--n", "8", "--trials", "-1"], "trials must be >= 1"),
+                          (["multiplicity", "--n", "8", "--k", "3", "--h", "1", "--trials", "0"],
+                           "trials must be >= 1")):
         code, _ = run_cli(*argv)
-        assert code == 3 and "bound must be positive" in capsys.readouterr().err, argv
+        assert code == 3 and message in capsys.readouterr().err, argv
     with pytest.raises(ValueError, match="bound must be positive"):
         pfaffian.terracini_dim(8, 1, bound=0)
     # k < 0 is refused by the estimate itself, before it builds the sub-Pfaffian
-    monkeypatch.setattr(pfaffian, "sub_pfaffian", lambda *a: pytest.fail("built p"))
     code, _ = run_cli("multiplicity", "--n", "5", "--k", "-1", "--h", "1")
     err = capsys.readouterr().err
     assert code == 3 and "k must be >= 0" in err and "max_order" not in err
@@ -244,7 +257,7 @@ def test_pfaffian_report_budget_edge(monkeypatch, capsys):
 
 def test_sampling_budget_edge():
     # `sample` is accepted up to n = 1100 at h = 1 and a single estimate at
-    # (n, k, h) = (11, 5, 1) for one trial; every grid estimate (n <= 10) at the caps
+    # (n, k, h) = (11, 5, 1) for one trial; every single estimate at n = 10 at the caps
     sample, taylor = pfaffian.sample_work, pfaffian.taylor_work
     budget, bound = pfaffian.MAX_SAMPLING_WORK, 10 ** 6
     assert sample(1100, 1, 100) <= budget < sample(1110, 1, 100)
@@ -253,21 +266,41 @@ def test_sampling_budget_edge():
                     for k in range(5) for h in range(1, 6)) <= budget
 
 
-def test_grid_budget_edge(monkeypatch, capsys):
-    # the grid weighs trials x (taylor_work + sample_work) over its entries, one
-    # trial where h > k: n = 10 runs up to 13 trials at bound 10^6, and no grid
-    # past n = 10 runs; the estimates are stubbed, as only the guard is tested
-    monkeypatch.setattr(pfaffian, "_capped_minimum", lambda n, k, h, *args: max(k - h + 1, 0))
-    for argv in (["verify", "--only", "multiplicity"],
-                 ["verify", "--only", "multiplicity", "--trials", "20", "--bound", "1000000"],
-                 ["multiplicity", "--n", "10"],
-                 ["multiplicity", "--n", "10", "--trials", "13", "--bound", "1000000"]):
-        assert run_cli(*argv)[0] == 0, argv
-    for argv in (["multiplicity", "--n", "10", "--trials", "14", "--bound", "1000000"],
-                 ["multiplicity", "--n", "11", "--trials", "1"],
-                 ["verify", "--only", "multiplicity", "--n", "12", "--trials", "1"]):
+def test_grid_edge_refused_before_any_build(monkeypatch, capsys):
+    # the grid costs one Taylor pass per (n, k): 4.55e7 at n = 12, 1.16e9 at n = 13
+    work = lambda n: sum(pfaffian.taylor_work(n, k) for k in range((n + 1) // 2))
+    assert work(12) <= pfaffian.MAX_SAMPLING_WORK < work(13)
+    assert run_cli("multiplicity", "--n", "12")[0] == 0
+    monkeypatch.setattr(pfaffian, "sub_pfaffian", lambda *a: pytest.fail("built p"))
+    for argv in (["multiplicity", "--n", "13"], ["verify", "--only", "multiplicity", "--n", "13"],
+                 ["multiplicity", "--n", "1000000000"]):
         code, _ = run_cli(*argv)
         assert code == 3 and "multiplicity grid" in capsys.readouterr().err, argv
+
+
+def test_grid_draws_no_sample_and_reads_no_seed(monkeypatch):
+    # the grid is exact at the normal form: --seed, --trials and --bound are only echoed
+    monkeypatch.setattr(pfaffian, "secant_sample", lambda *a, **k: pytest.fail("drew a sample"))
+    for command in (["multiplicity", "--n", "8"], ["verify", "--only", "multiplicity"]):
+        results = set()
+        for seed, trials, bound in product((0, 3, 7), (1, 20), (1, 10 ** 6)):
+            code, out = run_cli(*command, "--json", "--seed", str(seed), "--trials", str(trials),
+                                "--bound", str(bound))
+            report = json.loads(out)
+            assert code == 0 and (report["config"]["seed"], report["config"]["trials"],
+                                  report["config"]["bound"]) == (seed, trials, bound)
+            results.add(json.dumps(report["results"]))
+        assert len(results) == 1, command
+
+
+def test_broken_invariant_is_not_a_refusal(monkeypatch):
+    # exit 3 is a documented refusal; an internal ArithmeticError propagates
+    def broken(config):
+        raise ArithmeticError("three chambers share a wall")
+
+    monkeypatch.setattr(chambers, "gkz_chambers", broken)
+    with pytest.raises(ArithmeticError, match="three chambers share a wall"):
+        main(["blowup1", "--n", "5"])
 
 
 @pytest.mark.parametrize("n", [16, 1000])

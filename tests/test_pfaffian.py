@@ -48,6 +48,18 @@ def monomial(n, *pairs, coef=1):
     return Polynomial(n, {tuple(exp): coef})
 
 
+def evaluate(polynomial, matrix):
+    """Exact value at a SkewMatrix with size at least the support needs."""
+    point, total = polynomial._coordinates(matrix), 0
+    for exp, coef in polynomial.terms.items():
+        value = coef
+        for z, e in zip(point, exp):
+            if e:
+                value *= z ** e
+        total += value
+    return total
+
+
 def pfaffian_by_elimination(matrix):
     """Independent oracle: Schur-complement elimination on 2x2 pivot blocks."""
     m = matrix.size
@@ -84,7 +96,7 @@ def test_four_by_four_expansion():
     rng = random.Random(1)
     for _ in range(20):
         z = random_skew(rng, 4)
-        assert p.evaluate(z) ** 2 == linalg.det(z.to_rows())
+        assert evaluate(p, z) ** 2 == linalg.det(z.to_rows())
 
 
 def test_odd_pfaffian_rejected():
@@ -103,6 +115,17 @@ def test_odd_pfaffian_rejected():
 def test_empty_index_set_is_one():
     assert sub_pfaffian(3, []) == monomial(3)
     assert str(sub_pfaffian(-1, [])) == "1"
+
+
+def test_sub_pfaffian_equals_the_checked_constructor():
+    # sub_pfaffian skips Polynomial.__init__; its terms must pass that check unchanged
+    for size in range(9):
+        for count in range(0, size + 1, 2):
+            for indices in combinations(range(size), count):
+                p = sub_pfaffian(size - 1, indices)
+                checked = Polynomial(size - 1, p.terms)
+                assert p == checked and hash(p) == hash(checked)
+                assert all(type(c) is int and abs(c) == 1 for c in p.terms.values())
 
 
 def test_pf_squared_is_det():
@@ -191,18 +214,18 @@ def test_vanishing_order_matches_sympy_partials():
 
 def test_evaluate_known_variable():
     z = SkewMatrix([[0, 5, 1], [-5, 0, 2], [-1, -2, 0]])
-    assert monomial(2, (0, 1)).evaluate(z) == 5
+    assert evaluate(monomial(2, (0, 1)), z) == 5
 
 
 def test_evaluate_unknown_variable():
     p = monomial(5, (4, 5))
     with pytest.raises(ValueError, match="unknown variable"):
-        p.evaluate(SkewMatrix([[0, 1], [-1, 0]]))
+        evaluate(p, SkewMatrix([[0, 1], [-1, 0]]))
 
 
 def test_full_pfaffian_vanishes_on_rank_two():
     z = secant_sample(5, 1, bound=20, seed=7)
-    assert sub_pfaffian(5, range(6)).evaluate(z) == 0
+    assert evaluate(sub_pfaffian(5, range(6)), z) == 0
 
 
 def test_secant_sample_ranks():
@@ -217,7 +240,7 @@ def test_secant_sample_ranks():
         for b in range(a + 1, 3):
             for c in range(b + 1, 4):
                 for d in range(c + 1, 5):
-                    assert sub_pfaffian(4, (a, b, c, d)).evaluate(z) == 0
+                    assert evaluate(sub_pfaffian(4, (a, b, c, d)), z) == 0
 
 
 def test_secant_sample_rank_contract():
@@ -301,32 +324,12 @@ def test_capped_estimate_matches_uncapped_minimum():
     assert lowered
 
 
-def counted(calls, f):
-    def wrapper(*args, **kwargs):
-        calls.append(repr((args, kwargs)))
-        return f(*args, **kwargs)
-    return wrapper
-
-
-def test_grid_shares_samples_and_pfaffians(monkeypatch):
-    # the grid equals multiplicity_estimate entry by entry, while it builds each
-    # sub-Pfaffian once and draws each (n, h, trial) sample once, when needed
-    pfaffians, samples = [], []
-    monkeypatch.setattr(pfaffian, "sub_pfaffian", counted(pfaffians, sub_pfaffian))
-    monkeypatch.setattr(pfaffian, "secant_sample", counted(samples, secant_sample))
-    for seed in range(3):
-        for bound in (1, 2, 100):
-            for trials in (1, 5):
-                pfaffians.clear()
-                samples.clear()
-                rows = verify.multiplicity_grid(range(2, 9), trials, seed, bound)
-                assert len(pfaffians) == len(set(pfaffians)) == sum((n + 1) // 2 for n in range(2, 9))
-                drawn = list(samples)
-                samples.clear()
-                assert rows == [(n, k, h, multiplicity_estimate(
-                    n, k, h, trials=trials, seed=f"{seed}:{n}", bound=bound), max(k - h + 1, 0))
-                    for n, k, h, _, _ in rows]
-                assert len(drawn) == len(set(drawn)) < len(samples) and set(drawn) == set(samples)
+def test_exact_grid_pinned_through_twelve():
+    # one Taylor pass at the rank-2h normal form per entry, max(k - h + 1, 0) throughout
+    rows = verify.multiplicity_grid(range(2, 13))
+    assert rows == [(n, k, h, max(k - h + 1, 0), max(k - h + 1, 0)) for n in range(2, 13)
+                    for k in range((n + 1) // 2) for h in range(1, (n + 1) // 2 + 1)]
+    assert len(rows) == 181
 
 
 def test_multiplicity_parameter_validation():
@@ -397,9 +400,11 @@ def test_terracini_dims_on_degenerate_draws():
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_multiplicity_grid_past_eight(n):
-    rows = verify.multiplicity_grid([n], 5, 0, 100)
+    # the random estimate, entry by entry, is an oracle independent of the normal form
+    rows = verify.multiplicity_grid([n])
     assert len(rows) == 25
-    assert all(got == want == max(k - h + 1, 0) for _, k, h, got, want in rows)
+    assert rows == [(n, k, h, multiplicity_estimate(n, k, h, trials=5, seed=f"0:{n}", bound=100),
+                     max(k - h + 1, 0)) for _, k, h, _, _ in rows]
 
 
 def wedge_power_cases(size):
@@ -621,7 +626,7 @@ def test_entries_stay_exact():
     z = SkewMatrix([[0, 5, 1], [-5, 0, 2], [-1, -2, 0]])
     assert all(type(x) is int for row in z.to_rows() for x in row)
     assert type(pfaffian_value(SkewMatrix([[0, 5], [-5, 0]]))) is int
-    assert type(sub_pfaffian(2, [0, 1]).evaluate(z)) is int
+    assert type(evaluate(sub_pfaffian(2, [0, 1]), z)) is int
     half = SkewMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
     assert half.entry(0, 1) == Fraction(1, 2) and pfaffian_value(half) == Fraction(1, 2)
     assert all(type(x) is int for row in secant_sample(5, 2, seed=4).to_rows() for x in row)
