@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from functools import cache, reduce
 from itertools import combinations
-from operator import mul, or_
+from math import comb
+from operator import add, mul, or_, sub
 
 from . import geometry
 from .cones import Cone, hyperplanes_spanned_by
@@ -49,7 +50,10 @@ class VectorConfiguration:
     zero locus is empty there.  Built once with it: the K spanned hyperplanes
     h_k, ``planes``; ``normals``, +h_k then -h_k; ``bases``, each independent
     ``rank``-subset of ``vectors`` as (vector mask, mask of its facets' normals),
-    the facet opposite v lying on the hyperplane missing v alone;
+    the facet opposite v lying on the hyperplane missing v alone; ``facet_bases``,
+    per normal the mask of the bases with a facet on it; ``inner``, per basis the
+    mask of the other bases whose cones its cone holds (of equal cones only the
+    earlier, so that one of them stays minimal);
     ``cocircuits``, per normal h the mask of N_h, or 0 if it holds an empty
     stratum; ``direction``, the h_k.d of the lift.
     """
@@ -86,6 +90,23 @@ class VectorConfiguration:
                     facets |= 1 << k + len(planes) * (sides[k][off.bit_length() - 1] < 0)
             if covered == mask:
                 self.bases.append((mask, facets))
+        # basis j lies in basis i iff no vector of j is on the negative side of a facet
+        # of i: per vector the bases through it, per normal the bases crossing it.  Of
+        # bases with equal cones, that is equal facets, only an earlier one counts as
+        # lying in a later one, so the first stays minimal
+        through, twins = [0] * len(self.vectors), {}
+        self.facet_bases = [0] * len(normals)
+        for i, (mask, facets) in enumerate(self.bases):
+            twins.setdefault(facets, []).append(i)
+            for v in _bits(mask):
+                through[v] |= 1 << i
+            for k in _bits(facets):
+                self.facet_bases[k] |= 1 << i
+        crossing = [reduce(or_, (through[v] for v in _bits(c)), 0) for c in cocircuits]
+        everything = (1 << len(self.bases)) - 1
+        self.inner = [everything & ~reduce(or_, (crossing[k] for k in _bits(facets)),
+                                           sum(1 << j for j in twins[facets] if j >= i))
+                      for i, (_, facets) in enumerate(self.bases)]
         # d = t p + (1, m, ..., m^(r-1)): the last term is on no h_k, as each
         # |h_k| < m/2, and t keeps the polarization's side of every other h_k
         m = 2 * max(abs(x) for h in planes for x in h) + 1
@@ -214,30 +235,53 @@ class Decomposition:
 
 
 def _bits(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """Indices of the set bits, ascending: one find per set bit in the binary
+    digits, so linear in the length of a long mask as well as in its bits."""
+    digits, out = bin(mask)[:1:-1], []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def _canonical_chamber(config, held):
     """The chamber of the generic classes the bases ``held`` hold: the
     intersection of their cones, memoised on the configuration.  Each basis
-    cone lies in the effective cone, so its facets cut out no more."""
+    cone lies in the effective cone, and a held basis whose cone holds another
+    held basis's cone cuts out no more, so only the inclusion-minimal held
+    bases give facets."""
     if held not in config._chambers:
-        normals = sorted(config.normals[k] for k in _bits(reduce(or_, (f for _, f in held))))
+        bases, inner = config.bases, config.inner
+        facets = reduce(or_, (bases[i][1] for i in _bits(held) if not inner[i] & held))
+        normals = sorted(config.normals[k] for k in _bits(facets))
         config._chambers[held] = Cone.from_inequalities(normals, config.rank)
     return config._chambers[held]
 
 
 def _held(config, w, name="class", values=None):
-    """Masks of the bases holding w (``values`` are its h.w, if known).  A basis
-    holding w on its boundary puts w in a lower-dimensional subset cone, a wall,
-    and no basis holds a w outside the effective cone; either is a ``ValueError``."""
+    """Mask of the bases holding w (``values`` are its h.w, if known): those with
+    no facet normal h with h.w < 0.  A basis holding w on its boundary puts w in a
+    lower-dimensional subset cone, a wall, and no basis holds a w outside the
+    effective cone; either is a ``ValueError``."""
     if values is None:
         values = [dot(h, w) for h in config.planes]
-    above, below = _signs(values)
-    held = tuple(b for b in config.bases if not b[1] & below)
-    if not held or any(f & ~above for _, f in held):
+    facet_bases, cut, tight = config.facet_bases, 0, 0
+    for k, x in enumerate(values):  # normal k is +h_k, normal k + K is -h_k
+        if x < 0:
+            cut |= facet_bases[k]
+        elif x > 0:
+            cut |= facet_bases[k + len(values)]
+        else:
+            tight |= facet_bases[k] | facet_bases[k + len(values)]
+    held = (1 << len(config.bases)) - 1 & ~cut
+    if not held or held & tight:
         raise ValueError(f"{name} {w} is not interior to a chamber")
     return held
+
+
+def _add(a, b):
+    return list(map(add, a, b))
 
 
 def _lift(values, direction):
@@ -247,11 +291,18 @@ def _lift(values, direction):
     return t, [t * a + b for a, b in zip(values, direction)]
 
 
-# Walk times: 0.6 s at n = 11 (rank 5), 0.8 s at n = 12 and 5 s at n = 13 (rank 6,
-# 486 bases, 1285 chambers); `chamber --json` takes 0.3-0.5 s at n = 14 and 0.5-0.7 s
-# at n = 15 (rank 7), 0.44-0.62 s to refuse a class outside Eff at n = 15, and 1.0-1.1 s
-# at n = 16 (rank 8), fresh (2 vCPUs, CPython 3.11.7).
-RANK_BUDGETS = {"chamber decomposition": 6, "chamber queries": 7}
+# A decomposition of v degrees in rank r is priced C(v, r) C(v, r - 1), candidate bases
+# times candidate hyperplanes: 2.1e5 at n = 12, 7.3e5 at n = 13, 2.9e6 at n = 14 (rank 7,
+# 729 bases, 2394 chambers), 1.03e7 at n = 15 and 4.0e6 for the single blow-up at its cap
+# n = 400 (rank 2, 201 degrees).  Fresh, with --json, `gkz` takes 1.3-2.0 s at n = 13 and
+# 3.9-4.8 s at n = 14, and `blowup1 --n 400` 2.9-3.0 s; the walk at n = 15 (13532
+# chambers) takes 33 s in process (2 vCPUs, CPython 3.11.7).
+MAX_CHAMBER_WORK = 5_000_000
+
+# `chamber --json` takes 0.3-0.5 s at n = 14, 0.35-0.55 s at n = 15 (rank 7) and 0.1 s there
+# to refuse a class outside Eff, and 1.0-1.1 s at n = 16 (rank 8), fresh (2 vCPUs, CPython
+# 3.11.7).
+RANK_BUDGETS = {"chamber queries": 7}
 
 
 def check_rank(task, rank):
@@ -261,23 +312,44 @@ def check_rank(task, rank):
         raise ValueError(f"{task} supported up to rank {RANK_BUDGETS[task]}")
 
 
+def check_chamber_work(vectors, rank):
+    """Refuse a decomposition of ``vectors`` degrees in ``rank`` priced past
+    ``MAX_CHAMBER_WORK``, from the sizes alone, so callers keyed by n check it
+    before building the configuration.  C(v, r) >= 2^m for m = min(r, v - r), so
+    a large m is refused before any binomial of a huge n is computed."""
+    if (min(rank, vectors - rank) >= MAX_CHAMBER_WORK.bit_length()
+            or comb(vectors, rank) * comb(vectors, rank - 1) > MAX_CHAMBER_WORK):
+        raise ValueError(f"chamber decomposition of {vectors} degrees in rank {rank} "
+                         f"exceeds the work budget of {MAX_CHAMBER_WORK}")
+
+
 def gkz_chambers(config):
     """All maximal chambers of the configuration, canonically ordered."""
-    check_rank("chamber decomposition", config.rank)
+    check_chamber_work(len(config.vectors), config.rank)
     start, planes = _held(config, config.polarization, "polarization"), config.planes
     found, queue, walls = {start: _canonical_chamber(config, start)}, [start], {}
+    ray_values, boundary = {}, set(config.ambient.facets)  # per ray r, its h.r over the planes
+
+    def plane_values(rays):  # the h.x of x, the sum of the rays; read-only
+        for r in rays:
+            if r not in ray_values:
+                ray_values[r] = [dot(h, r) for h in planes]
+        return reduce(_add, (ray_values[r] for r in rays))
+
     for held in queue:  # grows as the walk finds neighbours
         cone = found[held]
-        c = cone.interior_point()
+        c, at_c = cone.interior_point(), plane_values(cone.rays)
         for f in cone.facets:
+            if f in boundary:
+                continue  # on a facet of the effective cone, which holds the chamber
             on = tuple(r for r in cone.rays if dot(f, r) == 0)
-            p = tuple(sum(r[i] for r in on) for i in range(config.rank))
-            if not config.ambient.interior_contains(p):
-                continue  # a facet of the effective cone
             if on not in walls:  # cross it; the walls dict maps it to its two chambers
-                # w = t*p + (p - c), lifted off p's hyperplanes, lies just past the wall
+                # w = t*p + (p - c), lifted off p's hyperplanes, lies just past the wall;
+                # c - p is the sum of the rays off the wall
+                p = tuple(map(sum, zip(*on)))
                 d = tuple(a - b for a, b in zip(p, c))
-                t, values = _lift([dot(h, p) for h in planes], [dot(h, d) for h in planes])
+                off = plane_values([r for r in cone.rays if r not in on])
+                t, values = _lift(list(map(sub, at_c, off)), [-x for x in off])
                 nxt = _held(config, w := tuple(t * a + b for a, b in zip(p, d)), values=values)
                 if nxt not in found:
                     found[nxt] = _canonical_chamber(config, nxt)
@@ -321,7 +393,10 @@ def chamber_of(config, w):
 
 @cache
 def decomposition_for(n):
-    check_rank("chamber decomposition", geometry.picard_rank(n))
+    # priced from the sizes of `cox_generator_degrees(n)`, before any build: T4..T{2r+2}
+    # and S1..S_r, plus one more S for odd n, in rank r + 1
+    r = geometry.exceptional_count(n)
+    check_chamber_work(2 * r + 1 + n % 2, r + 1)
     return gkz_chambers(configuration_for(n))
 
 

@@ -10,13 +10,29 @@ Exit codes: 0 success, 1 failed verification, 2 usage error, 3 domain error
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from itertools import islice
 from math import comb, prod
 
-from . import chambers, geometry, pfaffian, verify
+from . import chambers, geometry
 from .chambers import describe_signature
+
+
+def _deferred(name):
+    """The submodule ``name``, registered in sys.modules at once but run on first
+    attribute use: the chamber commands never touch the Pfaffian layer."""
+    name = f"{__package__}.{name}"
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+pfaffian, verify = _deferred("pfaffian"), _deferred("verify")
 
 
 def _vec(v):
@@ -195,9 +211,20 @@ def point(text):
     return tuple(int(x) for x in text.split(","))
 
 
+def suite(text):
+    """A verify sub-suite; read only when given, so building the parser runs no verify."""
+    if text not in verify.SUITES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, verify.SUITES))})")
+    return text
+
+
 def cmd_chamber(args):
     w = args.point
     chambers.check_rank("chamber queries", geometry.picard_rank(args.n))
+    # Eff(A(n)) is the configuration's ambient cone, at a fraction of the build
+    if not geometry.eff_cone(args.n).contains(w):
+        raise ValueError("class outside the effective cone")
     ch = chambers.chamber_of(chambers.configuration_for(args.n), w)
     results = {"rays": [list(r) for r in ch.rays],
                "maximal": ch.is_maximal(),
@@ -241,7 +268,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="replay the full acceptance suite")
-    p.add_argument("--only", choices=verify.SUITES, help="run a single sub-suite")
+    p.add_argument("--only", type=suite, metavar="SUITE", help="run a single sub-suite")
     p.add_argument("--n", type=int, help="restrict n where applicable")
     _add_common(p, seed=True, bound=True, trials=True)
     p.set_defaults(fn=cmd_verify)
@@ -328,7 +355,7 @@ def main(argv=None):
         else:
             sys.stdout.write("\n".join(lines))
         sys.stdout.write("\n")
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return code[0] if code else 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb, isqrt, lcm, prod
 
 from . import linalg
@@ -351,12 +351,12 @@ def vanishing_order(polynomial, matrix, max_order):
     # (k, e) -> the nonzero (a, C(e, a) z_k^(e - a)) of (z_k + x_k)^e, a ascending
     rows = {}
     taylor = {}
+    width = range(len(point))
     for exp, coef in polynomial.terms.items():
-        # (degree, x-exponent) -> coefficient, one factor (z_k + x_k)^e at a time
+        # (degree, x-exponent) -> coefficient, one factor (z_k + x_k)^e at a time,
+        # over the nonzero exponents only
         expansion = {(0, ()): coef}
-        for k, e in enumerate(exp):
-            if not e:
-                continue
+        for k, e in zip(compress(width, exp), filter(None, exp)):
             row = rows.get((k, e))
             if row is None:
                 row = rows[k, e] = [(a, w) for a in range(min(e, max_order) + 1)

@@ -250,8 +250,23 @@ def test_conjecture_counts_and_labels():
 
 
 def test_rank_guard():
-    with pytest.raises(ValueError):
-        decomposition_for(14)
+    # the decomposition is priced by work, C(v, r) C(v, r - 1), not by rank: n = 14
+    # (rank 7) runs, n = 15 (rank 7 too) is refused
+    with pytest.raises(ValueError, match="exceeds the work budget"):
+        decomposition_for(15)
+    with pytest.raises(ValueError, match="exceeds the work budget"):
+        gkz_chambers(configuration_for(15))
+
+
+def test_work_guard_reads_the_sizes_of_the_degree_list():
+    # decomposition_for prices A(n) from 2r + 1 + n % 2 degrees in rank r + 1
+    # without building them; pin that count against the list itself
+    for n in range(2, 61):
+        r = geometry.exceptional_count(n)
+        degrees = {g.degree.coeffs for g in geometry.cox_generator_degrees(n)}
+        assert (len(degrees), geometry.picard_rank(n)) == (2 * r + 1 + n % 2, r + 1), n
+    # the single blow-up at its cap n = 400, T2..T400 and S1 in rank 2, stays inside it
+    chambers.check_chamber_work(201, 2)
 
 
 def test_blowup_one_counts():
@@ -549,7 +564,8 @@ def test_generic_path_refuses_walls():
     for n in (6, 7, 8):
         config, dec = configuration_for(n), decomposition_for(n)
         held = chambers._held(config, dec.chambers[0].representative)
-        assert held and all(len(chambers._bits(mask)) == config.rank for mask, _ in held)
+        assert held and all(len(chambers._bits(config.bases[i][0])) == config.rank
+                            for i in chambers._bits(held))
         for _, _, on in dec.walls:
             with pytest.raises(ValueError, match="not interior to a chamber"):
                 chambers._held(config, tuple(map(sum, zip(*on))))
@@ -562,6 +578,48 @@ def test_rank_six_pins():
     dec = decomposition_for(12)
     assert (len(dec.chambers), len(dec.regions), len(dec.walls)) == (318, 91, 1018)
     assert conjecture_counts(12) == (66, 31)
+
+
+def test_rank_seven_pins():
+    # toric-model regression values, not checked against the paper
+    dec = decomposition_for(14)
+    assert (len(dec.chambers), len(dec.regions), len(dec.walls)) == (2394, 440, 9345)
+
+
+def test_minimal_held_bases_cut_out_the_chamber():
+    # the chamber from the inclusion-minimal held bases against the cone cut out
+    # by every held basis's facets, on a configuration no walk has touched
+    for n in range(4, 13):
+        config, dec = configuration_for(n), decomposition_for(n)
+        for ch in dec.chambers:
+            held = chambers._held(config, ch.representative)
+            facets = 0
+            for i in chambers._bits(held):
+                facets |= config.bases[i][1]
+            everything = Cone.from_inequalities(
+                [config.normals[k] for k in chambers._bits(facets)], config.rank)
+            assert chambers._canonical_chamber(config, held) == everything == ch.cone, n
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_inner_bases_against_subset_cones(n):
+    # basis j is in inner[i] iff cone(j) lies in cone(i), read off cone(i)'s facets
+    config = configuration_for(n)
+    cones = [Cone.from_generators([config.vectors[v] for v in chambers._bits(mask)])
+             for mask, _ in config.bases]
+    for i, outer in enumerate(cones):
+        want = sum(1 << j for j, cone in enumerate(cones) if j != i and cone.is_subset(outer))
+        assert config.inner[i] == want, (n, i)
+
+
+def test_parallel_degrees_keep_one_of_equal_basis_cones():
+    # (1, 0) and (2, 0) give the bases {C, A} and {C, B} one cone: the earlier one
+    # stays minimal, so the chamber is still cut out
+    config = VectorConfiguration(2, [("A", (1, 0)), ("B", (2, 0)), ("C", (0, 1))], (1, 1))
+    assert [mask for mask, _ in config.bases] == [0b011, 0b101]  # vectors sorted: C, A, B
+    assert config.inner == [0, 0b01]
+    dec = assert_walk_and_queries_match_oracle(config, random.Random(3))
+    assert [ch.rays for ch in dec.chambers] == [((0, 1), (1, 0))]
 
 
 def test_families_sharing_a_degree():

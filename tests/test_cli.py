@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from skewmori import chambers, pfaffian
+from skewmori import chambers, pfaffian, verify
 from skewmori.chambers import conjecture_counts
 from skewmori.cli import main
 from skewmori.cones import Cone
@@ -144,7 +145,7 @@ def test_domain_error_exit_code(capsys):
                  ["--size", "32", "--minor", ",".join(map(str, range(12)))]):
         code, _ = run_cli("pfaffian", *argv)
         assert code == 3, argv
-    code, _ = run_cli("gkz", "--n", "14")
+    code, _ = run_cli("gkz", "--n", "15")
     assert code == 3
     code, _ = run_cli("chamber", "--n", "16", "--point", "1,0,0,0,0,0,0,0")
     assert code == 3
@@ -303,17 +304,47 @@ def test_broken_invariant_is_not_a_refusal(monkeypatch):
         main(["blowup1", "--n", "5"])
 
 
-@pytest.mark.parametrize("n", [16, 1000])
-def test_chamber_commands_refuse_rank_before_building(monkeypatch, capsys, n):
-    def build(*args):
-        raise AssertionError("a configuration was built")
+def refuse_to_build(*args):
+    raise AssertionError("a configuration was built")
 
-    monkeypatch.setattr(chambers, "VectorConfiguration", build)
-    for argv, message in ((["gkz"], "chamber decomposition supported up to rank 6"),
-                          (["sbl"], "chamber decomposition supported up to rank 6"),
-                          (["chamber", "--point", "1"], "chamber queries supported up to rank 7")):
+
+def small_comb(n, k):
+    assert min(k, n - k) < 64, "a huge binomial was computed"
+    return math.comb(n, k)
+
+
+@pytest.mark.parametrize("n", [15, 16, 1000, 10 ** 9])
+def test_chamber_commands_refuse_rank_before_building(monkeypatch, capsys, n):
+    # gkz and sbl are priced by work: n = 15 (rank 7) is refused, n = 14 runs;
+    # past the budget's bit length the price needs no binomial
+    monkeypatch.setattr(chambers, "VectorConfiguration", refuse_to_build)
+    monkeypatch.setattr(chambers, "comb", small_comb)
+    commands = [(["gkz"], "chamber decomposition of"), (["sbl"], "chamber decomposition of")]
+    if n > 15:
+        commands.append((["chamber", "--point", "1"], "chamber queries supported up to rank 7"))
+    for argv, message in commands:
         code, _ = run_cli(*argv, "--n", str(n))
-        assert code == 3 and message in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert code == 3 and message in err, argv
+        assert argv[0] == "chamber" or "exceeds the work budget" in err, argv
+
+
+def test_chamber_refuses_a_class_outside_eff_before_building(monkeypatch, capsys):
+    monkeypatch.setattr(chambers, "VectorConfiguration", refuse_to_build)
+    for n, point in ((15, "-1,0,0,0,0,0,0"), (8, "-1,0,0,0")):
+        code, out = run_cli("chamber", "--n", str(n), f"--point={point}")
+        assert (code, out) == (3, "")
+        assert "class outside the effective cone" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_a_refusal(monkeypatch):
+    # nothing in the package raises KeyError as a refusal, so one propagates
+    def broken(config):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(chambers, "gkz_chambers", broken)
+    with pytest.raises(KeyError, match="lost"):
+        main(["blowup1", "--n", "5"])
 
 
 # SHA-256 of stdout and the exit code of each command, recorded at commit 32c6c42,
@@ -416,6 +447,38 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
     assert "dataclasses" not in loaded
     assert {f"skewmori.{m}" for m in ("chambers", "cli", "cones", "geometry", "linalg",
                                       "pfaffian", "verify")} <= loaded
+
+
+def pfaffian_layer_run(code):
+    """Run code in a fresh interpreter, then tell for pfaffian and verify whether
+    their bodies have run: a deferred module holds only import metadata until used."""
+    probe = code + "\nimport sys" + "".join(
+        f"\nprint({name!r} in object.__getattribute__(sys.modules['skewmori.{m}'], '__dict__'))"
+        for m, name in (("pfaffian", "sub_pfaffian"), ("verify", "SUITES")))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, env=CHILD_ENV)
+    return result.stdout.split()[-2:]
+
+
+def test_cli_import_defers_the_pfaffian_layer():
+    # registered in sys.modules, so the tracer finds them, but not yet run
+    assert pfaffian_layer_run("import skewmori.cli") == ["False", "False"]
+    assert pfaffian_layer_run("from skewmori import cli\ncli.build_parser()") == [
+        "False", "False"]
+
+
+def test_gkz_leaves_the_pfaffian_layer_unrun_and_verify_runs_it():
+    gkz = "from skewmori import cli\ncli.main(['gkz', '--n', '4', '--json'])"
+    assert pfaffian_layer_run(gkz) == ["False", "False"]
+    fano = gkz + "\ncli.main(['verify', '--only', 'fano'])"
+    assert pfaffian_layer_run(fano) == ["True", "True"]
+
+
+def test_unknown_suite_is_a_usage_error_naming_the_suites():
+    result = subprocess.run([sys.executable, "-m", "skewmori.cli", "verify", "--only", "nope"],
+                            capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 2 and "invalid choice: 'nope'" in result.stderr
+    assert all(repr(suite) in result.stderr for suite in verify.SUITES)
 
 
 def test_chambers_import_skips_pfaffian():
