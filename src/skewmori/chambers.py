@@ -51,9 +51,12 @@ class VectorConfiguration:
     h_k, ``planes``; ``normals``, +h_k then -h_k; ``bases``, each independent
     ``rank``-subset of ``vectors`` as (vector mask, mask of its facets' normals),
     the facet opposite v lying on the hyperplane missing v alone; ``facet_bases``,
-    per normal the mask of the bases with a facet on it; ``inner``, per basis the
-    mask of the other bases whose cones its cone holds (of equal cones only the
-    earlier, so that one of them stays minimal);
+    per normal the mask of the bases with a facet on it; ``minimal``, the mask of
+    the bases whose cones hold no degree off their rays, of equal cones (from
+    parallel degrees) only the first.  A basis cone holding a degree v off its
+    rays is split by the stellar subdivision at v into smaller basis cones
+    (De Loera-Rambau-Santos, *Triangulations*, 2010, sec. 4.3), one of which holds
+    any generic class it holds; a minimal basis cone holds no other basis cone;
     ``cocircuits``, per normal h the mask of N_h, or 0 if it holds an empty
     stratum; ``direction``, the h_k.d of the lift.
     """
@@ -90,23 +93,21 @@ class VectorConfiguration:
                     facets |= 1 << k + len(planes) * (sides[k][off.bit_length() - 1] < 0)
             if covered == mask:
                 self.bases.append((mask, facets))
-        # basis j lies in basis i iff no vector of j is on the negative side of a facet
-        # of i: per vector the bases through it, per normal the bases crossing it.  Of
-        # bases with equal cones, that is equal facets, only an earlier one counts as
-        # lying in a later one, so the first stays minimal
-        through, twins = [0] * len(self.vectors), {}
-        self.facet_bases = [0] * len(normals)
-        for i, (mask, facets) in enumerate(self.bases):
-            twins.setdefault(facets, []).append(i)
-            for v in _bits(mask):
-                through[v] |= 1 << i
+        # basis i is minimal iff each degree in its cone (negative on none of its facet
+        # normals) lies on one of its rays (positive on at most one), and no earlier basis
+        # has its facets, that is its cone
+        positive = cocircuits[len(planes):] + cocircuits[:len(planes)]  # per normal, h.v > 0
+        self.facet_bases, self.minimal, seen = [0] * len(normals), 0, set()
+        for i, (_, facets) in enumerate(self.bases):
+            below = once = twice = 0
             for k in _bits(facets):
+                below |= cocircuits[k]
+                twice |= once & positive[k]
+                once |= positive[k]
                 self.facet_bases[k] |= 1 << i
-        crossing = [reduce(or_, (through[v] for v in _bits(c)), 0) for c in cocircuits]
-        everything = (1 << len(self.bases)) - 1
-        self.inner = [everything & ~reduce(or_, (crossing[k] for k in _bits(facets)),
-                                           sum(1 << j for j in twins[facets] if j >= i))
-                      for i, (_, facets) in enumerate(self.bases)]
+            if not twice & ~below and facets not in seen:
+                self.minimal |= 1 << i
+            seen.add(facets)
         # d = t p + (1, m, ..., m^(r-1)): the last term is on no h_k, as each
         # |h_k| < m/2, and t keeps the polarization's side of every other h_k
         m = 2 * max(abs(x) for h in planes for x in h) + 1
@@ -133,33 +134,29 @@ def first_blowup_configuration(n):
     (k+1) H - k E_1, for sizes up to n+1 for odd n (the full Pfaffian), n for even n."""
     if n < 4:
         raise ValueError("the single blow-up model needs n >= 4")
-    # `blowup1 --json` takes 2.9-3.9 s at n = 400 and 4.0-4.1 s at n = 450, fresh (2 vCPUs,
-    # CPython 3.11.7)
+    # `blowup1 --json` takes 1.0-1.3 s and 25 MB peak RSS at n = 400, and 1.7-2.3 s at
+    # n = 450, fresh (2 vCPUs, CPython 3.11.7)
     if n > 400:
         raise ValueError("the single blow-up model is supported up to n = 400")
     families = [(f"T{2 * k + 2}", (k + 1, -k)) for k in range((n - 1) // 2 + 1)]
     return VectorConfiguration(2, families + [("S1", (0, 1))], (3, -1))
 
 
-def sbl_signature(config, w):
-    """Antichain of minimal forced, nonempty family sets at w.
+def sbl_signature(config, values):
+    """Antichain of minimal forced, nonempty family sets at a class w of the
+    effective cone, read off its ``values`` h.w over the spanned hyperplanes h.
 
     This is a complete combinatorial invariant of the stable base locus in
     the ambient toric model: singletons are divisorial components, larger
     sets are deeper strata (e.g. intersections of two boundary divisors).
     They are the minimal cocircuits N_h with h.w < 0 that hold no empty
-    stratum (see the module docstring); w need not be generic.  A class
-    outside the effective cone is refused with ``ValueError``.
+    stratum (see the module docstring); w need not be generic.
     """
-    return _signature(config, _signs(_plane_values(config, w))[1])
-
-
-def _plane_values(config, w):
-    """The h.w over the spanned hyperplanes h; a class outside the effective
-    cone, or inexact or of the wrong length, is refused with ``ValueError``."""
-    if not config.ambient.contains(w):
-        raise ValueError("class outside the effective cone")
-    return [sum(map(mul, h, w)) for h in config.planes]
+    cocircuits, found = config.cocircuits, []
+    for c in sorted({cocircuits[k] for k in _bits(_signs(values)[1])} - {0}, key=int.bit_count):
+        if not any(f & c == f for f in found):
+            found.append(c)
+    return frozenset(frozenset().union(*(config.owners[i] for i in _bits(c))) for c in found)
 
 
 def _signs(values):
@@ -171,16 +168,6 @@ def _signs(values):
         elif x < 0:
             neg |= 1 << k
     return pos | neg << len(values), neg | pos << len(values)
-
-
-def _signature(config, below):
-    """``sbl_signature`` of the classes w with h.w < 0 for the normals h in ``below``."""
-    cocircuits = config.cocircuits
-    found = []
-    for c in sorted({cocircuits[k] for k in _bits(below)} - {0}, key=int.bit_count):
-        if not any(f & c == f for f in found):
-            found.append(c)
-    return frozenset(frozenset().union(*(config.owners[i] for i in _bits(c))) for c in found)
 
 
 def _divisorial(signature):
@@ -248,12 +235,13 @@ def _bits(mask):
 def _canonical_chamber(config, held):
     """The chamber of the generic classes the bases ``held`` hold: the
     intersection of their cones, memoised on the configuration.  Each basis
-    cone lies in the effective cone, and a held basis whose cone holds another
-    held basis's cone cuts out no more, so only the inclusion-minimal held
-    bases give facets."""
+    cone lies in the effective cone.  A held basis whose cone holds a degree
+    off its rays cuts out no more: the stellar subdivision at that degree
+    splits its cone into smaller basis cones, and the one holding the classes
+    is held too.  So only the held minimal bases give facets, and of equal
+    cones the first."""
     if held not in config._chambers:
-        bases, inner = config.bases, config.inner
-        facets = reduce(or_, (bases[i][1] for i in _bits(held) if not inner[i] & held))
+        facets = reduce(or_, (config.bases[i][1] for i in _bits(held & config.minimal)))
         normals = sorted(config.normals[k] for k in _bits(facets))
         config._chambers[held] = Cone.from_inequalities(normals, config.rank)
     return config._chambers[held]
@@ -294,22 +282,22 @@ def _lift(values, direction):
 # A decomposition of v degrees in rank r is priced C(v, r) C(v, r - 1), candidate bases
 # times candidate hyperplanes: 2.1e5 at n = 12, 7.3e5 at n = 13, 2.9e6 at n = 14 (rank 7,
 # 729 bases, 2394 chambers), 1.03e7 at n = 15 and 4.0e6 for the single blow-up at its cap
-# n = 400 (rank 2, 201 degrees).  Fresh, with --json, `gkz` takes 1.3-2.0 s at n = 13 and
-# 3.9-4.8 s at n = 14, and `blowup1 --n 400` 2.9-3.0 s; the walk at n = 15 (13532
-# chambers) takes 33 s in process (2 vCPUs, CPython 3.11.7).
+# n = 400 (rank 2, 201 degrees).  Fresh, with --json, `gkz` takes 1.7-2.2 s at n = 13 and
+# 3.5-4.0 s at n = 14, and `blowup1 --n 400` 1.0-1.3 s; the walk at n = 15 (13532
+# chambers) takes 29 s in process (2 vCPUs, CPython 3.11.7).
 MAX_CHAMBER_WORK = 5_000_000
 
 # `chamber --json` takes 0.3-0.5 s at n = 14, 0.35-0.55 s at n = 15 (rank 7) and 0.1 s there
 # to refuse a class outside Eff, and 1.0-1.1 s at n = 16 (rank 8), fresh (2 vCPUs, CPython
 # 3.11.7).
-RANK_BUDGETS = {"chamber queries": 7}
+MAX_QUERY_RANK = 7
 
 
-def check_rank(task, rank):
-    """Refuse a Picard rank past the task's budget; O(1), so callers keyed by n
+def check_query_rank(rank):
+    """Refuse chamber queries past ``MAX_QUERY_RANK``; O(1), so callers keyed by n
     check it before building the configuration."""
-    if rank > RANK_BUDGETS[task]:
-        raise ValueError(f"{task} supported up to rank {RANK_BUDGETS[task]}")
+    if rank > MAX_QUERY_RANK:
+        raise ValueError(f"chamber queries supported up to rank {MAX_QUERY_RANK}")
 
 
 def check_chamber_work(vectors, rank):
@@ -362,8 +350,8 @@ def gkz_chambers(config):
     order = sorted(found.items(), key=lambda item: item[1].rays)
     index = {cone.rays: i for i, (_, cone) in enumerate(order)}
     walls = sorted((*sorted((index[a], index[b])), on) for on, (a, b) in walls.items())
-    return Decomposition(config, [GKZChamber(cone, w := cone.interior_point(), sbl_signature(
-        config, w)) for _, cone in order], walls)
+    return Decomposition(config, [GKZChamber(cone, cone.interior_point(), sbl_signature(
+        config, plane_values(cone.rays))) for _, cone in order], walls)
 
 
 def chamber_of(config, w):
@@ -373,10 +361,12 @@ def chamber_of(config, w):
     t w + d has the sign of h.w, or of the fixed h.d where h.w = 0; the tight
     facets are the h with h.w = 0; the signature reads the h with h.w < 0), so
     they are memoised per sign vector: a warm query is one pass over the planes."""
-    check_rank("chamber queries", config.rank)
+    check_query_rank(config.rank)
     w = tuple(w)
-    values = _plane_values(config, w)  # refuses a w outside the effective cone
-    above, below = _signs(values)
+    if not config.ambient.contains(w):  # also refuses an inexact w or one of the wrong length
+        raise ValueError("class outside the effective cone")
+    values = [sum(map(mul, h, w)) for h in config.planes]
+    above = _signs(values)[0]
     if above not in config._cells:
         held = _held(config, w, values=_lift(values, config.direction)[1])
         cone = _canonical_chamber(config, held)
@@ -386,7 +376,7 @@ def chamber_of(config, w):
             if rays not in config._faces:
                 config._faces[rays] = Cone.from_generators(rays, config.rank)
             cone = config._faces[rays]
-        config._cells[above] = cone, _signature(config, below)
+        config._cells[above] = cone, sbl_signature(config, values)
     cone, signature = config._cells[above]
     return GKZChamber(cone, w, signature)
 

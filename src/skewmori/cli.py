@@ -221,7 +221,7 @@ def suite(text):
 
 def cmd_chamber(args):
     w = args.point
-    chambers.check_rank("chamber queries", geometry.picard_rank(args.n))
+    chambers.check_query_rank(geometry.picard_rank(args.n))
     # Eff(A(n)) is the configuration's ambient cone, at a fraction of the build
     if not geometry.eff_cone(args.n).contains(w):
         raise ValueError("class outside the effective cone")

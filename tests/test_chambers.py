@@ -601,15 +601,22 @@ def test_minimal_held_bases_cut_out_the_chamber():
             assert chambers._canonical_chamber(config, held) == everything == ch.cone, n
 
 
-@pytest.mark.parametrize("n", range(4, 11))
-def test_inner_bases_against_subset_cones(n):
-    # basis j is in inner[i] iff cone(j) lies in cone(i), read off cone(i)'s facets
-    config = configuration_for(n)
+def minimal_by_subset_cones(config):
+    """Oracle for ``config.minimal``: the bases whose built cones hold no other
+    basis cone, where of equal cones only an earlier one counts as held."""
     cones = [Cone.from_generators([config.vectors[v] for v in chambers._bits(mask)])
              for mask, _ in config.bases]
-    for i, outer in enumerate(cones):
-        want = sum(1 << j for j, cone in enumerate(cones) if j != i and cone.is_subset(outer))
-        assert config.inner[i] == want, (n, i)
+    return sum(1 << i for i, outer in enumerate(cones)
+               if not any(cone.is_subset(outer) and (j < i or not outer.is_subset(cone))
+                          for j, cone in enumerate(cones) if j != i))
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_inner_bases_against_subset_cones(n):
+    # a basis is minimal iff no other basis cone is inner to its cone; the bit is
+    # read off the basis's own facets and the degrees, the oracle off built cones
+    config = configuration_for(n)
+    assert config.minimal == minimal_by_subset_cones(config), n
 
 
 def test_parallel_degrees_keep_one_of_equal_basis_cones():
@@ -617,9 +624,31 @@ def test_parallel_degrees_keep_one_of_equal_basis_cones():
     # stays minimal, so the chamber is still cut out
     config = VectorConfiguration(2, [("A", (1, 0)), ("B", (2, 0)), ("C", (0, 1))], (1, 1))
     assert [mask for mask, _ in config.bases] == [0b011, 0b101]  # vectors sorted: C, A, B
-    assert config.inner == [0, 0b01]
+    assert config.minimal == 0b01
     dec = assert_walk_and_queries_match_oracle(config, random.Random(3))
     assert [ch.rays for ch in dec.chambers] == [((0, 1), (1, 0))]
+
+
+def parallel_configuration(rng):
+    """A random configuration plus one to three of its degrees scaled by 2 or 3,
+    each a family of its own.  The spanned hyperplanes, and so the polarization's
+    genericity, are unchanged; bases through parallel degrees have equal cones."""
+    config = random_configuration(rng)
+    picks = [(rng.randint(2, 3), v) for v in rng.sample(config.vectors, rng.randint(1, 3))]
+    extra = tuple((f"P{i}", tuple(c * x for x in v)) for i, (c, v) in enumerate(picks))
+    return VectorConfiguration(config.rank, config.families + extra, config.polarization)
+
+
+def test_random_parallel_degrees_against_oracle():
+    # drawn from a stream of their own, which leaves the configurations of
+    # test_random_configurations_against_oracle as they were
+    rng, twins = random.Random("parallel"), 0
+    for _ in range(15):
+        config = parallel_configuration(rng)
+        assert config.minimal == minimal_by_subset_cones(config)
+        twins += len(config.bases) - len({facets for _, facets in config.bases})
+        assert_walk_and_queries_match_oracle(config, rng, limit=25)
+    assert twins
 
 
 def test_families_sharing_a_degree():

@@ -351,6 +351,8 @@ def test_internal_key_error_is_not_a_refusal(monkeypatch):
 # before `main` became the only writer of reports
 RECORDED_REPORTS = [
     ("gkz --n 8 --json", 0, "b87f3a4f90346f2b77449a874ff28a7dbc753f6ffadb6384a03000db15a40b29"),
+    # recorded at 5f590d4
+    ("gkz --n 12 --json", 0, "257650d54a1d076b1101e2adb34fdc9a45cc2643254d9c08bd09186873378235"),
     ("sbl --n 8", 0, "55cb088c334ec3fe2ac5b973c2dd27c3fb69a0db59e3a2c3dfc6715005f8b7b6"),
     ("blowup1 --n 7", 0, "0aa21d1ea2274bb1a0b3e7b753f6f4b89a3344b164b38c5942f735c1c5c09741"),
     ("blowup1 --n 7 --json", 0, "31d8b71a64366e9fda63893fc6d56e33e25bd55da0392b8eba8aaa057b77d80e"),
@@ -387,6 +389,25 @@ RECORDED_REPORTS = [
 def test_reports_match_recorded_digests(command, code, digest):
     got, out = run_cli(*command.split())
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_blowup_cap_report_and_peak_memory():
+    # the single blow-up at its cap, n = 400 (20,100 bases), in a fresh process:
+    # one minimality bit per basis keeps the peak resident set near 25 MB, where a
+    # B x B basis relation would take it past 75 MB.  A small launcher waits for the
+    # command, as a child's peak counts the process it was forked from
+    launcher = ("import os, subprocess, sys\n"
+                "child = subprocess.Popen(sys.argv[1:])\n"
+                "_, status, usage = os.wait4(child.pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m", "skewmori.cli",
+                             "blowup1", "--n", "400", "--json"], capture_output=True, env=CHILD_ENV)
+    *err, code, peak_kib = result.stderr.decode().split()
+    assert (result.returncode, err, code) == (0, [], "0")
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "5efa3e574351429d66baf319ced4ce41a50c78775434517ae4e17989c2bd7e85")
+    assert int(peak_kib) < 40 * 1024
 
 
 def test_usage_error_exit_code():
