@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import cache, reduce
 from itertools import combinations
 from math import comb
-from operator import add, mul, or_, sub
+from operator import add, and_, mul, or_, sub
 
 from . import geometry
 from .cones import Cone, hyperplanes_spanned_by
@@ -48,17 +48,18 @@ class VectorConfiguration:
     ``polarization`` is an interior point of the nef chamber; it pins down
     the ambient toric model and is used to discard family sets whose common
     zero locus is empty there.  Built once with it: the K spanned hyperplanes
-    h_k, ``planes``; ``normals``, +h_k then -h_k; ``bases``, each independent
-    ``rank``-subset of ``vectors`` as (vector mask, mask of its facets' normals),
-    the facet opposite v lying on the hyperplane missing v alone; ``facet_bases``,
-    per normal the mask of the bases with a facet on it; ``minimal``, the mask of
-    the bases whose cones hold no degree off their rays, of equal cones (from
-    parallel degrees) only the first.  A basis cone holding a degree v off its
-    rays is split by the stellar subdivision at v into smaller basis cones
+    h_k, ``planes``; ``normals``, +h_k then -h_k; ``bases``, the bases that cut
+    out chambers, as (vector mask, mask of its facets' normals): the independent
+    ``rank``-subsets whose cones hold no degree off their rays, of equal cones
+    (from parallel degrees) only the first.  An r-subset S is independent iff
+    for each v in S the others lie on exactly one spanned hyperplane, which
+    misses v and carries the facet opposite v.  A basis cone holding a degree v
+    off its rays is split by the stellar subdivision at v into smaller basis cones
     (De Loera-Rambau-Santos, *Triangulations*, 2010, sec. 4.3), one of which holds
-    any generic class it holds; a minimal basis cone holds no other basis cone;
-    ``cocircuits``, per normal h the mask of N_h, or 0 if it holds an empty
-    stratum; ``direction``, the h_k.d of the lift.
+    any generic class it holds, on its boundary if on the first's boundary, so
+    such a basis cuts out nothing more; ``facet_bases``, per normal the mask of
+    the bases with a facet on it; ``cocircuits``, per normal h the mask of N_h,
+    or 0 if it holds an empty stratum; ``direction``, the h_k.d of the lift.
     """
 
     def __init__(self, rank, families, polarization):
@@ -78,36 +79,33 @@ class VectorConfiguration:
         self.planes = planes = hyperplanes_spanned_by(self.vectors, self.rank)
         self.normals = normals = planes + [tuple(-x for x in h) for h in planes]
         sides = [[dot(h, v) for v in self.vectors] for h in normals]
-        zeros = [sum(1 << i for i, x in enumerate(side) if not x) for side in sides[:len(planes)]]
         cocircuits = [sum(1 << i for i, x in enumerate(side) if x < 0) for side in sides]
+        through = [sum(1 << k for k, x in enumerate(c) if not x)  # per degree, the planes on it
+                   for c in zip(*sides[:len(planes)])]
+        positive = cocircuits[len(planes):] + cocircuits[:len(planes)]  # per normal, h.v > 0
         empty = [c for c, h in zip(cocircuits, normals) if dot(h, self.polarization) < 0]
         self.cocircuits = [0 if any(e & c == e for e in empty) else c for c in cocircuits]
-        self.bases = []
+        self.bases, self.facet_bases, kept = [], [0] * len(normals), set()
         for subset in combinations(range(len(self.vectors)), self.rank):
-            mask = sum(1 << i for i in subset)
-            facets = covered = 0
-            for k, zero in enumerate(zeros):
-                off = mask & ~zero
-                if off and not off & (off - 1):
-                    covered |= off
-                    facets |= 1 << k + len(planes) * (sides[k][off.bit_length() - 1] < 0)
-            if covered == mask:
-                self.bases.append((mask, facets))
-        # basis i is minimal iff each degree in its cone (negative on none of its facet
-        # normals) lies on one of its rays (positive on at most one), and no earlier basis
-        # has its facets, that is its cone
-        positive = cocircuits[len(planes):] + cocircuits[:len(planes)]  # per normal, h.v > 0
-        self.facet_bases, self.minimal, seen = [0] * len(normals), 0, set()
-        for i, (_, facets) in enumerate(self.bases):
-            below = once = twice = 0
-            for k in _bits(facets):
+            # a degree in the cone is below no facet; one off its rays is above two
+            facets = below = once = twice = 0
+            for i in subset:
+                plane = reduce(and_, (through[j] for j in subset if j != i),
+                               (1 << len(planes)) - 1)  # at rank 1, every plane
+                if not plane or plane & (plane - 1) or plane & through[i]:
+                    break  # the others span no hyperplane missing i: S is dependent
+                k = plane.bit_length() - 1
+                k += len(planes) * (sides[k][i] < 0)  # the normal positive on i
+                facets |= 1 << k
                 below |= cocircuits[k]
                 twice |= once & positive[k]
                 once |= positive[k]
-                self.facet_bases[k] |= 1 << i
-            if not twice & ~below and facets not in seen:
-                self.minimal |= 1 << i
-            seen.add(facets)
+            else:
+                if not twice & ~below and facets not in kept:
+                    kept.add(facets)
+                    for k in _bits(facets):
+                        self.facet_bases[k] |= 1 << len(self.bases)
+                    self.bases.append((sum(1 << i for i in subset), facets))
         # d = t p + (1, m, ..., m^(r-1)): the last term is on no h_k, as each
         # |h_k| < m/2, and t keeps the polarization's side of every other h_k
         m = 2 * max(abs(x) for h in planes for x in h) + 1
@@ -134,8 +132,8 @@ def first_blowup_configuration(n):
     (k+1) H - k E_1, for sizes up to n+1 for odd n (the full Pfaffian), n for even n."""
     if n < 4:
         raise ValueError("the single blow-up model needs n >= 4")
-    # `blowup1 --json` takes 1.0-1.3 s and 25 MB peak RSS at n = 400, and 1.7-2.3 s at
-    # n = 450, fresh (2 vCPUs, CPython 3.11.7)
+    # `blowup1 --json` takes 0.27-0.45 s and 18 MB peak RSS at n = 400, and 0.32-0.39 s at
+    # n = 450 with both caps lifted, fresh (2 vCPUs, CPython 3.11.7)
     if n > 400:
         raise ValueError("the single blow-up model is supported up to n = 400")
     families = [(f"T{2 * k + 2}", (k + 1, -k)) for k in range((n - 1) // 2 + 1)]
@@ -234,14 +232,11 @@ def _bits(mask):
 
 def _canonical_chamber(config, held):
     """The chamber of the generic classes the bases ``held`` hold: the
-    intersection of their cones, memoised on the configuration.  Each basis
-    cone lies in the effective cone.  A held basis whose cone holds a degree
-    off its rays cuts out no more: the stellar subdivision at that degree
-    splits its cone into smaller basis cones, and the one holding the classes
-    is held too.  So only the held minimal bases give facets, and of equal
-    cones the first."""
+    intersection of their cones, cut out by their facets, memoised on the
+    configuration.  Each basis cone lies in the effective cone, and the bases
+    kept by the configuration are those whose cones hold no smaller one."""
     if held not in config._chambers:
-        facets = reduce(or_, (config.bases[i][1] for i in _bits(held & config.minimal)))
+        facets = reduce(or_, (config.bases[i][1] for i in _bits(held)))
         normals = sorted(config.normals[k] for k in _bits(facets))
         config._chambers[held] = Cone.from_inequalities(normals, config.rank)
     return config._chambers[held]
@@ -279,12 +274,12 @@ def _lift(values, direction):
     return t, [t * a + b for a, b in zip(values, direction)]
 
 
-# A decomposition of v degrees in rank r is priced C(v, r) C(v, r - 1), candidate bases
-# times candidate hyperplanes: 2.1e5 at n = 12, 7.3e5 at n = 13, 2.9e6 at n = 14 (rank 7,
-# 729 bases, 2394 chambers), 1.03e7 at n = 15 and 4.0e6 for the single blow-up at its cap
-# n = 400 (rank 2, 201 degrees).  Fresh, with --json, `gkz` takes 1.7-2.2 s at n = 13 and
-# 3.5-4.0 s at n = 14, and `blowup1 --n 400` 1.0-1.3 s; the walk at n = 15 (13532
-# chambers) takes 29 s in process (2 vCPUs, CPython 3.11.7).
+# A decomposition of v degrees in rank r is priced C(v, r) C(v, r - 1): 2.1e5 at n = 12,
+# 7.3e5 at n = 13, 2.9e6 at n = 14 (rank 7, 292 bases, 2394 chambers), 1.03e7 at n = 15 and
+# 4.0e6 for the single blow-up at its cap n = 400 (rank 2, 201 degrees).  The price bounds
+# the walk: at n = 15 (13532 chambers) it takes 29-38 s in process.  Fresh, with --json,
+# `gkz` takes 1.3-2.2 s at n = 13 and 3.1-4.5 s at n = 14, and `blowup1 --n 400`
+# 0.27-0.45 s (2 vCPUs, CPython 3.11.7).
 MAX_CHAMBER_WORK = 5_000_000
 
 # `chamber --json` takes 0.3-0.5 s at n = 14, 0.35-0.55 s at n = 15 (rank 7) and 0.1 s there
@@ -390,19 +385,26 @@ def decomposition_for(n):
     return gkz_chambers(configuration_for(n))
 
 
-def conjecture_counts(n):
-    """(computed, predicted) number of base-locus regions outside the movable cone.
-
-    Predicted: 2^((n-2)/2) - 1 for even n and 2^((n-1)/2) - 2 for odd n.
-    """
-    dec, mov, outside = decomposition_for(n), geometry.movable_cone(n), set()
+def _regions_outside_movable(n):
+    """The base-locus regions of A(n) outside the movable cone; a region with
+    chambers on both sides of its boundary is an ``ArithmeticError``."""
+    dec, mov, outside = decomposition_for(n), geometry.movable_cone(n), []
     for region in dec.regions:
         classes = {mov.contains(dec.chambers[i].representative) for i in region.chambers}
         if len(classes) != 1:
             raise ArithmeticError("region straddles the movable boundary")
         if not classes.pop():
-            outside.add(region.signature)
-    return len(outside), 2 ** ((n - 2) // 2) - 1 if n % 2 == 0 else 2 ** ((n - 1) // 2) - 2
+            outside.append(region)
+    return outside
+
+
+def conjecture_counts(n):
+    """(computed, predicted) number of base-locus regions outside the movable cone.
+
+    Predicted: 2^((n-2)/2) - 1 for even n and 2^((n-1)/2) - 2 for odd n.
+    """
+    computed = len(_regions_outside_movable(n))
+    return computed, 2 ** ((n - 2) // 2) - 1 if n % 2 == 0 else 2 ** ((n - 1) // 2) - 2
 
 
 def conjecture_label_sets(n):
@@ -411,9 +413,7 @@ def conjecture_label_sets(n):
     Every label set is a frozenset of S_i families; the prediction lists all
     nonempty subsets for even n, and all but the full one for odd n.
     """
-    dec, mov = decomposition_for(n), geometry.movable_cone(n)
-    computed = {region.labels for region in dec.regions
-                if not mov.contains(dec.chambers[region.chambers[0]].representative)}
+    computed = {region.labels for region in _regions_outside_movable(n)}
     names = [f"S{i}" for i in range(1, (n - 1) // 2 + 1)]
     return computed, {frozenset(s) for size in range(1, len(names) + 1 - n % 2)
                       for s in combinations(names, size)}

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -586,45 +587,61 @@ def test_rank_seven_pins():
     assert (len(dec.chambers), len(dec.regions), len(dec.walls)) == (2394, 440, 9345)
 
 
+def independent_subsets(config):
+    """Every ``rank``-subset of the degrees of full rank, as (vector mask, built
+    cone), in the order of ``combinations``."""
+    found = []
+    for subset in combinations(range(len(config.vectors)), config.rank):
+        vectors = [config.vectors[i] for i in subset]
+        if rank(vectors) == config.rank:
+            found.append((sum(1 << i for i in subset), Cone.from_generators(vectors)))
+    return found
+
+
 def test_minimal_held_bases_cut_out_the_chamber():
-    # the chamber from the inclusion-minimal held bases against the cone cut out
-    # by every held basis's facets, on a configuration no walk has touched
+    # the chamber from the kept held bases against the cone cut out by every
+    # independent subset holding the class, on a configuration no walk has touched
     for n in range(4, 13):
         config, dec = configuration_for(n), decomposition_for(n)
+        cones = [cone for _, cone in independent_subsets(config)]
         for ch in dec.chambers:
             held = chambers._held(config, ch.representative)
-            facets = 0
-            for i in chambers._bits(held):
-                facets |= config.bases[i][1]
-            everything = Cone.from_inequalities(
-                [config.normals[k] for k in chambers._bits(facets)], config.rank)
+            everything = Cone.from_inequalities(sorted(
+                {f for cone in cones if cone.contains(ch.representative) for f in cone.facets}),
+                config.rank)
             assert chambers._canonical_chamber(config, held) == everything == ch.cone, n
 
 
 def minimal_by_subset_cones(config):
-    """Oracle for ``config.minimal``: the bases whose built cones hold no other
-    basis cone, where of equal cones only an earlier one counts as held."""
-    cones = [Cone.from_generators([config.vectors[v] for v in chambers._bits(mask)])
-             for mask, _ in config.bases]
-    return sum(1 << i for i, outer in enumerate(cones)
-               if not any(cone.is_subset(outer) and (j < i or not outer.is_subset(cone))
-                          for j, cone in enumerate(cones) if j != i))
+    """Oracle for ``config.bases``: the vector masks of the independent subsets
+    whose built cones hold no other one, where of equal cones only an earlier
+    one counts as held."""
+    cones = independent_subsets(config)
+    return [mask for i, (mask, outer) in enumerate(cones)
+            if not any(cone.is_subset(outer) and (j < i or not outer.is_subset(cone))
+                       for j, (_, cone) in enumerate(cones) if j != i)]
+
+
+def twin_count(config):
+    """The independent subsets whose cone equals an earlier one's."""
+    cones = [cone.rays for _, cone in independent_subsets(config)]
+    return len(cones) - len(set(cones))
 
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_inner_bases_against_subset_cones(n):
-    # a basis is minimal iff no other basis cone is inner to its cone; the bit is
-    # read off the basis's own facets and the degrees, the oracle off built cones
+    # the kept bases are those whose cones hold no other basis cone; they are
+    # read off the per-degree plane masks, the oracle off built cones
     config = configuration_for(n)
-    assert config.minimal == minimal_by_subset_cones(config), n
+    assert [mask for mask, _ in config.bases] == minimal_by_subset_cones(config), n
 
 
 def test_parallel_degrees_keep_one_of_equal_basis_cones():
-    # (1, 0) and (2, 0) give the bases {C, A} and {C, B} one cone: the earlier one
-    # stays minimal, so the chamber is still cut out
+    # (1, 0) and (2, 0) give the bases {C, A} and {C, B} one cone: only the earlier
+    # one is kept, and the chamber is still cut out
     config = VectorConfiguration(2, [("A", (1, 0)), ("B", (2, 0)), ("C", (0, 1))], (1, 1))
-    assert [mask for mask, _ in config.bases] == [0b011, 0b101]  # vectors sorted: C, A, B
-    assert config.minimal == 0b01
+    assert [mask for mask, _ in config.bases] == [0b011]  # vectors sorted: C, A, B
+    assert minimal_by_subset_cones(config) == [0b011] and twin_count(config) == 1
     dec = assert_walk_and_queries_match_oracle(config, random.Random(3))
     assert [ch.rays for ch in dec.chambers] == [((0, 1), (1, 0))]
 
@@ -645,8 +662,8 @@ def test_random_parallel_degrees_against_oracle():
     rng, twins = random.Random("parallel"), 0
     for _ in range(15):
         config = parallel_configuration(rng)
-        assert config.minimal == minimal_by_subset_cones(config)
-        twins += len(config.bases) - len({facets for _, facets in config.bases})
+        assert [mask for mask, _ in config.bases] == minimal_by_subset_cones(config)
+        twins += twin_count(config)  # the kept bases hold no twins, so count all of them
         assert_walk_and_queries_match_oracle(config, rng, limit=25)
     assert twins
 
@@ -663,3 +680,42 @@ def test_families_sharing_a_degree():
         dec = assert_walk_and_queries_match_oracle(config, random.Random(len(degrees)))
         signatures += [ch.signature for ch in dec.chambers]
     assert frozenset({frozenset({"A", "E"})}) in signatures
+
+
+def chamber_digest(dec):
+    """SHA-256 over every chamber's rays, facets, representative and signature,
+    then the walls."""
+    h = hashlib.sha256()
+    for ch in dec.chambers:
+        h.update(repr((ch.rays, ch.cone.facets, ch.representative,
+                       sorted(sorted(g) for g in ch.signature))).encode())
+    h.update(repr(dec.walls).encode())
+    return h.hexdigest()
+
+
+def test_whole_walk_digests():
+    # the whole walk, chambers, signatures and walls, at n = 12 and for the single
+    # blow-up at n = 60
+    assert chamber_digest(decomposition_for(12)) == (
+        "aab9169ecafac6e95f620c9df50c9c4693f2c7c3a80cdcee6b698569e2979505")
+    assert chamber_digest(blowup_one_decomposition(60)) == (
+        "35cc2938d637aedcd4f2bbf7fe50ae64395b440c8825608eb359c965bf13c9a3")
+
+
+def test_kept_basis_counts():
+    # toric-model regression values: the bases that cut out chambers, for n = 4..15
+    # and for the single blow-up at its cap
+    assert [len(configuration_for(n).bases) for n in range(4, 16)] == [
+        2, 3, 5, 9, 14, 25, 39, 68, 107, 185, 292, 504]
+    assert len(first_blowup_configuration(400).bases) == 200
+
+
+def test_straddling_region_raises_in_both_conjecture_readers(monkeypatch):
+    # a stand-in movable cone, the ray through one chamber of a merged region,
+    # holds that chamber's representative but not the others'
+    region = next(r for r in decomposition_for(7).regions if len(r.chambers) > 1)
+    ray = decomposition_for(7).chambers[region.chambers[0]].representative
+    monkeypatch.setattr(geometry, "movable_cone", lambda n: Cone.from_generators([ray]))
+    for reader in (conjecture_counts, conjecture_label_sets):
+        with pytest.raises(ArithmeticError, match="straddles the movable boundary"):
+            reader(7)

@@ -393,10 +393,11 @@ def test_reports_match_recorded_digests(command, code, digest):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
 def test_blowup_cap_report_and_peak_memory():
-    # the single blow-up at its cap, n = 400 (20,100 bases), in a fresh process:
-    # one minimality bit per basis keeps the peak resident set near 25 MB, where a
-    # B x B basis relation would take it past 75 MB.  A small launcher waits for the
-    # command, as a child's peak counts the process it was forked from
+    # the single blow-up at its cap, n = 400 (20,100 independent pairs of degrees,
+    # 200 of them kept as bases), in a fresh process: the peak resident set stays
+    # near 18 MB, where a relation between every pair of bases would take it past
+    # 75 MB.  A small launcher waits for the command, as a child's peak counts the
+    # process it was forked from
     launcher = ("import os, subprocess, sys\n"
                 "child = subprocess.Popen(sys.argv[1:])\n"
                 "_, status, usage = os.wait4(child.pid, 0)\n"
