@@ -78,12 +78,15 @@ class VectorConfiguration:
                        for v in self.vectors]
         self.planes = planes = hyperplanes_spanned_by(self.vectors, self.rank)
         self.normals = normals = planes + [tuple(-x for x in h) for h in planes]
-        sides = [[dot(h, v) for v in self.vectors] for h in normals]
-        cocircuits = [sum(1 << i for i, x in enumerate(side) if x < 0) for side in sides]
+        # per plane, its values on the degrees: -h_k's are their negations
+        sides = [[dot(h, v) for v in self.vectors] for h in planes]
+        neg = [sum(1 << i for i, x in enumerate(side) if x < 0) for side in sides]
+        pos = [sum(1 << i for i, x in enumerate(side) if x > 0) for side in sides]
+        cocircuits, positive = neg + pos, pos + neg  # per normal, the degrees with h.v < 0, > 0
         through = [sum(1 << k for k, x in enumerate(c) if not x)  # per degree, the planes on it
-                   for c in zip(*sides[:len(planes)])]
-        positive = cocircuits[len(planes):] + cocircuits[:len(planes)]  # per normal, h.v > 0
-        empty = [c for c, h in zip(cocircuits, normals) if dot(h, self.polarization) < 0]
+                   for c in zip(*sides)]
+        values = [dot(h, self.polarization) for h in planes]
+        empty = [c for c, x in zip(cocircuits, values + [-x for x in values]) if x < 0]
         self.cocircuits = [0 if any(e & c == e for e in empty) else c for c in cocircuits]
         self.bases, self.facet_bases, kept = [], [0] * len(normals), set()
         for subset in combinations(range(len(self.vectors)), self.rank):
@@ -109,8 +112,8 @@ class VectorConfiguration:
         # d = t p + (1, m, ..., m^(r-1)): the last term is on no h_k, as each
         # |h_k| < m/2, and t keeps the polarization's side of every other h_k
         m = 2 * max(abs(x) for h in planes for x in h) + 1
-        _, self.direction = _lift([dot(h, self.polarization) for h in planes],
-                                  [dot(h, [m ** i for i in range(self.rank)]) for h in planes])
+        _, self.direction = _lift(values, [dot(h, [m ** i for i in range(self.rank)])
+                                           for h in planes])
 
     def subset_cone(self, vectors):
         key = frozenset(vectors)

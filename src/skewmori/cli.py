@@ -178,7 +178,7 @@ def cmd_multiplicity(args):
     elif args.n < 2:
         raise ValueError("n must be at least 2")
     else:
-        rows = verify.multiplicity_grid([args.n])
+        rows = pfaffian.multiplicity_grid([args.n])
     config = {"n": args.n, "k": args.k, "h": args.h, "trials": args.trials,
               "seed": args.seed, "bound": args.bound}
     results = [{"n": n, "k": k, "h": h, "order": got, "expected": want}
@@ -192,9 +192,8 @@ def cmd_secant(args):
     if args.n < 3:  # the dimension formula needs 1 <= h < (n + 1) // 2
         raise ValueError("n must be at least 3")
     hs = list(range(1, (args.n + 1) // 2)) if args.h is None else [args.h]
-    bits = max(1, args.bound.bit_length() / 7) ** 1.4  # see MAX_BOUND
     # one elimination per attempt answers every h up to the last, so a listing costs that h
-    if bits * pfaffian.terracini_work(args.n, hs[-1]) > pfaffian.MAX_TERRACINI_WORK:
+    if pfaffian.terracini_work(args.n, hs[-1], args.bound) > pfaffian.MAX_TERRACINI_WORK:
         raise ValueError(f"secant dimensions at n={args.n} exceed the elimination budget")
     dims = pfaffian.terracini_dims(args.n, hs[-1], bound=args.bound, seed=args.seed)
     rows = [{"h": h, "dim": pfaffian.dim_secant(args.n, h),
@@ -250,13 +249,10 @@ def _add_common(p, *, seed=False, bound=False, trials=False):
     p.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
-# Other budgets hold at the defaults; time grows with --trials and with the bound,
-# neither read by the multiplicity grid (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity
-# --n 44 --k 4 --h 1` takes 0.6-0.7 s at 5 trials and 2.0-2.3 s at 20.  At 10^6 one h
-# costs 3.7-6.6 times its time at bound 100 ((46, 1) 1.8 -> 6.8 s, (22, 3) 2.2 -> 11.1 s,
-# (19, 4) 2.1 -> 13.3 s), so `secant` scales its work by (bits / 7)^1.4, 4.35 at 10^6.
-# The edges at 10^6 then take 3.5-6.9 s with --json ((42, 1), (26, 2), (20, 3), (17, 4),
-# (15, 5), (14, 6) and the listing at n = 14), and those at 10^3-10^5 4.4-7.1 s.
+# Time grows with --trials and with the bound, neither read by the multiplicity grid
+# (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity --n 44 --k 4 --h 1` takes 0.6-0.7 s at
+# 5 trials and 2.0-2.3 s at 20.  The budgets weigh the bound by fits up to 10^6:
+# pfaffian.sample_work for samples and estimates, pfaffian.terracini_work for `secant`.
 MAX_TRIALS, MAX_BOUND = 20, 10 ** 6
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import accumulate, combinations, compress
 from math import comb, isqrt, lcm, prod
 
 from . import linalg
@@ -66,9 +66,6 @@ class Polynomial(Record):
             if coef:
                 clean[exp] = clean.get(exp, 0) + coef
         super().__init__(int(n), {e: c for e, c in clean.items() if c})
-
-    def is_zero(self):
-        return not self.terms
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
@@ -276,11 +273,9 @@ def _rng(label, seed):
     return random.Random(f"{label}:{seed}")
 
 
-def _wedge_pair(x, y):
-    """The rank-two skew matrix x y^t - y x^t."""
-    size = len(x)
-    rows = [[x[i] * y[j] - x[j] * y[i] for j in range(size)] for i in range(size)]
-    return rows
+def _wedge(pairs, x, y):
+    """Coordinates of the rank-two skew matrix x y^t - y x^t at the index pairs."""
+    return [x[i] * y[j] - x[j] * y[i] for i, j in pairs]
 
 
 # Draws before secant_sample gives up.  A draw has rank 2h generically; even
@@ -289,9 +284,10 @@ MAX_DRAWS = 1000
 
 # A draw takes up to about 45 ns per unit of sample_work, and a Taylor pass to order
 # k + 1 up to 45 ns per unit of taylor_work (2 vCPUs, CPython 3.11.7): secant_sample
-# takes 1.3 s at (n, h) = (800, 1) (3.1e7) and 8.3 s at (200, 20) with bound 10^6
-# (1.7e8); vanishing_order 1.6-1.7 s at (n, k) = (11, 5) (4.3e7), fresh.  Printing
-# adds to `sample` at h = 1: `--n 1100 --h 1 --json` (5.9e7) takes 3.1-3.4 s fresh.
+# takes 0.5-0.8 s at (n, h) = (800, 1) (3.1e7) and, budget lifted, 6.4-7.4 s at
+# (200, 20) with bound 10^6 (1.7e8; nearly all of it the rank check), fresh;
+# vanishing_order 1.6-1.7 s at (n, k) = (11, 5) (4.3e7), fresh.  Printing adds to
+# `sample` at h = 1: `--n 1100 --h 1 --json` (5.9e7) takes 1.8-2.4 s fresh.
 # The multiplicity grid at n = 12 (4.55e7; passes at a sparse point) takes 0.85-1.15 s fresh.
 MAX_SAMPLING_WORK = 60_000_000
 
@@ -320,17 +316,15 @@ def secant_sample(n, h, bound=100, seed=0):
         raise ValueError("bound must be positive")
     if sample_work(n, h, bound) > MAX_SAMPLING_WORK:
         raise ValueError(f"a rank-{2 * h} sample of size {n + 1} exceeds the sampling budget")
-    rng = _rng("secant", seed)
+    rng, pairs = _rng("secant", seed), var_pairs(n)
     for _ in range(MAX_DRAWS):
-        rows = [[0] * (n + 1) for _ in range(n + 1)]
+        coords = [0] * len(pairs)
         for _ in range(h):
             x = [rng.randint(-bound, bound) for _ in range(n + 1)]
             y = [rng.randint(-bound, bound) for _ in range(n + 1)]
-            w = _wedge_pair(x, y)
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    rows[i][j] += w[i][j]
-        z = SkewMatrix(rows)
+            coords = [c + w for c, w in zip(coords, _wedge(pairs, x, y))]
+        # skew and integral by construction: nothing for __init__ to check
+        z = SkewMatrix._make(n + 1, {p: c for p, c in zip(pairs, coords) if c})
         if z.rank() == 2 * h:
             return z
     raise ValueError(f"no rank-{2 * h} point in {MAX_DRAWS} draws with bound {bound}")
@@ -378,7 +372,7 @@ def multiplicity_estimate(n, k, h, trials=5, seed=0, bound=100):
 
     Minimum over independent samples, each drawn when needed; special points can
     only raise the order, so the minimum recovers the generic value, which
-    `verify.multiplicity_grid` proves exactly.
+    multiplicity_grid proves exactly.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -401,6 +395,33 @@ def multiplicity_estimate(n, k, h, trials=5, seed=0, bound=100):
     return best
 
 
+def multiplicity_grid(n_values):
+    """Orders of vanishing of pf(Z_{0..2k+1}) along the rank-2h loci against
+    max(k-h+1, 0), each read exactly at J_h = e0^e1 + ... + e_{2h-2}^e_{2h-1}.
+
+    Lower bound, at every point A of rank 2h: pf(A + X) on I = {0..2k+1} expands
+    multilinearly into the sum over even J within I of +-pf(A_J) pf(X_{I-J}), of
+    degree |I-J|/2 in X, and pf(A_J) = 0 for |J| > rank A = 2h; so every term of
+    degree below k + 1 - h vanishes.  Equality: the order is upper semicontinuous,
+    so on the irreducible locus its generic value is its least, at most that at
+    J_h; one Taylor pass at J_h to the degree k + 1 of p reads it exactly, and
+    where it meets the bound it is the generic order.  Priced as one pass per
+    (n, k) against MAX_SAMPLING_WORK, before any sub-Pfaffian is built.
+    """
+    for n in n_values:
+        if any(work > MAX_SAMPLING_WORK
+               for work in accumulate(taylor_work(n, k) for k in range((n + 1) // 2))):
+            raise ValueError(f"the multiplicity grid at n = {n} exceeds the sampling budget")
+    rows = []
+    for n in n_values:
+        for k in range((n + 1) // 2):
+            p = sub_pfaffian(n, range(2 * k + 2))
+            for h in range(1, (n + 1) // 2 + 1):
+                j_h = SkewMatrix._make(n + 1, {(2 * i, 2 * i + 1): 1 for i in range(h)})
+                rows.append((n, k, h, vanishing_order(p, j_h, k + 1), max(k - h + 1, 0)))
+    return rows
+
+
 def dim_secant(n, h):
     """Projective dimension of the rank-2h degeneracy locus, h < floor((n+1)/2)."""
     if not 1 <= h < (n + 1) // 2:
@@ -417,31 +438,23 @@ def codim_secant(n, h):
     return num // 2
 
 
-def _wedge_coordinates(n, x, v_index):
-    """Coordinates of x ^ e_{v_index} in the upper-triangle basis of size n+1."""
-    coords = []
-    for (i, j) in var_pairs(n):
-        c = 0
-        if j == v_index:
-            c += x[i]
-        if i == v_index:
-            c -= x[j]
-        coords.append(c)
-    return tuple(coords)
-
-
 # `secant` takes 10-16 ns per unit of terracini_work at bound 100 (fresh, --json, 2 vCPUs,
 # CPython 3.11.7) on the edge of one h: 4.1 s at (58, 1), 6.4 s at (24, 4), 5.2 s at
 # (17, 8) (4.0e8).  A listing is one elimination for its largest h and is priced so:
-# 4.8 s at n = 17 (4.0e8) and, refused, 9.0 s at n = 18 (5.5e8, as (18, 8)).  Past
-# bound 100 the `secant` command weighs the work by (bits / 7)^1.4: see cli.MAX_BOUND.
+# 4.8 s at n = 17 (4.0e8) and, refused, 9.0 s at n = 18 (5.5e8, as (18, 8)).  At bound
+# 10^6 one h costs 3.7-6.6 times its time at bound 100 ((46, 1) 1.8 -> 6.8 s, (22, 3)
+# 2.2 -> 11.1 s, (19, 4) 2.1 -> 13.3 s), hence the weight (bits / 7)^1.4, 4.35 at 10^6;
+# the edges at 10^6 then take 3.5-6.9 s with --json ((42, 1), (26, 2), (20, 3), (17, 4),
+# (15, 5), (14, 6) and the listing at n = 14), and those at 10^3-10^5 4.4-7.1 s.
 MAX_TERRACINI_WORK = 450_000_000
 
 
-def terracini_work(n, h):
-    """((rows * rank)^2 * columns)^(3/4) of terracini_dim's matrix: a fit to its times."""
+def terracini_work(n, h, bound):
+    """((rows * rank)^2 * columns)^(3/4) of the tangent rows terracini_dims eliminates
+    for h, weighed by (b / 7)^1.4, b the bound's bits over 7: a fit to its times."""
     rows, rank = 2 * h * (n + 1), dim_secant(n, h) + 1
-    return isqrt(isqrt(((rows * rank) ** 2 * comb(n + 1, 2)) ** 3))
+    weight = max(1, bound.bit_length() / 7) ** 1.4
+    return weight * isqrt(isqrt(((rows * rank) ** 2 * comb(n + 1, 2)) ** 3))
 
 
 def terracini_dims(n, h, bound=100, seed=0):
@@ -460,16 +473,16 @@ def terracini_dims(n, h, bound=100, seed=0):
     _check_h(n, h)
     if bound < 1:
         raise ValueError("bound must be positive")
-    best, size = [0] * h, 2 * (n + 1)
+    best, size, pairs = [0] * h, 2 * (n + 1), var_pairs(n)
+    units = [[int(i == m) for i in range(n + 1)] for m in range(n + 1)]
     for attempt in range(3):
         rng = _rng("terracini", f"{seed}:{attempt}")
         rows = []
         for _ in range(h):
             x = [rng.randint(-bound, bound) for _ in range(n + 1)]
             y = [rng.randint(-bound, bound) for _ in range(n + 1)]
-            for m in range(n + 1):
-                rows.append(_wedge_coordinates(n, x, m))
-                rows.append(_wedge_coordinates(n, y, m))
+            for e in units:
+                rows += [_wedge(pairs, x, e), _wedge(pairs, y, e)]
         pivots = linalg._bareiss(list(zip(*rows)), echelon=True)[1]
         best = [max(b, sum(p < size * j for p in pivots) - 1) for j, b in enumerate(best, 1)]
     return best

@@ -10,7 +10,6 @@ property suites (seeded, reproducible).  No network, no external solver.
 from __future__ import annotations
 
 import random
-from itertools import accumulate
 from math import comb
 
 from . import chambers, cones, geometry, linalg, pfaffian
@@ -129,36 +128,9 @@ def check_fano(cfg):
     return True, f"indices {table}; -K(4)=(10,-2), -K(5)=(15,-5); positivity for n = 4..12"
 
 
-def multiplicity_grid(n_values):
-    """Orders of vanishing of pf(Z_{0..2k+1}) along the rank-2h loci against
-    max(k-h+1, 0), each read exactly at J_h = e0^e1 + ... + e_{2h-2}^e_{2h-1}.
-
-    Lower bound, at every point A of rank 2h: pf(A + X) on I = {0..2k+1} expands
-    multilinearly into the sum over even J within I of +-pf(A_J) pf(X_{I-J}), of
-    degree |I-J|/2 in X, and pf(A_J) = 0 for |J| > rank A = 2h; so every term of
-    degree below k + 1 - h vanishes.  Equality: the order is upper semicontinuous,
-    so on the irreducible locus its generic value is its least, at most that at
-    J_h; one Taylor pass at J_h to the degree k + 1 of p reads it exactly, and
-    where it meets the bound it is the generic order.  Priced as one pass per
-    (n, k) against MAX_SAMPLING_WORK, before any sub-Pfaffian is built.
-    """
-    for n in n_values:
-        if any(work > pfaffian.MAX_SAMPLING_WORK
-               for work in accumulate(pfaffian.taylor_work(n, k) for k in range((n + 1) // 2))):
-            raise ValueError(f"the multiplicity grid at n = {n} exceeds the sampling budget")
-    rows = []
-    for n in n_values:
-        for k in range((n + 1) // 2):
-            p = pfaffian.sub_pfaffian(n, range(2 * k + 2))
-            for h in range(1, (n + 1) // 2 + 1):
-                j_h = pfaffian.SkewMatrix._make(n + 1, {(2 * i, 2 * i + 1): 1 for i in range(h)})
-                rows.append((n, k, h, pfaffian.vanishing_order(p, j_h, k + 1), max(k - h + 1, 0)))
-    return rows
-
-
 def check_multiplicity(cfg):
     n_values = range(2, 9) if cfg["n"] is None else [cfg["n"]]
-    rows = multiplicity_grid(n_values)
+    rows = pfaffian.multiplicity_grid(n_values)
     bad = [(n, k, h, got, want) for n, k, h, got, want in rows if got != want]
     return not bad, f"{len(rows)} grid entries, mismatches: {bad}"
 

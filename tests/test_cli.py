@@ -231,15 +231,14 @@ def test_secant_budget_edge():
     # a listing is priced as its largest h: accepted up to n = 17 at bound 100 and
     # n = 14 at 10^6; one h up to (17, 8) and (58, 1), and at 10^6 up to (17, 4)
     # and (42, 1), the work weighed by (bits / 7)^1.4
-    work, budget = pfaffian.terracini_work, pfaffian.MAX_TERRACINI_WORK
-    last = lambda n: work(n, (n + 1) // 2 - 1)
-    bits = ((10 ** 6).bit_length() / 7) ** 1.4
-    assert last(17) <= budget < last(18)
-    assert bits * last(14) <= budget < bits * last(15)
-    assert work(17, 8) <= budget < work(18, 8)
-    assert work(58, 1) <= budget < work(59, 1)
-    assert bits * work(17, 4) <= budget < bits * work(18, 4)
-    assert bits * work(42, 1) <= budget < bits * work(43, 1)
+    work, budget, big = pfaffian.terracini_work, pfaffian.MAX_TERRACINI_WORK, 10 ** 6
+    last = lambda n, bound: work(n, (n + 1) // 2 - 1, bound)
+    assert last(17, 100) <= budget < last(18, 100)
+    assert last(14, big) <= budget < last(15, big)
+    assert work(17, 8, 100) <= budget < work(18, 8, 100)
+    assert work(58, 1, 100) <= budget < work(59, 1, 100)
+    assert work(17, 4, big) <= budget < work(18, 4, big)
+    assert work(42, 1, big) <= budget < work(43, 1, big)
 
 
 def test_pfaffian_report_budget_edge(monkeypatch, capsys):
@@ -362,12 +361,17 @@ RECORDED_REPORTS = [
     ("pfaffian --size 6 --json", 0, "f0b280fa22cfd6d08c1c3512818466a9fadb5209c4b61c0536f82e18c93b2630"),
     ("sample --n 7 --h 3 --seed 1", 0,
      "920b936bfc1030c90a4c26bc1b1a037d63cd7b956ffaa2dbd7c3085118784d72"),
+    # recorded at 7b2b616
+    ("sample --n 7 --h 3 --seed 1 --json", 0,
+     "5f39e8ccc947ec11594849ba82f561712571673df4a8fcdd730bfd9fd7bf8933"),
     ("multiplicity --n 7 --k 2 --h 1", 0,
      "27186beccfdc6377b984f6ce5f951262c47130629c926ccc348679ce0445f615"),
     ("multiplicity --n 8 --json", 0, "9d19a426ddaca59222ad60e46b9a4c2c1b64ecd5f3676c3f413d10f508680a96"),
     ("verify --only multiplicity --json --seed 3", 0,
      "c4c1f45cb2d09b6fe3a80c81f2fba38ce8e15d45647d682682a6e57c7801d0d7"),
     ("secant --n 8", 0, "6c573e7b547b837ded6f17aa6dc0e838b892058c5644231fd847cd26c2f595b1"),
+    # recorded at 7b2b616
+    ("secant --n 8 --json", 0, "a572b21be96b06de714399fed6e05449d32542d12ce8f927ebd36dc2557bbcd3"),
     ("verify --only fano --json", 0, "b77a4528c4adcfe224e6efded9fb7d185f0ff3b6622362300c042f7f4a5b1cf0"),
     # at n = 6 and 8: a maximal chamber, a face and a class outside Eff
     ("chamber --n 6 --point 1,3,1", 0, "0948fe773a3a1cad7f665288079b5ebf4051b51cf8026a5ca73e201bec7aa967"),
@@ -494,6 +498,11 @@ def test_gkz_leaves_the_pfaffian_layer_unrun_and_verify_runs_it():
     assert pfaffian_layer_run(gkz) == ["False", "False"]
     fano = gkz + "\ncli.main(['verify', '--only', 'fano'])"
     assert pfaffian_layer_run(fano) == ["True", "True"]
+
+
+def test_multiplicity_runs_the_pfaffian_layer_and_leaves_verify_unrun():
+    grid = "from skewmori import cli\ncli.main(['multiplicity', '--n', '4'])"
+    assert pfaffian_layer_run(grid) == ["True", "False"]
 
 
 def test_unknown_suite_is_a_usage_error_naming_the_suites():

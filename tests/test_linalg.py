@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 import sympy
 
-from skewmori import linalg, pfaffian
+from skewmori import linalg
 
 
 def sym(rows, ncols):
@@ -211,12 +212,15 @@ def sparse_matrix(rng, nrows, ncols, density, rational=False):
 
 
 def terracini_matrix(rng, n, h, bound):
-    """terracini_dim's matrix: x ^ e_m and y ^ e_m for h random pairs (x, y) and every m."""
+    """terracini_dims's rows: x ^ e_m and y ^ e_m for h random pairs (x, y) and every m,
+    at the pairs i < j <= n, where x ^ e_m has x_i at (i, m) and -x_j at (m, j)."""
+    pairs = list(combinations(range(n + 1), 2))
     rows = []
     for _ in range(h):
         x, y = ([rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(2))
         for m in range(n + 1):
-            rows += [pfaffian._wedge_coordinates(n, x, m), pfaffian._wedge_coordinates(n, y, m)]
+            rows += [tuple(v[i] if j == m else -v[j] if i == m else 0 for i, j in pairs)
+                     for v in (x, y)]
     return rows
 
 

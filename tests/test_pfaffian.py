@@ -9,7 +9,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from skewmori import linalg, pfaffian, verify
+from skewmori import linalg, pfaffian
 from skewmori.pfaffian import (
     Polynomial,
     SkewMatrix,
@@ -252,6 +252,37 @@ def test_secant_sample_rank_contract():
                     assert secant_sample(n, h, bound=bound, seed=seed).rank() == 2 * h
 
 
+def dense_secant_sample(n, h, bound, seed):
+    """secant_sample written out densely: the sum of h matrices x y^t - y x^t drawn off
+    the same stream, drawn again until sympy finds rank 2h; also the number of draws."""
+    rng = random.Random(f"secant:{seed}")
+    for draws in range(1, pfaffian.MAX_DRAWS + 1):
+        rows = [[0] * (n + 1) for _ in range(n + 1)]
+        for _ in range(h):
+            x = [rng.randint(-bound, bound) for _ in range(n + 1)]
+            y = [rng.randint(-bound, bound) for _ in range(n + 1)]
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    rows[i][j] += x[i] * y[j] - y[i] * x[j]
+        if DomainMatrix.from_list(rows, sympy.ZZ).rank() == 2 * h:
+            return SkewMatrix(rows), draws
+    raise AssertionError("no sample")
+
+
+def test_secant_sample_matches_the_dense_sum():
+    redrawn = 0
+    for n in range(1, 13):
+        for h in range(1, (n + 1) // 2 + 1):
+            for bound in (1, 2, 100, 10 ** 6):
+                for seed in range(3):
+                    want, draws = dense_secant_sample(n, h, bound, seed)
+                    got = secant_sample(n, h, bound=bound, seed=seed)
+                    assert got == want and got.to_rows() == want.to_rows(), (n, h, bound, seed)
+                    redrawn += draws > 1
+    # at bound 1 some draws fall short of rank 2h, so the redraws are compared too
+    assert redrawn
+
+
 def test_secant_sample_gives_up(monkeypatch):
     monkeypatch.setattr(SkewMatrix, "rank", lambda self: 0)
     with pytest.raises(ValueError, match=f"{pfaffian.MAX_DRAWS} draws"):
@@ -326,7 +357,7 @@ def test_capped_estimate_matches_uncapped_minimum():
 
 def test_exact_grid_pinned_through_twelve():
     # one Taylor pass at the rank-2h normal form per entry, max(k - h + 1, 0) throughout
-    rows = verify.multiplicity_grid(range(2, 13))
+    rows = pfaffian.multiplicity_grid(range(2, 13))
     assert rows == [(n, k, h, max(k - h + 1, 0), max(k - h + 1, 0)) for n in range(2, 13)
                     for k in range((n + 1) // 2) for h in range(1, (n + 1) // 2 + 1)]
     assert len(rows) == 181
@@ -365,18 +396,23 @@ def test_terracini_oracle_past_eight(n):
     assert terracini_dims(n, top, seed=0) == [dim_secant(n, h) for h in range(1, top + 1)]
 
 
+def unit_wedge(n, x, m):
+    """Coordinates of x ^ e_m at the pairs i < j <= n: x_i at (i, m), -x_j at (m, j)."""
+    return [x[i] if j == m else -x[j] if i == m else 0 for i, j in combinations(range(n + 1), 2)]
+
+
 def textbook_terracini(n, h, bound=100, seed=0):
     """The per-h oracle: one rank of all 2h(n+1) stacked rows per attempt."""
     best = 0
     for attempt in range(3):
-        rng = pfaffian._rng("terracini", f"{seed}:{attempt}")
+        rng = random.Random(f"terracini:{seed}:{attempt}")
         rows = []
         for _ in range(h):
             x = [rng.randint(-bound, bound) for _ in range(n + 1)]
             y = [rng.randint(-bound, bound) for _ in range(n + 1)]
             for m in range(n + 1):
-                rows.append(pfaffian._wedge_coordinates(n, x, m))
-                rows.append(pfaffian._wedge_coordinates(n, y, m))
+                rows.append(unit_wedge(n, x, m))
+                rows.append(unit_wedge(n, y, m))
         best = max(best, linalg.rank(rows) - 1)
     return best
 
@@ -401,7 +437,7 @@ def test_terracini_dims_on_degenerate_draws():
 @pytest.mark.parametrize("n", [9, 10])
 def test_multiplicity_grid_past_eight(n):
     # the random estimate, entry by entry, is an oracle independent of the normal form
-    rows = verify.multiplicity_grid([n])
+    rows = pfaffian.multiplicity_grid([n])
     assert len(rows) == 25
     assert rows == [(n, k, h, multiplicity_estimate(n, k, h, trials=5, seed=f"0:{n}", bound=100),
                      max(k - h + 1, 0)) for _, k, h, _, _ in rows]
