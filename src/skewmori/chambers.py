@@ -7,12 +7,15 @@ intersection of all subset cones containing w.  The decomposition walks the
 chamber graph (Keicher, "Computing the GIT-fan", 2012) from the polarization
 through generic classes only; by Caratheodory those lie in basis cones alone,
 and the bases holding one cut out its chamber.  Each wall inside the effective
-cone is crossed once, at an exact point past it.  A class w of the effective
-cone lifts to a generic w' = t w + d, for d interior to it and on no spanned
-hyperplane and t keeping w's side of every hyperplane missing w; the chamber
-of w' holds w, and the cell of w is its face cut out by the facets through w.
-The lift's signs, those facets and the signature below read only w's sign
-vector over the spanned hyperplanes, so each answer is memoised per sign vector.
+cone is crossed once, just past it.  Classes just past w along d are read in
+sign order (Edelsbrunner-Muecke, "Simulation of Simplicity", 1990): a spanned
+hyperplane h takes the sign of h.w, or of h.d where h.w = 0, the sign of t w + d
+for every large t.  A wall is crossed from the sum of its rays along minus the
+sum of the chamber's other rays.  A class w of the effective cone is read along
+a fixed d on no spanned hyperplane, so the chamber its signs select holds w, and
+the cell of w is its face cut out by the facets through w.  Those signs, facets
+and the signature below read only w's sign vector over the spanned hyperplanes,
+so each answer is memoised per sign vector.
 
 A set G of generator families is *forced* at w when w is not a nonnegative
 combination of the degrees of the remaining families, and *empty* when it is
@@ -35,7 +38,7 @@ from __future__ import annotations
 from functools import cache, reduce
 from itertools import combinations
 from math import comb
-from operator import add, and_, mul, or_, sub
+from operator import add, and_, mul, or_
 
 from . import geometry
 from .cones import Cone, hyperplanes_spanned_by
@@ -59,7 +62,8 @@ class VectorConfiguration:
     any generic class it holds, on its boundary if on the first's boundary, so
     such a basis cuts out nothing more; ``facet_bases``, per normal the mask of
     the bases with a facet on it; ``cocircuits``, per normal h the mask of N_h,
-    or 0 if it holds an empty stratum; ``direction``, the h_k.d of the lift.
+    or 0 if it holds an empty stratum; ``direction``, per plane a nonzero value
+    of h_k.p, or else of h_k.(1, m, ..., m^(r-1)): the signs that break h_k.w = 0.
     """
 
     def __init__(self, rank, families, polarization):
@@ -109,11 +113,10 @@ class VectorConfiguration:
                     for k in _bits(facets):
                         self.facet_bases[k] |= 1 << len(self.bases)
                     self.bases.append((sum(1 << i for i in subset), facets))
-        # d = t p + (1, m, ..., m^(r-1)): the last term is on no h_k, as each
-        # |h_k| < m/2, and t keeps the polarization's side of every other h_k
+        # (1, m, ..., m^(r-1)) is on no h_k, as each |h_k| < m/2
         m = 2 * max(abs(x) for h in planes for x in h) + 1
-        _, self.direction = _lift(values, [dot(h, [m ** i for i in range(self.rank)])
-                                           for h in planes])
+        self.direction = [a or dot(h, [m ** i for i in range(self.rank)])
+                          for a, h in zip(values, planes)]
 
     def subset_cone(self, vectors):
         key = frozenset(vectors)
@@ -270,13 +273,6 @@ def _add(a, b):
     return list(map(add, a, b))
 
 
-def _lift(values, direction):
-    """(t, plane values of t w + d) for the plane values of w and of d: the
-    least t >= 1 keeping w's side of every hyperplane missing w."""
-    t = 1 + max([0] + [-b // a for a, b in zip(values, direction) if a])
-    return t, [t * a + b for a, b in zip(values, direction)]
-
-
 # A decomposition of v degrees in rank r is priced C(v, r) C(v, r - 1): 2.1e5 at n = 12,
 # 7.3e5 at n = 13, 2.9e6 at n = 14 (rank 7, 292 bases, 2394 chambers), 1.03e7 at n = 15 and
 # 4.0e6 for the single blow-up at its cap n = 400 (rank 2, 201 degrees).  The price bounds
@@ -324,19 +320,16 @@ def gkz_chambers(config):
 
     for held in queue:  # grows as the walk finds neighbours
         cone = found[held]
-        c, at_c = cone.interior_point(), plane_values(cone.rays)
         for f in cone.facets:
             if f in boundary:
                 continue  # on a facet of the effective cone, which holds the chamber
             on = tuple(r for r in cone.rays if dot(f, r) == 0)
             if on not in walls:  # cross it; the walls dict maps it to its two chambers
-                # w = t*p + (p - c), lifted off p's hyperplanes, lies just past the wall;
-                # c - p is the sum of the rays off the wall
+                # p, the sum of the wall's rays, pushed off the chamber along minus the
+                # sum of the rays off the wall, in sign order: just past the wall
                 p = tuple(map(sum, zip(*on)))
-                d = tuple(a - b for a, b in zip(p, c))
                 off = plane_values([r for r in cone.rays if r not in on])
-                t, values = _lift(list(map(sub, at_c, off)), [-x for x in off])
-                nxt = _held(config, w := tuple(t * a + b for a, b in zip(p, d)), values=values)
+                nxt = _held(config, p, values=[a or -b for a, b in zip(plane_values(on), off)])
                 if nxt not in found:
                     found[nxt] = _canonical_chamber(config, nxt)
                     queue.append(nxt)
@@ -355,10 +348,11 @@ def gkz_chambers(config):
 def chamber_of(config, w):
     """The chamber (or lower-dimensional face) of the class w, with its signature.
 
-    Both depend only on w's sign vector over the spanned hyperplanes h (the lift
-    t w + d has the sign of h.w, or of the fixed h.d where h.w = 0; the tight
-    facets are the h with h.w = 0; the signature reads the h with h.w < 0), so
-    they are memoised per sign vector: a warm query is one pass over the planes."""
+    Both depend only on w's sign vector over the spanned hyperplanes h (the
+    generic class near w has the sign of h.w, or of ``config.direction`` where
+    h.w = 0; the tight facets are the h with h.w = 0; the signature reads the h
+    with h.w < 0), so they are memoised per sign vector: a warm query is one pass
+    over the planes."""
     check_query_rank(config.rank)
     w = tuple(w)
     if not config.ambient.contains(w):  # also refuses an inexact w or one of the wrong length
@@ -366,7 +360,7 @@ def chamber_of(config, w):
     values = [sum(map(mul, h, w)) for h in config.planes]
     above = _signs(values)[0]
     if above not in config._cells:
-        held = _held(config, w, values=_lift(values, config.direction)[1])
+        held = _held(config, w, values=[a or b for a, b in zip(values, config.direction)])
         cone = _canonical_chamber(config, held)
         tight = [f for f in cone.facets if not dot(f, w)]
         if tight:  # the face of the chamber that holds w in its relative interior

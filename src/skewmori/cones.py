@@ -242,12 +242,6 @@ class Cone(Record):
             raise ValueError("dimension mismatch")
         return all(dot(f, v) >= 0 for f in self.facets)
 
-    def interior_contains(self, v):
-        v, _ = clear_denominators(v)
-        if len(v) != self.ambient_rank:
-            raise ValueError("dimension mismatch")
-        return all(dot(f, v) > 0 for f in self.facets)
-
     def is_subset(self, other):
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("dimension mismatch")

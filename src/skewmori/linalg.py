@@ -12,9 +12,9 @@ never leave the integers.  A step rewrites only the rows with a nonzero entry in
 column: the others would merely be scaled by d/prev, so each row keeps the
 pivot of the step that last rewrote it and is scaled up to date when it
 becomes the pivot row or the reduction ends.  ``rank`` and ``det`` stop at
-echelon form; only ``kernel_basis`` and ``inverse`` reduce fully.  A
-quotient only appears where it is the answer: ``inverse``, ``matmul`` by a
-fractional matrix and ``det`` of one.
+echelon form; only ``kernel_basis`` reduces fully.  A quotient only
+appears where it is the answer: ``matmul`` by a fractional matrix and
+``det`` of one.
 """
 
 from __future__ import annotations
@@ -141,19 +141,6 @@ def det(rows):
     d = sign * red[-1][-1] if n else 1
     scale = prod(s for _, s in cleared)
     return d if scale == 1 else Fraction(d, scale)
-
-
-def inverse(rows):
-    """Exact matrix inverse; raises ValueError on singular input."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("inverse of a non-square matrix")
-    red, pivots, _ = rref([tuple(row) + tuple(int(i == j) for j in range(n))
-                           for i, row in enumerate(rows)])
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    d = red[-1][n - 1] if n else 1
-    return [tuple(Fraction(x, d) for x in row[n:]) for row in red]
 
 
 def matmul(a, b):

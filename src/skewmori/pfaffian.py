@@ -282,13 +282,14 @@ def _wedge(pairs, x, y):
 # at bound 1, 2000 seeded samples over n = 1..8 needed at most 7 draws.
 MAX_DRAWS = 1000
 
-# A draw takes up to about 45 ns per unit of sample_work, and a Taylor pass to order
+# A draw takes up to about 10 ns per unit of sample_work, and a Taylor pass to order
 # k + 1 up to 45 ns per unit of taylor_work (2 vCPUs, CPython 3.11.7): secant_sample
-# takes 0.5-0.8 s at (n, h) = (800, 1) (3.1e7) and, budget lifted, 6.4-7.4 s at
-# (200, 20) with bound 10^6 (1.7e8; nearly all of it the rank check), fresh;
-# vanishing_order 1.6-1.7 s at (n, k) = (11, 5) (4.3e7), fresh.  Printing adds to
-# `sample` at h = 1: `--n 1100 --h 1 --json` (5.9e7) takes 1.8-2.4 s fresh.
-# The multiplicity grid at n = 12 (4.55e7; passes at a sparse point) takes 0.85-1.15 s fresh.
+# takes 0.23-0.28 s at (n, h) = (800, 1) (3.1e7) and, budget lifted, 0.26-0.27 s at
+# (200, 20) with bound 10^6 (1.7e8), fresh, since its rank check is on the 2h drawn
+# vectors (sample_work was fitted to a check on the dense point, and is kept so that no
+# refusal moves); vanishing_order 1.0-1.1 s at (n, k) = (11, 5) (4.3e7), fresh.  Printing
+# adds to `sample` at h = 1: `--n 1100 --h 1 --json` (5.9e7) takes 1.2-1.3 s fresh.
+# The multiplicity grid at n = 12 (4.55e7; passes at a sparse point) takes 0.6-0.7 s fresh.
 MAX_SAMPLING_WORK = 60_000_000
 
 
@@ -308,8 +309,9 @@ def taylor_work(n, k):
 def secant_sample(n, h, bound=100, seed=0):
     """Random integer point of rank exactly 2h: a sum of h integer wedges x ^ y.
 
-    Resamples until the rank is exactly 2h, which holds generically, and
-    raises ValueError after MAX_DRAWS draws.
+    With M the matrix of columns x_1, y_1, ..., x_h, y_h, the sum is M Omega M^t
+    for an invertible Omega, so its rank is that of M.  Resamples until M has
+    rank 2h, which holds generically, and raises ValueError after MAX_DRAWS draws.
     """
     _check_h(n, h)
     if bound < 1:
@@ -318,15 +320,11 @@ def secant_sample(n, h, bound=100, seed=0):
         raise ValueError(f"a rank-{2 * h} sample of size {n + 1} exceeds the sampling budget")
     rng, pairs = _rng("secant", seed), var_pairs(n)
     for _ in range(MAX_DRAWS):
-        coords = [0] * len(pairs)
-        for _ in range(h):
-            x = [rng.randint(-bound, bound) for _ in range(n + 1)]
-            y = [rng.randint(-bound, bound) for _ in range(n + 1)]
-            coords = [c + w for c, w in zip(coords, _wedge(pairs, x, y))]
-        # skew and integral by construction: nothing for __init__ to check
-        z = SkewMatrix._make(n + 1, {p: c for p, c in zip(pairs, coords) if c})
-        if z.rank() == 2 * h:
-            return z
+        xy = [[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(2 * h)]
+        if linalg.rank(xy) == 2 * h:
+            coords = map(sum, zip(*(_wedge(pairs, x, y) for x, y in zip(xy[::2], xy[1::2]))))
+            # skew and integral by construction: nothing for __init__ to check
+            return SkewMatrix._make(n + 1, {p: c for p, c in zip(pairs, coords) if c})
     raise ValueError(f"no rank-{2 * h} point in {MAX_DRAWS} draws with bound {bound}")
 
 
@@ -405,20 +403,26 @@ def multiplicity_grid(n_values):
     degree below k + 1 - h vanishes.  Equality: the order is upper semicontinuous,
     so on the irreducible locus its generic value is its least, at most that at
     J_h; one Taylor pass at J_h to the degree k + 1 of p reads it exactly, and
-    where it meets the bound it is the generic order.  Priced as one pass per
-    (n, k) against MAX_SAMPLING_WORK, before any sub-Pfaffian is built.
+    where it meets the bound it is the generic order.  p has no variable outside
+    rows 0..2k+1, and J_h restricted to them is J_min(h, k+1) of size 2k + 2, so
+    the order depends on (k, min(h, k + 1)) alone and is read once, at that size,
+    for every n.  Priced as one pass per (n, k) against MAX_SAMPLING_WORK, before
+    any sub-Pfaffian is built.
     """
     for n in n_values:
         if any(work > MAX_SAMPLING_WORK
                for work in accumulate(taylor_work(n, k) for k in range((n + 1) // 2))):
             raise ValueError(f"the multiplicity grid at n = {n} exceeds the sampling budget")
-    rows = []
+    rows, orders = [], {}  # k -> the orders at J_1, ..., J_(k+1) of size 2k + 2
     for n in n_values:
         for k in range((n + 1) // 2):
-            p = sub_pfaffian(n, range(2 * k + 2))
+            if k not in orders:
+                p = sub_pfaffian(2 * k + 1, range(2 * k + 2))
+                orders[k] = [vanishing_order(p, SkewMatrix._make(
+                    2 * k + 2, {(2 * i, 2 * i + 1): 1 for i in range(h)}), k + 1)
+                    for h in range(1, k + 2)]
             for h in range(1, (n + 1) // 2 + 1):
-                j_h = SkewMatrix._make(n + 1, {(2 * i, 2 * i + 1): 1 for i in range(h)})
-                rows.append((n, k, h, vanishing_order(p, j_h, k + 1), max(k - h + 1, 0)))
+                rows.append((n, k, h, orders[k][min(h, k + 1) - 1], max(k - h + 1, 0)))
     return rows
 
 

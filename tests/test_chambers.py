@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import interior_contains
 from skewmori import chambers, geometry
 from skewmori.chambers import (
     VectorConfiguration,
@@ -199,7 +200,7 @@ def test_coverage_and_disjointness():
             w = tuple(sum(c * Fraction(r[i]) for c, r in zip(coeffs, eff_rays))
                       for i in range(len(eff_rays[0])))
             holding = [ch for ch in dec.chambers if ch.cone.contains(w)]
-            strict = [ch for ch in dec.chambers if ch.cone.interior_contains(w)]
+            strict = [ch for ch in dec.chambers if interior_contains(ch.cone, w)]
             assert len(holding) >= 1
             assert len(strict) <= 1
             if strict:
@@ -582,9 +583,12 @@ def test_rank_six_pins():
 
 
 def test_rank_seven_pins():
-    # toric-model regression values, not checked against the paper
+    # toric-model regression values, not checked against the paper; the digest pins the
+    # whole walk, as test_whole_walk_digests does at n = 12
     dec = decomposition_for(14)
     assert (len(dec.chambers), len(dec.regions), len(dec.walls)) == (2394, 440, 9345)
+    assert chamber_digest(dec) == (
+        "501c06863a946e0778890e8c6892c812dcec15d10d26479147bd779ae03c7707")
 
 
 def independent_subsets(config):

@@ -9,6 +9,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from oracles import inverse
 from skewmori import linalg, pfaffian
 from skewmori.pfaffian import (
     Polynomial,
@@ -284,7 +285,7 @@ def test_secant_sample_matches_the_dense_sum():
 
 
 def test_secant_sample_gives_up(monkeypatch):
-    monkeypatch.setattr(SkewMatrix, "rank", lambda self: 0)
+    monkeypatch.setattr(linalg, "rank", lambda rows: 0)
     with pytest.raises(ValueError, match=f"{pfaffian.MAX_DRAWS} draws"):
         secant_sample(4, 1, bound=10, seed=0)
 
@@ -361,6 +362,17 @@ def test_exact_grid_pinned_through_twelve():
     assert rows == [(n, k, h, max(k - h + 1, 0), max(k - h + 1, 0)) for n in range(2, 13)
                     for k in range((n + 1) // 2) for h in range(1, (n + 1) // 2 + 1)]
     assert len(rows) == 181
+
+
+def test_grid_reads_one_pass_per_k_and_capped_h(monkeypatch):
+    # pf(Z_{0..2k+1}) has no variable outside rows 0..2k+1, where J_h is J_min(h, k+1):
+    # the 181 entries through n = 12 take one pass per (k, min(h, k + 1)), 21 in all
+    calls, real = [], pfaffian.vanishing_order
+    monkeypatch.setattr(pfaffian, "vanishing_order", lambda p, z, cap: calls.append(
+        (p.n, z.size, z.rank(), cap)) or real(p, z, cap))
+    rows = pfaffian.multiplicity_grid(range(2, 13))
+    assert len(rows) == 181 and len(calls) == len(set(calls)) == 21
+    assert all(n + 1 == size == 2 * cap for n, size, _, cap in calls)
 
 
 def test_multiplicity_parameter_validation():
@@ -541,12 +553,12 @@ def refusal(fn, *args):
 
 @pytest.mark.parametrize("size", range(9))
 def test_skew_inverse_matches_the_general_inverse(size):
-    """The one-denominator pass against linalg.inverse of the full matrix."""
+    """The one-denominator pass against the general inverse of the full matrix."""
     odd = singular = 0
     for seed in range(12):
         for z in skew_cases(seed, size):
             got, why = refusal(skew_inverse, z)
-            want, want_why = refusal(linalg.inverse, z.to_rows())
+            want, want_why = refusal(inverse, z.to_rows())
             if size % 2:
                 assert why == "odd-size skew matrices are singular" and want_why is not None
                 odd += 1
@@ -569,7 +581,7 @@ def test_skew_inverse_matches_the_general_inverse(size):
 def test_skew_inverse_is_one_elimination_at_size_16(monkeypatch):
     """No sub-Pfaffian adjugate: one elimination of the 16 x 32 matrix, in well under a second."""
     z = next(z for z in skew_cases(0, 16)[::-1] if pfaffian_value(z))
-    want = SkewMatrix(linalg.inverse(z.to_rows()))
+    want = SkewMatrix(inverse(z.to_rows()))
     calls = []
     monkeypatch.setattr(linalg, "_bareiss", lambda *a, _run=linalg._bareiss: calls.append(a)
                         or _run(*a))
