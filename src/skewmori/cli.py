@@ -40,8 +40,7 @@ def _vec(v):
 
 
 def cmd_verify(args):
-    report = verify.run(only=args.only, n=args.n, seed=args.seed,
-                        bound=args.bound, trials=args.trials)
+    report = verify.run(only=args.only, n=args.n, seed=args.seed, bound=args.bound)
     lines = [f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']:<20} {c['detail']}"
              for c in report["checks"]]
     lines.append(f"{report['passed']}/{report['total']} checks passed")
@@ -172,15 +171,13 @@ def cmd_sample(args):
 
 def cmd_multiplicity(args):
     if args.k is not None:
-        got = pfaffian.multiplicity_estimate(args.n, args.k, args.h, trials=args.trials,
-                                             seed=args.seed, bound=args.bound)
-        rows = [(args.n, args.k, args.h, got, max(args.k - args.h + 1, 0))]
+        rows = [(args.n, args.k, args.h, pfaffian.multiplicity(args.n, args.k, args.h),
+                 max(args.k - args.h + 1, 0))]
     elif args.n < 2:
         raise ValueError("n must be at least 2")
     else:
         rows = pfaffian.multiplicity_grid([args.n])
-    config = {"n": args.n, "k": args.k, "h": args.h, "trials": args.trials,
-              "seed": args.seed, "bound": args.bound}
+    config = {"n": args.n, "k": args.k, "h": args.h}
     results = [{"n": n, "k": k, "h": h, "order": got, "expected": want}
                for n, k, h, got, want in rows]
     lines = ["n k h order expected"]
@@ -237,23 +234,17 @@ def cmd_chamber(args):
     return {"n": args.n, "point": list(w)}, results, lines
 
 
-def _add_common(p, *, seed=False, bound=False, trials=False):
-    if seed:
+def _add_common(p, *, sampled=False):
+    if sampled:
         p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    if bound:
         p.add_argument("--bound", type=int, default=100,
                        help="integer sampling bound (default 100)")
-    if trials:
-        p.add_argument("--trials", type=int, default=5,
-                       help="independent samples per estimate (default 5)")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
-# Time grows with --trials and with the bound, neither read by the multiplicity grid
-# (fresh, 2 vCPUs, CPython 3.11.7): `multiplicity --n 44 --k 4 --h 1` takes 0.6-0.7 s at
-# 5 trials and 2.0-2.3 s at 20.  The budgets weigh the bound by fits up to 10^6:
-# pfaffian.sample_work for samples and estimates, pfaffian.terracini_work for `secant`.
-MAX_TRIALS, MAX_BOUND = 20, 10 ** 6
+# The budgets weigh the bound by fits up to 10^6: pfaffian.sample_work for `sample`,
+# pfaffian.terracini_work for `secant`.
+MAX_BOUND = 10 ** 6
 
 
 def build_parser():
@@ -266,7 +257,7 @@ def build_parser():
     p = sub.add_parser("verify", help="replay the full acceptance suite")
     p.add_argument("--only", type=suite, metavar="SUITE", help="run a single sub-suite")
     p.add_argument("--n", type=int, help="restrict n where applicable")
-    _add_common(p, seed=True, bound=True, trials=True)
+    _add_common(p, sampled=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("pfaffian", help="symbolic sub-Pfaffian of the generic matrix")
@@ -304,20 +295,20 @@ def build_parser():
     p = sub.add_parser("sample", help="random rational point of fixed even rank")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", type=int, required=True, help="rank/2 of the sample")
-    _add_common(p, seed=True, bound=True)
+    _add_common(p, sampled=True)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("multiplicity", help="vanishing orders of sub-Pfaffians")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, help="sub-Pfaffian size parameter (size 2k+2)")
-    p.add_argument("--h", type=int, help="rank/2 of the sampled points")
-    _add_common(p, seed=True, bound=True, trials=True)
+    p.add_argument("--h", type=int, help="rank/2 of the locus")
+    _add_common(p)
     p.set_defaults(fn=cmd_multiplicity)
 
     p = sub.add_parser("secant", help="dimensions of the degeneracy loci")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", type=int)
-    _add_common(p, seed=True, bound=True)
+    _add_common(p, sampled=True)
     p.set_defaults(fn=cmd_secant)
 
     p = sub.add_parser("chamber", help="chamber of a given divisor class")
@@ -335,11 +326,11 @@ def main(argv=None):
     if args.command == "multiplicity" and (args.k is None) != (args.h is None):
         parser.error("--k and --h must be given together")
     try:
-        trials, bound = getattr(args, "trials", 1), getattr(args, "bound", 1)
-        if trials < 1 or bound < 1:
-            raise ValueError("trials must be >= 1" if trials < 1 else "bound must be positive")
-        if trials > MAX_TRIALS or bound > MAX_BOUND:
-            raise ValueError(f"--trials is supported up to {MAX_TRIALS}, --bound up to {MAX_BOUND}")
+        bound = getattr(args, "bound", 1)
+        if bound < 1:
+            raise ValueError("bound must be positive")
+        if bound > MAX_BOUND:
+            raise ValueError(f"--bound is supported up to {MAX_BOUND}")
         config, results, lines, *code = args.fn(args)
         if args.json:
             # json.dumps joins every chunk at once (5x the peak memory); json.dump

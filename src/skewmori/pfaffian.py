@@ -11,15 +11,15 @@ so that pf(Z)^2 = det(Z).
 
 Points come as ``SkewMatrix`` values with ``int`` or ``Fraction`` entries,
 kept as given.  Orders of vanishing are read off the exact Taylor expansion
-at a point: the rank-2h normal form for the multiplicity grid, where they are
-exact, or random sums of h integer wedges x ^ y for the estimate that checks
-it.  No numerical tolerance exists anywhere in this module.
+at a point; the multiplicity grid reads them at the rank-2h normal form,
+where they are exact.  No numerical tolerance exists anywhere in this module.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations, compress
 from math import comb, isqrt, lcm, prod
 
@@ -198,8 +198,8 @@ def _check_index_set(n, indices):
 
 # Cap on the exponent entries sub_pfaffian writes: (|I| - 1)!! terms of
 # C(size, 2) exponents each.  The full Pfaffian of size 14 needs 135135 * 91, and
-# a single estimate at k = 5 and n = 50 (3.8 s fresh) 10395 * 1275.  Writing them
-# as JSON costs more than building them: cli.MAX_PFAFFIAN_REPORT prices that.
+# the Taylor passes at k = 5, 10395 * 66.  Writing them as JSON costs more than
+# building them: cli.MAX_PFAFFIAN_REPORT prices that.
 MAX_PFAFFIAN_ENTRIES = 15_000_000
 
 
@@ -282,27 +282,25 @@ def _wedge(pairs, x, y):
 # at bound 1, 2000 seeded samples over n = 1..8 needed at most 7 draws.
 MAX_DRAWS = 1000
 
-# A draw takes up to about 10 ns per unit of sample_work, and a Taylor pass to order
-# k + 1 up to 45 ns per unit of taylor_work (2 vCPUs, CPython 3.11.7): secant_sample
-# takes 0.23-0.28 s at (n, h) = (800, 1) (3.1e7) and, budget lifted, 0.26-0.27 s at
-# (200, 20) with bound 10^6 (1.7e8), fresh, since its rank check is on the 2h drawn
-# vectors (sample_work was fitted to a check on the dense point, and is kept so that no
-# refusal moves); vanishing_order 1.0-1.1 s at (n, k) = (11, 5) (4.3e7), fresh.  Printing
-# adds to `sample` at h = 1: `--n 1100 --h 1 --json` (5.9e7) takes 1.2-1.3 s fresh.
-# The multiplicity grid at n = 12 (4.55e7; passes at a sparse point) takes 0.6-0.7 s fresh.
+# At its edges `sample --json` takes 17-46 ns per unit of sample_work past the
+# interpreter's start, and the Taylor passes 14-23 ns per unit of taylor_work (fresh,
+# 2 vCPUs, CPython 3.11.7): the `sample` edges for h = 1..60 and bounds 1..10^6 take
+# 1.1-2.9 s and at most 222 MB, the six passes at k = 5 (4.3e7) 0.8-1.2 s as
+# `multiplicity --k 5 --h 1` at any n, and the grid at n = 12 (4.55e7) 0.9-1.0 s.
 MAX_SAMPLING_WORK = 60_000_000
 
 
 def sample_work(n, h, bound):
-    """(n+1)^2 h (48 + h b^2), b the bound's bits over 7: a fit to secant_sample's times."""
-    return (n + 1) ** 2 * h * (48 + h * max(1, bound.bit_length() / 7) ** 2)
+    """(n+1)^2 (44 + 4 h b) + (n+1) h^3 b^1.5, b the bound's bits over 7: printing the
+    point, summing its h wedges and the rank check on the 2h drawn vectors, a fit to the
+    times of `sample --json`."""
+    b = max(1, bound.bit_length() / 7)
+    return (n + 1) ** 2 * (44 + 4 * h * b) + (n + 1) * h ** 3 * b ** 1.5
 
 
 def taylor_work(n, k):
     """(2k+1)!! (2^(k+7) + C(n+1, 2)): terms of a size-(2k+2) sub-Pfaffian times the
-    cost of expanding each at a point, a fit to vanishing_order's times at max_order k+1.
-
-    multiplicity_estimate caps its passes lower, so it costs less than it is priced."""
+    cost of expanding each at a point, a fit to vanishing_order's times at max_order k+1."""
     return prod(range(2 * k + 1, 0, -2)) * (2 ** (k + 7) + comb(n + 1, 2))
 
 
@@ -365,32 +363,31 @@ def vanishing_order(polynomial, matrix, max_order):
     return min((degree for (degree, _), c in taylor.items() if c), default=max_order + 1)
 
 
-def multiplicity_estimate(n, k, h, trials=5, seed=0, bound=100):
-    """Vanishing order of a fixed size-(2k+2) sub-Pfaffian at random rank-2h points.
+@cache
+def _orders(k):
+    """Orders of pf(Z_{0..2k+1}) at J_1, ..., J_(k+1) of size 2k + 2, one Taylor pass to
+    its degree k + 1 each: exact, and shared by every n (multiplicity_grid)."""
+    p = sub_pfaffian(2 * k + 1, range(2 * k + 2))
+    return tuple(vanishing_order(p, SkewMatrix._make(
+        2 * k + 2, {(2 * i, 2 * i + 1): 1 for i in range(h)}), k + 1) for h in range(1, k + 2))
 
-    Minimum over independent samples, each drawn when needed; special points can
-    only raise the order, so the minimum recovers the generic value, which
-    multiplicity_grid proves exactly.
+
+def multiplicity(n, k, h):
+    """The grid's entry at (n, k, h): the order of vanishing of pf(Z_{0..2k+1}) along the
+    rank-2h locus at size n + 1, read at J_min(h, k+1) of size 2k + 2 whatever n.
+
+    Priced as taylor_work(2k + 1, k) against MAX_SAMPLING_WORK, before any build; the
+    price grows with k, so a huge k is refused at the first k' <= k over the budget,
+    before its (2k + 1)!! is formed.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if 2 * k + 2 > n + 1:
         raise ValueError(f"sub-Pfaffian size {2 * k + 2} exceeds matrix size {n + 1}")
     _check_h(n, h)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if trials * (taylor_work(n, k) + sample_work(n, h, bound)) > MAX_SAMPLING_WORK:
-        raise ValueError(f"the estimate at (n, k, h) = ({n}, {k}, {h}) with {trials} trials "
-                         "exceeds the sampling budget")
-    p = sub_pfaffian(n, range(2 * k + 2))
-    # p has degree k + 1; each trial's pass is capped to return min(best, its order)
-    best = k + 1
-    for t in range(trials):
-        best = vanishing_order(p, secant_sample(n, h, bound=bound, seed=f"{seed}:{t}"),
-                               max_order=best - 1)
-        if best == 0:
-            break
-    return best
+    if any(taylor_work(2 * j + 1, j) > MAX_SAMPLING_WORK for j in range(k + 1)):
+        raise ValueError(f"the vanishing order at k = {k} exceeds the sampling budget")
+    return _orders(k)[min(h, k + 1) - 1]
 
 
 def multiplicity_grid(n_values):
@@ -413,17 +410,8 @@ def multiplicity_grid(n_values):
         if any(work > MAX_SAMPLING_WORK
                for work in accumulate(taylor_work(n, k) for k in range((n + 1) // 2))):
             raise ValueError(f"the multiplicity grid at n = {n} exceeds the sampling budget")
-    rows, orders = [], {}  # k -> the orders at J_1, ..., J_(k+1) of size 2k + 2
-    for n in n_values:
-        for k in range((n + 1) // 2):
-            if k not in orders:
-                p = sub_pfaffian(2 * k + 1, range(2 * k + 2))
-                orders[k] = [vanishing_order(p, SkewMatrix._make(
-                    2 * k + 2, {(2 * i, 2 * i + 1): 1 for i in range(h)}), k + 1)
-                    for h in range(1, k + 2)]
-            for h in range(1, (n + 1) // 2 + 1):
-                rows.append((n, k, h, orders[k][min(h, k + 1) - 1], max(k - h + 1, 0)))
-    return rows
+    return [(n, k, h, _orders(k)[min(h, k + 1) - 1], max(k - h + 1, 0)) for n in n_values
+            for k in range((n + 1) // 2) for h in range(1, (n + 1) // 2 + 1)]
 
 
 def dim_secant(n, h):

@@ -252,13 +252,13 @@ CRITERIA = [
 SUITES = sorted({suite for _, suite, _, _ in CRITERIA})
 
 
-def run(only=None, n=None, seed=0, bound=100, trials=5):
+def run(only=None, n=None, seed=0, bound=100):
     """Run the suite (optionally one sub-suite); returns an ordered report."""
     if only is not None and only not in SUITES:
         raise ValueError(f"unknown suite {only!r}; choose from {', '.join(SUITES)}")
     if n is not None and n < 2:
         raise ValueError("n must be at least 2")
-    cfg = {"n": n, "seed": seed, "bound": bound, "trials": trials}
+    cfg = {"n": n, "seed": seed, "bound": bound}
     selected = [c for c in CRITERIA if only is None or c[1] == only]
     checks = []
     for name, suite, description, fn in selected:

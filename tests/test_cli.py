@@ -162,27 +162,20 @@ def test_domain_error_exit_code(capsys):
                  ["cones", "--n", "701", "--cone", "eff"],
                  ["cones", "--n", "1000", "--cone", "eff"],
                  ["cones", "--n", "100000000", "--cone", "mori"],
-                 ["multiplicity", "--n", "8", "--trials", "21"],
-                 ["multiplicity", "--n", "8", "--k", "3", "--h", "1", "--trials", "10000000"],
-                 ["verify", "--trials", "10000000"],
-                 ["multiplicity", "--n", "8", "--k", "3", "--h", "1", "--bound", str(10 ** 30)],
                  ["sample", "--n", "6", "--h", "2", "--bound", "1000001"],
                  ["secant", "--n", "8", "--bound", str(10 ** 30)],
                  ["secant", "--n", "15", "--bound", "1000000"],
                  ["secant", "--n", "18", "--h", "4", "--bound", "1000000"],
                  ["secant", "--n", "43", "--h", "1", "--bound", "1000000"],
                  ["verify", "--only", "secant", "--bound", str(10 ** 7)],
-                 ["sample", "--n", "1600", "--h", "1"], ["sample", "--n", "200", "--h", "100"],
-                 ["multiplicity", "--n", "3200", "--k", "0", "--h", "1"],
-                 ["multiplicity", "--n", "11", "--k", "5", "--h", "1"]):
+                 ["sample", "--n", "1118", "--h", "1"], ["sample", "--n", "1600", "--h", "1"],
+                 ["sample", "--n", "200", "--h", "100"]):
         code, _ = run_cli(*argv)
         assert code == 3, argv
-    # the grid reads neither --trials nor --bound, and a single estimate at n = 10
-    # stays accepted at the --trials cap
-    for argv in (["multiplicity", "--n", "10", "--trials", "14", "--bound", "1000000"],
-                 ["verify", "--only", "multiplicity", "--n", "10", "--trials", "20",
-                  "--bound", "1000000"],
-                 ["multiplicity", "--n", "10", "--k", "4", "--h", "5", "--trials", "20"]):
+    # the grid reads no --bound, and a single query depends on (k, min(h, k + 1)) alone
+    for argv in (["verify", "--only", "multiplicity", "--n", "10", "--bound", "1000000"],
+                 ["multiplicity", "--n", "10", "--k", "4", "--h", "5"],
+                 ["multiplicity", "--n", "3200", "--k", "0", "--h", "1"]):
         code, _ = run_cli(*argv)
         assert code == 0, argv
     for argv in (["verify", "--only", "multiplicity", "--n", "0"],
@@ -196,7 +189,7 @@ def test_domain_error_exit_code(capsys):
                  ["secant", "--n", "2", "--h", "1"]):
         code, _ = run_cli(*argv)
         assert code == 3 and "n must be at least 3" in capsys.readouterr().err, argv
-    # single estimates keep their range: z01 does not vanish at a rank-2 point of size 2
+    # single queries keep their range: z01 does not vanish at a rank-2 point of size 2
     code, out = run_cli("multiplicity", "--n", "1", "--k", "0", "--h", "1")
     assert code == 0 and out.splitlines()[1].split() == ["1", "0", "1", "0", "0"]
     code, out = run_cli("secant", "--n", "3")
@@ -205,23 +198,15 @@ def test_domain_error_exit_code(capsys):
 
 def test_bound_and_k_refused_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr(pfaffian, "sub_pfaffian", lambda *a: pytest.fail("built p"))
-    # main refuses --trials and --bound below 1 itself, as the grid reads neither
-    for argv, message in ((["secant", "--n", "8", "--bound", "0"], "bound must be positive"),
-                          (["secant", "--n", "8", "--bound", "-5"], "bound must be positive"),
-                          (["verify", "--only", "secant", "--bound", "0"], "bound must be positive"),
-                          (["multiplicity", "--n", "8", "--bound", "0"], "bound must be positive"),
-                          (["verify", "--only", "multiplicity", "--bound", "0"],
-                           "bound must be positive"),
-                          (["verify", "--only", "multiplicity", "--trials", "0"],
-                           "trials must be >= 1"),
-                          (["multiplicity", "--n", "8", "--trials", "-1"], "trials must be >= 1"),
-                          (["multiplicity", "--n", "8", "--k", "3", "--h", "1", "--trials", "0"],
-                           "trials must be >= 1")):
+    # main refuses --bound below 1 itself, as the grid does not read it
+    for argv in (["secant", "--n", "8", "--bound", "0"], ["secant", "--n", "8", "--bound", "-5"],
+                 ["verify", "--only", "secant", "--bound", "0"],
+                 ["verify", "--only", "multiplicity", "--bound", "0"]):
         code, _ = run_cli(*argv)
-        assert code == 3 and message in capsys.readouterr().err, argv
+        assert code == 3 and "bound must be positive" in capsys.readouterr().err, argv
     with pytest.raises(ValueError, match="bound must be positive"):
         pfaffian.terracini_dim(8, 1, bound=0)
-    # k < 0 is refused by the estimate itself, before it builds the sub-Pfaffian
+    # k < 0 is refused by the single query itself, before it builds the sub-Pfaffian
     code, _ = run_cli("multiplicity", "--n", "5", "--k", "-1", "--h", "1")
     err = capsys.readouterr().err
     assert code == 3 and "k must be >= 0" in err and "max_order" not in err
@@ -256,14 +241,17 @@ def test_pfaffian_report_budget_edge(monkeypatch, capsys):
 
 
 def test_sampling_budget_edge():
-    # `sample` is accepted up to n = 1100 at h = 1 and a single estimate at
-    # (n, k, h) = (11, 5, 1) for one trial; every single estimate at n = 10 at the caps
+    # `sample` is priced by a fit to its times with --json: accepted up to n = 1117 at
+    # h = 1, 1073 at h = 2 and 663 at h = 20 for bounds up to 127, up to 1039, 946 and
+    # 402 at 10^6, and never at h = 100; a single query up to k = 5, priced at size 12
     sample, taylor = pfaffian.sample_work, pfaffian.taylor_work
-    budget, bound = pfaffian.MAX_SAMPLING_WORK, 10 ** 6
-    assert sample(1100, 1, 100) <= budget < sample(1110, 1, 100)
-    assert taylor(11, 5) + sample(11, 1, 100) <= budget < 2 * taylor(11, 5)
-    assert 20 * max(taylor(10, k) + sample(10, h, bound)
-                    for k in range(5) for h in range(1, 6)) <= budget
+    budget, big = pfaffian.MAX_SAMPLING_WORK, 10 ** 6
+    for h, n, n_big in ((1, 1117, 1039), (2, 1073, 946), (20, 663, 402)):
+        for bound in (1, 100):
+            assert sample(n, h, bound) <= budget < sample(n + 1, h, bound), (h, bound)
+        assert sample(n_big, h, big) <= budget < sample(n_big + 1, h, big), h
+    assert budget < sample(199, 100, 1)
+    assert taylor(11, 5) <= budget < taylor(13, 6)
 
 
 def test_grid_edge_refused_before_any_build(monkeypatch, capsys):
@@ -279,18 +267,40 @@ def test_grid_edge_refused_before_any_build(monkeypatch, capsys):
 
 
 def test_grid_draws_no_sample_and_reads_no_seed(monkeypatch):
-    # the grid is exact at the normal form: --seed, --trials and --bound are only echoed
+    # the grid is exact at the normal form: verify's --seed and --bound are only echoed
     monkeypatch.setattr(pfaffian, "secant_sample", lambda *a, **k: pytest.fail("drew a sample"))
-    for command in (["multiplicity", "--n", "8"], ["verify", "--only", "multiplicity"]):
-        results = set()
-        for seed, trials, bound in product((0, 3, 7), (1, 20), (1, 10 ** 6)):
-            code, out = run_cli(*command, "--json", "--seed", str(seed), "--trials", str(trials),
-                                "--bound", str(bound))
-            report = json.loads(out)
-            assert code == 0 and (report["config"]["seed"], report["config"]["trials"],
-                                  report["config"]["bound"]) == (seed, trials, bound)
-            results.add(json.dumps(report["results"]))
-        assert len(results) == 1, command
+    for argv in (["--n", "8"], ["--n", "8", "--k", "3", "--h", "2"]):
+        code, out = run_cli("multiplicity", *argv, "--json")
+        assert code == 0 and set(json.loads(out)["config"]) == {"n", "k", "h"}, argv
+    results = set()
+    for seed, bound in product((0, 3, 7), (1, 10 ** 6)):
+        code, out = run_cli("verify", "--only", "multiplicity", "--json", "--seed", str(seed),
+                            "--bound", str(bound))
+        report = json.loads(out)
+        assert code == 0 and report["config"] == {"n": None, "seed": seed, "bound": bound}
+        results.add(json.dumps(report["results"]))
+    assert len(results) == 1
+
+
+def test_dropped_options_are_usage_errors(capsys):
+    for argv in (["verify", "--trials", "5"], ["multiplicity", "--n", "8", "--trials", "5"],
+                 ["multiplicity", "--n", "8", "--seed", "1"],
+                 ["multiplicity", "--n", "8", "--bound", "5"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+def test_single_query_edges(monkeypatch, capsys):
+    # one query is priced as its passes at size 2k + 2, whatever n: k = 5 runs at any n
+    # and k = 6 is refused before any build
+    for n in ("11", "1000000"):
+        code, out = run_cli("multiplicity", "--n", n, "--k", "5", "--h", "1")
+        assert code == 0 and out.splitlines()[1].split() == [n, "5", "1", "5", "5"]
+    monkeypatch.setattr(pfaffian, "sub_pfaffian", lambda *a: pytest.fail("built p"))
+    for n, k in ((13, 6), (10 ** 10, 6), (10 ** 12, 10 ** 11)):
+        code, _ = run_cli("multiplicity", "--n", str(n), "--k", str(k), "--h", "1")
+        assert code == 3 and "exceeds the sampling budget" in capsys.readouterr().err, (n, k)
 
 
 def test_broken_invariant_is_not_a_refusal(monkeypatch):
@@ -366,13 +376,15 @@ RECORDED_REPORTS = [
      "5f39e8ccc947ec11594849ba82f561712571673df4a8fcdd730bfd9fd7bf8933"),
     ("multiplicity --n 7 --k 2 --h 1", 0,
      "27186beccfdc6377b984f6ce5f951262c47130629c926ccc348679ce0445f615"),
-    ("multiplicity --n 8 --json", 0, "9d19a426ddaca59222ad60e46b9a4c2c1b64ecd5f3676c3f413d10f508680a96"),
+    # the report of 1f930f4 less the config keys of the dropped --trials, --seed, --bound
+    ("multiplicity --n 8 --json", 0, "04506bd59e05eb6fe4bf53ffe7474fa3346d72b6f2bd4d0dd54b9903ddce5691"),
     ("verify --only multiplicity --json --seed 3", 0,
-     "c4c1f45cb2d09b6fe3a80c81f2fba38ce8e15d45647d682682a6e57c7801d0d7"),
+     "a2fa74d0d8c9e625927a9383d85b93e280d8cc84e31da23fe9520189bd456b80"),
     ("secant --n 8", 0, "6c573e7b547b837ded6f17aa6dc0e838b892058c5644231fd847cd26c2f595b1"),
     # recorded at 7b2b616
     ("secant --n 8 --json", 0, "a572b21be96b06de714399fed6e05449d32542d12ce8f927ebd36dc2557bbcd3"),
-    ("verify --only fano --json", 0, "b77a4528c4adcfe224e6efded9fb7d185f0ff3b6622362300c042f7f4a5b1cf0"),
+    # the report of 1f930f4 less the config key of the dropped --trials
+    ("verify --only fano --json", 0, "95bc3099b5a8026635fc9c555e81e664a416243e745f5914332e2befd75a7d09"),
     # at n = 6 and 8: a maximal chamber, a face and a class outside Eff
     ("chamber --n 6 --point 1,3,1", 0, "0948fe773a3a1cad7f665288079b5ebf4051b51cf8026a5ca73e201bec7aa967"),
     ("chamber --n 6 --point 2,-1,0 --json", 0,
@@ -430,14 +442,12 @@ def test_byte_identical_reports():
 
 
 def test_verify_restricted_to_one_n():
-    code, out = run_cli("verify", "--only", "multiplicity", "--n", "4",
-                        "--trials", "2", "--bound", "30")
+    code, out = run_cli("verify", "--only", "multiplicity", "--n", "4", "--bound", "30")
     assert code == 0 and "PASS" in out
 
 
 def test_multiplicity_grid_command():
-    code, out = run_cli("multiplicity", "--n", "4", "--trials", "2",
-                        "--bound", "20", "--json")
+    code, out = run_cli("multiplicity", "--n", "4", "--json")
     assert code == 0
     rows = json.loads(out)["results"]
     assert all(r["order"] == r["expected"] for r in rows)

@@ -16,7 +16,7 @@ from skewmori.pfaffian import (
     SkewMatrix,
     codim_secant,
     dim_secant,
-    multiplicity_estimate,
+    multiplicity,
     pfaffian_value,
     secant_sample,
     skew_inverse,
@@ -329,31 +329,18 @@ def test_vanishing_order_on_secant_points():
 
 
 def test_multiplicity_examples():
-    assert multiplicity_estimate(7, 2, 1, trials=3, seed=0, bound=30) == 2
-    assert multiplicity_estimate(7, 1, 2, trials=3, seed=0, bound=30) == 0
-    assert multiplicity_estimate(6, 2, 2, trials=3, seed=0, bound=30) == 1
+    assert multiplicity(7, 2, 1) == 2
+    assert multiplicity(7, 1, 2) == 0
+    assert multiplicity(6, 2, 2) == 1
 
 
 def uncapped_estimate(n, k, h, trials, seed, bound):
-    """The minimum over all trials of a full Taylor pass to order k + 1."""
+    """The orders at random rank-2h points, one full Taylor pass to order k + 1 each:
+    special points only raise the order, so the least is the generic order once one
+    point is generic."""
     p = sub_pfaffian(n, range(2 * k + 2))
     return [vanishing_order(p, secant_sample(n, h, bound=bound, seed=f"{seed}:{t}"), k + 1)
             for t in range(trials)]
-
-
-def test_capped_estimate_matches_uncapped_minimum():
-    # multiplicity_estimate caps each later trial at the best order so far
-    lowered = 0
-    for n in range(2, 9):
-        for bound in (1, 2, 100):
-            for k in range((n + 1) // 2):
-                for h in range(1, (n + 1) // 2 + 1):
-                    orders = uncapped_estimate(n, k, h, 5, n, bound)
-                    assert multiplicity_estimate(n, k, h, trials=5, seed=n, bound=bound) == min(orders)
-                    assert multiplicity_estimate(n, k, h, trials=1, seed=n, bound=bound) == orders[0]
-                    lowered += min(orders) < orders[0]
-    # some later trial does lower the first trial's order, so the capped passes decide
-    assert lowered
 
 
 def test_exact_grid_pinned_through_twelve():
@@ -364,24 +351,47 @@ def test_exact_grid_pinned_through_twelve():
     assert len(rows) == 181
 
 
-def test_grid_reads_one_pass_per_k_and_capped_h(monkeypatch):
-    # pf(Z_{0..2k+1}) has no variable outside rows 0..2k+1, where J_h is J_min(h, k+1):
-    # the 181 entries through n = 12 take one pass per (k, min(h, k + 1)), 21 in all
+def count_passes(monkeypatch):
+    """Empty the memoised orders and record (p.n, size, rank, cap) for every Taylor pass."""
+    pfaffian._orders.cache_clear()
     calls, real = [], pfaffian.vanishing_order
     monkeypatch.setattr(pfaffian, "vanishing_order", lambda p, z, cap: calls.append(
         (p.n, z.size, z.rank(), cap)) or real(p, z, cap))
+    return calls
+
+
+def test_grid_reads_one_pass_per_k_and_capped_h(monkeypatch):
+    # pf(Z_{0..2k+1}) has no variable outside rows 0..2k+1, where J_h is J_min(h, k+1):
+    # the 181 entries through n = 12 take one pass per (k, min(h, k + 1)), 21 in all
+    calls = count_passes(monkeypatch)
     rows = pfaffian.multiplicity_grid(range(2, 13))
     assert len(rows) == 181 and len(calls) == len(set(calls)) == 21
     assert all(n + 1 == size == 2 * cap for n, size, _, cap in calls)
 
 
+def test_single_query_equals_the_grid():
+    for n in range(2, 13):
+        assert pfaffian.multiplicity_grid([n]) == [
+            (n, k, h, multiplicity(n, k, h), max(k - h + 1, 0))
+            for k in range((n + 1) // 2) for h in range(1, (n + 1) // 2 + 1)]
+
+
+def test_repeated_single_query_takes_no_second_pass(monkeypatch):
+    # one pass per h <= k + 1 at size 2k + 2, whatever n, and none for a repeat
+    calls = count_passes(monkeypatch)
+    assert multiplicity(8, 3, 2) == 2
+    assert [(size, cap) for _, size, _, cap in calls] == [(8, 4)] * 4
+    assert multiplicity(8, 3, 2) == multiplicity(1000, 3, 2) == 2 and multiplicity(9, 3, 5) == 0
+    assert len(calls) == 4
+
+
 def test_multiplicity_parameter_validation():
     with pytest.raises(ValueError):
-        multiplicity_estimate(4, 2, 1)
+        multiplicity(4, 2, 1)
     with pytest.raises(ValueError):
-        multiplicity_estimate(7, 2, 5)
-    with pytest.raises(ValueError):
-        multiplicity_estimate(7, 2, 1, trials=0)
+        multiplicity(7, 2, 5)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        multiplicity(7, -1, 1)
 
 
 def test_secant_dimensions():
@@ -448,10 +458,11 @@ def test_terracini_dims_on_degenerate_draws():
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_multiplicity_grid_past_eight(n):
-    # the random estimate, entry by entry, is an oracle independent of the normal form
+    # the least order over random points, entry by entry, is an oracle independent of the
+    # normal form
     rows = pfaffian.multiplicity_grid([n])
     assert len(rows) == 25
-    assert rows == [(n, k, h, multiplicity_estimate(n, k, h, trials=5, seed=f"0:{n}", bound=100),
+    assert rows == [(n, k, h, min(uncapped_estimate(n, k, h, 5, f"0:{n}", 100)),
                      max(k - h + 1, 0)) for _, k, h, _, _ in rows]
 
 
