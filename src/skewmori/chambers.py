@@ -138,7 +138,7 @@ def first_blowup_configuration(n):
     (k+1) H - k E_1, for sizes up to n+1 for odd n (the full Pfaffian), n for even n."""
     if n < 4:
         raise ValueError("the single blow-up model needs n >= 4")
-    # `blowup1 --json` takes 0.27-0.45 s and 18 MB peak RSS at n = 400, and 0.32-0.39 s at
+    # `blowup1 --json` takes 0.38-0.51 s and 18 MB peak RSS at n = 400, and 0.39-0.60 s at
     # n = 450 with both caps lifted, fresh (2 vCPUs, CPython 3.11.7)
     if n > 400:
         raise ValueError("the single blow-up model is supported up to n = 400")
@@ -424,19 +424,19 @@ def blowup_one_decomposition(n):
 def first_blowup_intervals(n):
     """Rank-two chambers of A(n)_1 as half-open wall intervals.
 
-    Walls sit at E_1 and the classes (k+1) H - k E_1.  Boundary classes
-    follow the interval convention [E_1, D_2), [D_2, D_4], (D_4, D_6], ...:
-    a wall belongs to the side whose base locus it shares.
+    Walls sit at E_1 and the classes (k+1) H - k E_1.  An interval is closed at a
+    wall ray iff the signature there is its own, so a wall belongs to each side whose
+    base locus it shares: [E_1, D_2), [D_2, D_4], (D_4, D_6], ...
     """
     dec = blowup_one_decomposition(n)
     rays = [(0, 1)] + [(k + 1, -k) for k in range((n - 1) // 2 + 1)]
+    at = [sbl_signature(dec.config, [dot(h, r) for h in dec.config.planes]) for r in rays]
     intervals = []
     for idx, (left, right) in enumerate(zip(rays, rays[1:])):
-        member = next(i for i, ch in enumerate(dec.chambers) if ch.rays == (left, right))
-        intervals.append({"left": left, "right": right, "closed_left": idx <= 1,
-                          "closed_right": idx != 0, "chamber": member,
-                          "forced": dec.chambers[member].forced,
-                          "signature": dec.chambers[member].signature})
+        ch = next(ch for ch in dec.chambers if ch.rays == (left, right))
+        intervals.append({"left": left, "right": right, "closed_left": at[idx] == ch.signature,
+                          "closed_right": at[idx + 1] == ch.signature, "forced": ch.forced,
+                          "signature": ch.signature})
     return intervals
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations, compress
+from itertools import combinations, compress
 from math import comb, isqrt, lcm, prod
 
 from . import linalg
@@ -282,11 +282,10 @@ def _wedge(pairs, x, y):
 # at bound 1, 2000 seeded samples over n = 1..8 needed at most 7 draws.
 MAX_DRAWS = 1000
 
-# At its edges `sample --json` takes 17-46 ns per unit of sample_work past the
-# interpreter's start, and the Taylor passes 14-23 ns per unit of taylor_work (fresh,
-# 2 vCPUs, CPython 3.11.7): the `sample` edges for h = 1..60 and bounds 1..10^6 take
-# 1.1-2.9 s and at most 222 MB, the six passes at k = 5 (4.3e7) 0.8-1.2 s as
-# `multiplicity --k 5 --h 1` at any n, and the grid at n = 12 (4.55e7) 0.9-1.0 s.
+# Fresh, with --json (2 vCPUs, CPython 3.11.7): the `sample` edges for h = 1..60 and
+# bounds 1..10^6 take 0.7-2.4 s and at most 167 MB; the six passes at k = 5 (4.3e7)
+# take 0.8-1.2 s as `multiplicity --k 5 --h 1` at any n, and the grid at n = 12, its
+# passes for k <= 5 (4.54e7), 0.8-1.2 s.
 MAX_SAMPLING_WORK = 60_000_000
 
 
@@ -298,10 +297,10 @@ def sample_work(n, h, bound):
     return (n + 1) ** 2 * (44 + 4 * h * b) + (n + 1) * h ** 3 * b ** 1.5
 
 
-def taylor_work(n, k):
-    """(2k+1)!! (2^(k+7) + C(n+1, 2)): terms of a size-(2k+2) sub-Pfaffian times the
-    cost of expanding each at a point, a fit to vanishing_order's times at max_order k+1."""
-    return prod(range(2 * k + 1, 0, -2)) * (2 ** (k + 7) + comb(n + 1, 2))
+def taylor_work(k):
+    """(2k+1)!! (2^(k+7) + C(2k+2, 2)): the size-(2k+2) sub-Pfaffian's terms times the cost
+    of expanding each at a point of that size, fit to vanishing_order at max_order k+1."""
+    return prod(range(2 * k + 1, 0, -2)) * (2 ** (k + 7) + comb(2 * k + 2, 2))
 
 
 def secant_sample(n, h, bound=100, seed=0):
@@ -320,7 +319,9 @@ def secant_sample(n, h, bound=100, seed=0):
     for _ in range(MAX_DRAWS):
         xy = [[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(2 * h)]
         if linalg.rank(xy) == 2 * h:
-            coords = map(sum, zip(*(_wedge(pairs, x, y) for x, y in zip(xy[::2], xy[1::2]))))
+            coords = [0] * len(pairs)
+            for x, y in zip(xy[::2], xy[1::2]):  # a running sum: three lists live, not h
+                coords = [c + w for c, w in zip(coords, _wedge(pairs, x, y))]
             # skew and integral by construction: nothing for __init__ to check
             return SkewMatrix._make(n + 1, {p: c for p, c in zip(pairs, coords) if c})
     raise ValueError(f"no rank-{2 * h} point in {MAX_DRAWS} draws with bound {bound}")
@@ -376,16 +377,16 @@ def multiplicity(n, k, h):
     """The grid's entry at (n, k, h): the order of vanishing of pf(Z_{0..2k+1}) along the
     rank-2h locus at size n + 1, read at J_min(h, k+1) of size 2k + 2 whatever n.
 
-    Priced as taylor_work(2k + 1, k) against MAX_SAMPLING_WORK, before any build; the
-    price grows with k, so a huge k is refused at the first k' <= k over the budget,
-    before its (2k + 1)!! is formed.
+    Priced as taylor_work(k) against MAX_SAMPLING_WORK, before any build; the price
+    grows with k, so a huge k is refused at the first k' <= k over the budget, before
+    its (2k + 1)!! is formed.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if 2 * k + 2 > n + 1:
         raise ValueError(f"sub-Pfaffian size {2 * k + 2} exceeds matrix size {n + 1}")
     _check_h(n, h)
-    if any(taylor_work(2 * j + 1, j) > MAX_SAMPLING_WORK for j in range(k + 1)):
+    if any(taylor_work(j) > MAX_SAMPLING_WORK for j in range(k + 1)):
         raise ValueError(f"the vanishing order at k = {k} exceeds the sampling budget")
     return _orders(k)[min(h, k + 1) - 1]
 
@@ -403,14 +404,15 @@ def multiplicity_grid(n_values):
     where it meets the bound it is the generic order.  p has no variable outside
     rows 0..2k+1, and J_h restricted to them is J_min(h, k+1) of size 2k + 2, so
     the order depends on (k, min(h, k + 1)) alone and is read once, at that size,
-    for every n.  Priced as one pass per (n, k) against MAX_SAMPLING_WORK, before
-    any sub-Pfaffian is built.
+    for every n.  Priced as the passes it runs against MAX_SAMPLING_WORK, before any
+    build; a huge n is refused at the first pass over it, before the sum is formed.
     """
-    for n in n_values:
-        if any(work > MAX_SAMPLING_WORK
-               for work in accumulate(taylor_work(n, k) for k in range((n + 1) // 2))):
-            raise ValueError(f"the multiplicity grid at n = {n} exceeds the sampling budget")
-    return [(n, k, h, _orders(k)[min(h, k + 1) - 1], max(k - h + 1, 0)) for n in n_values
+    top = max(n_values, default=0)
+    passes = range((top + 1) // 2)
+    if any(taylor_work(k) > MAX_SAMPLING_WORK for k in passes) or (
+            sum(map(taylor_work, passes)) > MAX_SAMPLING_WORK):
+        raise ValueError(f"the multiplicity grid at n = {top} exceeds the sampling budget")
+    return [(n, k, h, multiplicity(n, k, h), max(k - h + 1, 0)) for n in n_values
             for k in range((n + 1) // 2) for h in range(1, (n + 1) // 2 + 1)]
 
 

@@ -129,8 +129,7 @@ def check_fano(cfg):
 
 
 def check_multiplicity(cfg):
-    n_values = range(2, 9) if cfg["n"] is None else [cfg["n"]]
-    rows = pfaffian.multiplicity_grid(n_values)
+    rows = pfaffian.multiplicity_grid(range(2, 9))
     bad = [(n, k, h, got, want) for n, k, h, got, want in rows if got != want]
     return not bad, f"{len(rows)} grid entries, mismatches: {bad}"
 
@@ -138,7 +137,7 @@ def check_multiplicity(cfg):
 def check_secant_dims(cfg):
     rows = []
     for n in range(3, 9):
-        dims = pfaffian.terracini_dims(n, (n + 1) // 2 - 1, bound=cfg["bound"], seed=cfg["seed"])
+        dims = pfaffian.terracini_dims(n, (n + 1) // 2 - 1, seed=cfg["seed"])
         for h, t in enumerate(dims, 1):
             d = pfaffian.dim_secant(n, h)
             c = pfaffian.codim_secant(n, h)
@@ -252,13 +251,11 @@ CRITERIA = [
 SUITES = sorted({suite for _, suite, _, _ in CRITERIA})
 
 
-def run(only=None, n=None, seed=0, bound=100):
+def run(only=None, seed=0):
     """Run the suite (optionally one sub-suite); returns an ordered report."""
     if only is not None and only not in SUITES:
         raise ValueError(f"unknown suite {only!r}; choose from {', '.join(SUITES)}")
-    if n is not None and n < 2:
-        raise ValueError("n must be at least 2")
-    cfg = {"n": n, "seed": seed, "bound": bound}
+    cfg = {"seed": seed}
     selected = [c for c in CRITERIA if only is None or c[1] == only]
     checks = []
     for name, suite, description, fn in selected:

@@ -9,7 +9,7 @@ import pytest
 
 from skewmori import verify
 
-CONFIG = {"n": None, "seed": 0, "bound": 100}
+CONFIG = {"seed": 0}
 
 
 def _criterion(number, name, check):

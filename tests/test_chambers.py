@@ -285,6 +285,15 @@ def test_blowup_one_intervals_n5():
     assert [sorted(r["forced"]) for r in iv] == [["S1"], [], ["T6"]]
 
 
+def test_blowup_interval_closures_follow_the_signatures():
+    # a wall ray is closed on each side whose signature it shares: [E_1, D_2), [D_2, D_4],
+    # then (D_2k, D_2k+2] up to the last Pfaffian
+    for n in range(4, 61):
+        iv = first_blowup_intervals(n)
+        assert [(r["closed_left"], r["closed_right"]) for r in iv] == [
+            (True, False), (True, True)] + [(False, True)] * (len(iv) - 2), n
+
+
 def test_blowup_one_walls_n6():
     iv = first_blowup_intervals(6)
     assert [r["right"] for r in iv] == [(1, 0), (2, -1), (3, -2)]

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -153,7 +152,6 @@ def test_domain_error_exit_code(capsys):
     assert code == 3
     for argv in (["multiplicity", "--n", "13"],
                  ["multiplicity", "--n", "13", "--k", "6", "--h", "1"],
-                 ["verify", "--only", "multiplicity", "--n", "13"],
                  ["secant", "--n", "18"], ["secant", "--n", "20"],
                  ["secant", "--n", "18", "--h", "8"], ["secant", "--n", "8", "--h", "0"],
                  ["blowup1", "--n", "401"], ["blowup1", "--n", "1000"],
@@ -167,20 +165,16 @@ def test_domain_error_exit_code(capsys):
                  ["secant", "--n", "15", "--bound", "1000000"],
                  ["secant", "--n", "18", "--h", "4", "--bound", "1000000"],
                  ["secant", "--n", "43", "--h", "1", "--bound", "1000000"],
-                 ["verify", "--only", "secant", "--bound", str(10 ** 7)],
                  ["sample", "--n", "1118", "--h", "1"], ["sample", "--n", "1600", "--h", "1"],
                  ["sample", "--n", "200", "--h", "100"]):
         code, _ = run_cli(*argv)
         assert code == 3, argv
-    # the grid reads no --bound, and a single query depends on (k, min(h, k + 1)) alone
-    for argv in (["verify", "--only", "multiplicity", "--n", "10", "--bound", "1000000"],
-                 ["multiplicity", "--n", "10", "--k", "4", "--h", "5"],
+    # a single query depends on (k, min(h, k + 1)) alone
+    for argv in (["multiplicity", "--n", "10", "--k", "4", "--h", "5"],
                  ["multiplicity", "--n", "3200", "--k", "0", "--h", "1"]):
         code, _ = run_cli(*argv)
         assert code == 0, argv
-    for argv in (["verify", "--only", "multiplicity", "--n", "0"],
-                 ["verify", "--only", "multiplicity", "--n", "1"], ["verify", "--n", "-3"],
-                 ["multiplicity", "--n", "0"], ["multiplicity", "--n", "-4"],
+    for argv in (["multiplicity", "--n", "0"], ["multiplicity", "--n", "-4"],
                  ["multiplicity", "--n", "1"]):
         code, _ = run_cli(*argv)
         assert code == 3 and "n must be at least 2" in capsys.readouterr().err, argv
@@ -198,10 +192,9 @@ def test_domain_error_exit_code(capsys):
 
 def test_bound_and_k_refused_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr(pfaffian, "sub_pfaffian", lambda *a: pytest.fail("built p"))
-    # main refuses --bound below 1 itself, as the grid does not read it
+    # main refuses --bound below 1 itself
     for argv in (["secant", "--n", "8", "--bound", "0"], ["secant", "--n", "8", "--bound", "-5"],
-                 ["verify", "--only", "secant", "--bound", "0"],
-                 ["verify", "--only", "multiplicity", "--bound", "0"]):
+                 ["sample", "--n", "4", "--h", "1", "--bound", "0"]):
         code, _ = run_cli(*argv)
         assert code == 3 and "bound must be positive" in capsys.readouterr().err, argv
     with pytest.raises(ValueError, match="bound must be positive"):
@@ -243,7 +236,7 @@ def test_pfaffian_report_budget_edge(monkeypatch, capsys):
 def test_sampling_budget_edge():
     # `sample` is priced by a fit to its times with --json: accepted up to n = 1117 at
     # h = 1, 1073 at h = 2 and 663 at h = 20 for bounds up to 127, up to 1039, 946 and
-    # 402 at 10^6, and never at h = 100; a single query up to k = 5, priced at size 12
+    # 402 at 10^6, and never at h = 100; one Taylor pass up to k = 5, at size 12
     sample, taylor = pfaffian.sample_work, pfaffian.taylor_work
     budget, big = pfaffian.MAX_SAMPLING_WORK, 10 ** 6
     for h, n, n_big in ((1, 1117, 1039), (2, 1073, 946), (20, 663, 402)):
@@ -251,41 +244,58 @@ def test_sampling_budget_edge():
             assert sample(n, h, bound) <= budget < sample(n + 1, h, bound), (h, bound)
         assert sample(n_big, h, big) <= budget < sample(n_big + 1, h, big), h
     assert budget < sample(199, 100, 1)
-    assert taylor(11, 5) <= budget < taylor(13, 6)
+    assert taylor(5) <= budget < taylor(6)
 
 
 def test_grid_edge_refused_before_any_build(monkeypatch, capsys):
-    # the grid costs one Taylor pass per (n, k): 4.55e7 at n = 12, 1.16e9 at n = 13
-    work = lambda n: sum(pfaffian.taylor_work(n, k) for k in range((n + 1) // 2))
+    # the grid costs the passes it runs, one per k: 4.54e7 at n = 12, 1.16e9 at n = 13
+    work = lambda n: sum(map(pfaffian.taylor_work, range((n + 1) // 2)))
     assert work(12) <= pfaffian.MAX_SAMPLING_WORK < work(13)
     assert run_cli("multiplicity", "--n", "12")[0] == 0
     monkeypatch.setattr(pfaffian, "sub_pfaffian", lambda *a: pytest.fail("built p"))
-    for argv in (["multiplicity", "--n", "13"], ["verify", "--only", "multiplicity", "--n", "13"],
-                 ["multiplicity", "--n", "1000000000"]):
+    for argv in (["multiplicity", "--n", "13"], ["multiplicity", "--n", "1000000000"]):
         code, _ = run_cli(*argv)
         assert code == 3 and "multiplicity grid" in capsys.readouterr().err, argv
+    # the passes are summed: with the budget at the k = 5 pass alone, n = 12 is refused too
+    monkeypatch.setattr(pfaffian, "MAX_SAMPLING_WORK", pfaffian.taylor_work(5))
+    code, _ = run_cli("multiplicity", "--n", "12")
+    assert code == 3 and "multiplicity grid" in capsys.readouterr().err
 
 
 def test_grid_draws_no_sample_and_reads_no_seed(monkeypatch):
-    # the grid is exact at the normal form: verify's --seed and --bound are only echoed
+    # the grid is exact at the normal form: verify's --seed is only echoed
     monkeypatch.setattr(pfaffian, "secant_sample", lambda *a, **k: pytest.fail("drew a sample"))
     for argv in (["--n", "8"], ["--n", "8", "--k", "3", "--h", "2"]):
         code, out = run_cli("multiplicity", *argv, "--json")
         assert code == 0 and set(json.loads(out)["config"]) == {"n", "k", "h"}, argv
     results = set()
-    for seed, bound in product((0, 3, 7), (1, 10 ** 6)):
-        code, out = run_cli("verify", "--only", "multiplicity", "--json", "--seed", str(seed),
-                            "--bound", str(bound))
+    for seed in (0, 3, 7):
+        code, out = run_cli("verify", "--only", "multiplicity", "--json", "--seed", str(seed))
         report = json.loads(out)
-        assert code == 0 and report["config"] == {"n": None, "seed": seed, "bound": bound}
+        assert code == 0 and report["config"] == {"seed": seed}
         results.add(json.dumps(report["results"]))
     assert len(results) == 1
 
 
+def test_verify_config_is_its_seed():
+    code, out = run_cli("verify", "--json", "--seed", "7")
+    report = json.loads(out)
+    assert code == 0 and report["config"] == {"seed": 7}
+    assert [c["name"] for c in report["results"]] == [name for name, *_ in verify.CRITERIA]
+
+
 def test_dropped_options_are_usage_errors(capsys):
+    # verify replays fixed inputs: one n is `multiplicity --n`, one bound `secant --bound`
+    verify_argv = [["--n", "7"], ["--n", "-3"], ["--bound", "5"],
+                   *(["--only", "multiplicity", "--n", n] for n in ("0", "1", "12", "13")),
+                   ["--only", "multiplicity", "--n", "4", "--bound", "30"],
+                   ["--only", "multiplicity", "--n", "10", "--bound", "1000000"],
+                   *(["--only", suite, "--bound", bound] for suite in ("multiplicity", "secant")
+                     for bound in ("0", "1000000", "10000000"))]
     for argv in (["verify", "--trials", "5"], ["multiplicity", "--n", "8", "--trials", "5"],
                  ["multiplicity", "--n", "8", "--seed", "1"],
-                 ["multiplicity", "--n", "8", "--bound", "5"]):
+                 ["multiplicity", "--n", "8", "--bound", "5"],
+                 *(["verify", *rest] for rest in verify_argv)):
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err, argv
@@ -378,13 +388,14 @@ RECORDED_REPORTS = [
      "27186beccfdc6377b984f6ce5f951262c47130629c926ccc348679ce0445f615"),
     # the report of 1f930f4 less the config keys of the dropped --trials, --seed, --bound
     ("multiplicity --n 8 --json", 0, "04506bd59e05eb6fe4bf53ffe7474fa3346d72b6f2bd4d0dd54b9903ddce5691"),
+    # the report of 123f000 less the config keys of the dropped verify --n and --bound
     ("verify --only multiplicity --json --seed 3", 0,
-     "a2fa74d0d8c9e625927a9383d85b93e280d8cc84e31da23fe9520189bd456b80"),
+     "4e2337742e2983d573aee8f2219175c6996aa7db4fe029fea4236424e995a260"),
     ("secant --n 8", 0, "6c573e7b547b837ded6f17aa6dc0e838b892058c5644231fd847cd26c2f595b1"),
     # recorded at 7b2b616
     ("secant --n 8 --json", 0, "a572b21be96b06de714399fed6e05449d32542d12ce8f927ebd36dc2557bbcd3"),
-    # the report of 1f930f4 less the config key of the dropped --trials
-    ("verify --only fano --json", 0, "95bc3099b5a8026635fc9c555e81e664a416243e745f5914332e2befd75a7d09"),
+    # the report of 123f000 less the config keys of the dropped verify --n and --bound
+    ("verify --only fano --json", 0, "4a3f38e5cbbdfa967f90e690560eee2c541d03fde9b5eff403f1c7e05e970d8e"),
     # at n = 6 and 8: a maximal chamber, a face and a class outside Eff
     ("chamber --n 6 --point 1,3,1", 0, "0948fe773a3a1cad7f665288079b5ebf4051b51cf8026a5ca73e201bec7aa967"),
     ("chamber --n 6 --point 2,-1,0 --json", 0,
@@ -439,11 +450,6 @@ def test_byte_identical_reports():
     first = subprocess.run(cmd, capture_output=True, env=CHILD_ENV).stdout
     second = subprocess.run(cmd, capture_output=True, env=CHILD_ENV).stdout
     assert first == second and first
-
-
-def test_verify_restricted_to_one_n():
-    code, out = run_cli("verify", "--only", "multiplicity", "--n", "4", "--bound", "30")
-    assert code == 0 and "PASS" in out
 
 
 def test_multiplicity_grid_command():

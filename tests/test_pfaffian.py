@@ -1,6 +1,8 @@
 import json
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -282,6 +284,20 @@ def test_secant_sample_matches_the_dense_sum():
                     redrawn += draws > 1
     # at bound 1 some draws fall short of rank 2h, so the redraws are compared too
     assert redrawn
+
+
+def test_secant_sample_sums_its_wedges_as_it_goes():
+    # h wedges of C(n + 1, 2) entries each, about 2 * 10^4 at bound 100: summed into one
+    # running list, the peak stays below what ten such lists take, let alone h = 20
+    n, h = 60, 20
+    secant_sample(n, h, seed=1)
+    tracemalloc.start()
+    try:
+        secant_sample(n, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * (8 + sys.getsizeof(2 * 10 ** 4)) * comb(n + 1, 2)
 
 
 def test_secant_sample_gives_up(monkeypatch):
