@@ -452,6 +452,17 @@ def test_byte_identical_reports():
     assert first == second and first
 
 
+def test_verify_restricted_to_one_n():
+    # verify replays its fixed grid (n = 2..8); one n of it is run as `multiplicity --n`
+    code, out = run_cli("verify", "--only", "multiplicity")
+    assert code == 0 and "PASS" in out
+    code, out = run_cli("multiplicity", "--n", "4", "--json")
+    assert code == 0
+    rows = [(r["n"], r["k"], r["h"], r["order"], r["expected"])
+            for r in json.loads(out)["results"]]
+    assert rows and rows == [r for r in pfaffian.multiplicity_grid(range(2, 9)) if r[0] == 4]
+
+
 def test_multiplicity_grid_command():
     code, out = run_cli("multiplicity", "--n", "4", "--json")
     assert code == 0
