@@ -138,7 +138,7 @@ def first_blowup_configuration(n):
     (k+1) H - k E_1, for sizes up to n+1 for odd n (the full Pfaffian), n for even n."""
     if n < 4:
         raise ValueError("the single blow-up model needs n >= 4")
-    # `blowup1 --json` takes 0.38-0.51 s and 18 MB peak RSS at n = 400, and 0.39-0.60 s at
+    # `blowup1 --json` takes 0.26-0.44 s and 18 MB peak RSS at n = 400, and 0.31-0.49 s at
     # n = 450 with both caps lifted, fresh (2 vCPUs, CPython 3.11.7)
     if n > 400:
         raise ValueError("the single blow-up model is supported up to n = 400")
@@ -156,22 +156,16 @@ def sbl_signature(config, values):
     They are the minimal cocircuits N_h with h.w < 0 that hold no empty
     stratum (see the module docstring); w need not be generic.
     """
-    cocircuits, found = config.cocircuits, []
-    for c in sorted({cocircuits[k] for k in _bits(_signs(values)[1])} - {0}, key=int.bit_count):
-        if not any(f & c == f for f in found):
+    cocircuits, K, found = config.cocircuits, len(values), []
+    # the normals negative at w: +h_k (index k) if h_k.w < 0, -h_k (k + K) if h_k.w > 0
+    below = {cocircuits[k + K * (x > 0)] for k, x in enumerate(values) if x}
+    for c in sorted(below - {0}, key=int.bit_count):
+        for f in found:
+            if f & c == f:
+                break
+        else:
             found.append(c)
     return frozenset(frozenset().union(*(config.owners[i] for i in _bits(c))) for c in found)
-
-
-def _signs(values):
-    """Masks of the normals +h_k then -h_k with h_k.w > 0, and with h_k.w < 0."""
-    pos = neg = 0
-    for k, x in enumerate(values):
-        if x > 0:
-            pos |= 1 << k
-        elif x < 0:
-            neg |= 1 << k
-    return pos | neg << len(values), neg | pos << len(values)
 
 
 def _divisorial(signature):
@@ -205,12 +199,14 @@ class Region(Record):
 
 
 class Decomposition:
-    """Chambers, sorted (i, j, facet rays) walls of chambers i < j, and regions."""
+    """Chambers, sorted (i, j, facet rays) walls of chambers i < j, regions, and the
+    ray_values h.r over the planes of each chamber ray r."""
 
-    def __init__(self, config, chambers, walls):
+    def __init__(self, config, chambers, walls, ray_values):
         self.config = config
         self.chambers = tuple(chambers)
         self.walls = tuple(walls)
+        self.ray_values = ray_values
         self._regions = None
 
     @property
@@ -278,7 +274,7 @@ def _add(a, b):
 # 4.0e6 for the single blow-up at its cap n = 400 (rank 2, 201 degrees).  The price bounds
 # the walk: at n = 15 (13532 chambers) it takes 29-38 s in process.  Fresh, with --json,
 # `gkz` takes 1.3-2.2 s at n = 13 and 3.1-4.5 s at n = 14, and `blowup1 --n 400`
-# 0.27-0.45 s (2 vCPUs, CPython 3.11.7).
+# 0.26-0.44 s (2 vCPUs, CPython 3.11.7).
 MAX_CHAMBER_WORK = 5_000_000
 
 # `chamber --json` takes 0.3-0.5 s at n = 14, 0.35-0.55 s at n = 15 (rank 7) and 0.1 s there
@@ -342,7 +338,7 @@ def gkz_chambers(config):
     index = {cone.rays: i for i, (_, cone) in enumerate(order)}
     walls = sorted((*sorted((index[a], index[b])), on) for on, (a, b) in walls.items())
     return Decomposition(config, [GKZChamber(cone, cone.interior_point(), sbl_signature(
-        config, plane_values(cone.rays))) for _, cone in order], walls)
+        config, plane_values(cone.rays))) for _, cone in order], walls, ray_values)
 
 
 def chamber_of(config, w):
@@ -358,8 +354,8 @@ def chamber_of(config, w):
     if not config.ambient.contains(w):  # also refuses an inexact w or one of the wrong length
         raise ValueError("class outside the effective cone")
     values = [sum(map(mul, h, w)) for h in config.planes]
-    above = _signs(values)[0]
-    if above not in config._cells:
+    signs = tuple((x > 0) - (x < 0) for x in values)
+    if signs not in config._cells:
         held = _held(config, w, values=[a or b for a, b in zip(values, config.direction)])
         cone = _canonical_chamber(config, held)
         tight = [f for f in cone.facets if not dot(f, w)]
@@ -368,8 +364,8 @@ def chamber_of(config, w):
             if rays not in config._faces:
                 config._faces[rays] = Cone.from_generators(rays, config.rank)
             cone = config._faces[rays]
-        config._cells[above] = cone, sbl_signature(config, values)
-    cone, signature = config._cells[above]
+        config._cells[signs] = cone, sbl_signature(config, values)
+    cone, signature = config._cells[signs]
     return GKZChamber(cone, w, signature)
 
 
@@ -430,7 +426,7 @@ def first_blowup_intervals(n):
     """
     dec = blowup_one_decomposition(n)
     rays = [(0, 1)] + [(k + 1, -k) for k in range((n - 1) // 2 + 1)]
-    at = [sbl_signature(dec.config, [dot(h, r) for h in dec.config.planes]) for r in rays]
+    at = [sbl_signature(dec.config, dec.ray_values[r]) for r in rays]
     intervals = []
     for idx, (left, right) in enumerate(zip(rays, rays[1:])):
         ch = next(ch for ch in dec.chambers if ch.rays == (left, right))

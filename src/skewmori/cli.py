@@ -40,7 +40,7 @@ def _vec(v):
 
 
 def cmd_verify(args):
-    report = verify.run(only=args.only, seed=args.seed)
+    report = verify.run(only=args.only, n=args.n, seed=args.seed)
     lines = [f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']:<20} {c['detail']}"
              for c in report["checks"]]
     lines.append(f"{report['passed']}/{report['total']} checks passed")
@@ -256,6 +256,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="replay the full acceptance suite")
     p.add_argument("--only", type=suite, metavar="SUITE", help="run a single sub-suite")
+    p.add_argument("--n", type=int, help="run the multiplicity grid at this n alone")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     _add_common(p)
     p.set_defaults(fn=cmd_verify)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, compress
+from itertools import accumulate, combinations, compress
 from math import comb, isqrt, lcm, prod
 
 from . import linalg
@@ -405,14 +405,13 @@ def multiplicity_grid(n_values):
     rows 0..2k+1, and J_h restricted to them is J_min(h, k+1) of size 2k + 2, so
     the order depends on (k, min(h, k + 1)) alone and is read once, at that size,
     for every n.  Priced as the passes it runs against MAX_SAMPLING_WORK, before any
-    build; a huge n is refused at the first pass over it, before the sum is formed.
+    build; a huge n is refused at the first partial sum over it.
     """
     top = max(n_values, default=0)
-    passes = range((top + 1) // 2)
-    if any(taylor_work(k) > MAX_SAMPLING_WORK for k in passes) or (
-            sum(map(taylor_work, passes)) > MAX_SAMPLING_WORK):
+    if any(work > MAX_SAMPLING_WORK
+           for work in accumulate(map(taylor_work, range((top + 1) // 2)))):
         raise ValueError(f"the multiplicity grid at n = {top} exceeds the sampling budget")
-    return [(n, k, h, multiplicity(n, k, h), max(k - h + 1, 0)) for n in n_values
+    return [(n, k, h, _orders(k)[min(h, k + 1) - 1], max(k - h + 1, 0)) for n in n_values
             for k in range((n + 1) // 2) for h in range(1, (n + 1) // 2 + 1)]
 
 

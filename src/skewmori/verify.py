@@ -129,7 +129,8 @@ def check_fano(cfg):
 
 
 def check_multiplicity(cfg):
-    rows = pfaffian.multiplicity_grid(range(2, 9))
+    n_values = range(2, 9) if cfg["n"] is None else [cfg["n"]]
+    rows = pfaffian.multiplicity_grid(n_values)
     bad = [(n, k, h, got, want) for n, k, h, got, want in rows if got != want]
     return not bad, f"{len(rows)} grid entries, mismatches: {bad}"
 
@@ -251,11 +252,13 @@ CRITERIA = [
 SUITES = sorted({suite for _, suite, _, _ in CRITERIA})
 
 
-def run(only=None, seed=0):
+def run(only=None, n=None, seed=0):
     """Run the suite (optionally one sub-suite); returns an ordered report."""
     if only is not None and only not in SUITES:
         raise ValueError(f"unknown suite {only!r}; choose from {', '.join(SUITES)}")
-    cfg = {"seed": seed}
+    if n is not None and n < 2:
+        raise ValueError("n must be at least 2")
+    cfg = {"n": n, "seed": seed}
     selected = [c for c in CRITERIA if only is None or c[1] == only]
     checks = []
     for name, suite, description, fn in selected:

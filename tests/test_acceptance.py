@@ -9,7 +9,7 @@ import pytest
 
 from skewmori import verify
 
-CONFIG = {"seed": 0}
+CONFIG = {"n": None, "seed": 0}
 
 
 def _criterion(number, name, check):

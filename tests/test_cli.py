@@ -152,6 +152,7 @@ def test_domain_error_exit_code(capsys):
     assert code == 3
     for argv in (["multiplicity", "--n", "13"],
                  ["multiplicity", "--n", "13", "--k", "6", "--h", "1"],
+                 ["verify", "--only", "multiplicity", "--n", "13"],
                  ["secant", "--n", "18"], ["secant", "--n", "20"],
                  ["secant", "--n", "18", "--h", "8"], ["secant", "--n", "8", "--h", "0"],
                  ["blowup1", "--n", "401"], ["blowup1", "--n", "1000"],
@@ -174,7 +175,9 @@ def test_domain_error_exit_code(capsys):
                  ["multiplicity", "--n", "3200", "--k", "0", "--h", "1"]):
         code, _ = run_cli(*argv)
         assert code == 0, argv
-    for argv in (["multiplicity", "--n", "0"], ["multiplicity", "--n", "-4"],
+    for argv in (["verify", "--only", "multiplicity", "--n", "0"],
+                 ["verify", "--only", "multiplicity", "--n", "1"], ["verify", "--n", "-3"],
+                 ["multiplicity", "--n", "0"], ["multiplicity", "--n", "-4"],
                  ["multiplicity", "--n", "1"]):
         code, _ = run_cli(*argv)
         assert code == 3 and "n must be at least 2" in capsys.readouterr().err, argv
@@ -253,7 +256,8 @@ def test_grid_edge_refused_before_any_build(monkeypatch, capsys):
     assert work(12) <= pfaffian.MAX_SAMPLING_WORK < work(13)
     assert run_cli("multiplicity", "--n", "12")[0] == 0
     monkeypatch.setattr(pfaffian, "sub_pfaffian", lambda *a: pytest.fail("built p"))
-    for argv in (["multiplicity", "--n", "13"], ["multiplicity", "--n", "1000000000"]):
+    for argv in (["multiplicity", "--n", "13"], ["verify", "--only", "multiplicity", "--n", "13"],
+                 ["multiplicity", "--n", "1000000000"]):
         code, _ = run_cli(*argv)
         assert code == 3 and "multiplicity grid" in capsys.readouterr().err, argv
     # the passes are summed: with the budget at the k = 5 pass alone, n = 12 is refused too
@@ -272,22 +276,21 @@ def test_grid_draws_no_sample_and_reads_no_seed(monkeypatch):
     for seed in (0, 3, 7):
         code, out = run_cli("verify", "--only", "multiplicity", "--json", "--seed", str(seed))
         report = json.loads(out)
-        assert code == 0 and report["config"] == {"seed": seed}
+        assert code == 0 and report["config"] == {"n": None, "seed": seed}
         results.add(json.dumps(report["results"]))
     assert len(results) == 1
 
 
-def test_verify_config_is_its_seed():
+def test_verify_config_holds_no_bound():
     code, out = run_cli("verify", "--json", "--seed", "7")
     report = json.loads(out)
-    assert code == 0 and report["config"] == {"seed": 7}
+    assert code == 0 and report["config"] == {"n": None, "seed": 7}
     assert [c["name"] for c in report["results"]] == [name for name, *_ in verify.CRITERIA]
 
 
 def test_dropped_options_are_usage_errors(capsys):
-    # verify replays fixed inputs: one n is `multiplicity --n`, one bound `secant --bound`
-    verify_argv = [["--n", "7"], ["--n", "-3"], ["--bound", "5"],
-                   *(["--only", "multiplicity", "--n", n] for n in ("0", "1", "12", "13")),
+    # verify samples at the paper's bound: another bound is `secant --bound`
+    verify_argv = [["--bound", "5"], ["--n", "-3", "--bound", "5"],
                    ["--only", "multiplicity", "--n", "4", "--bound", "30"],
                    ["--only", "multiplicity", "--n", "10", "--bound", "1000000"],
                    *(["--only", suite, "--bound", bound] for suite in ("multiplicity", "secant")
@@ -388,14 +391,14 @@ RECORDED_REPORTS = [
      "27186beccfdc6377b984f6ce5f951262c47130629c926ccc348679ce0445f615"),
     # the report of 1f930f4 less the config keys of the dropped --trials, --seed, --bound
     ("multiplicity --n 8 --json", 0, "04506bd59e05eb6fe4bf53ffe7474fa3346d72b6f2bd4d0dd54b9903ddce5691"),
-    # the report of 123f000 less the config keys of the dropped verify --n and --bound
+    # the report of 123f000 less the config key of the dropped verify --bound
     ("verify --only multiplicity --json --seed 3", 0,
-     "4e2337742e2983d573aee8f2219175c6996aa7db4fe029fea4236424e995a260"),
+     "f578a2098a5f03f57f4fcd91581a5f3c3c45d7de7c06932e69852fe5e22568fb"),
     ("secant --n 8", 0, "6c573e7b547b837ded6f17aa6dc0e838b892058c5644231fd847cd26c2f595b1"),
     # recorded at 7b2b616
     ("secant --n 8 --json", 0, "a572b21be96b06de714399fed6e05449d32542d12ce8f927ebd36dc2557bbcd3"),
-    # the report of 123f000 less the config keys of the dropped verify --n and --bound
-    ("verify --only fano --json", 0, "4a3f38e5cbbdfa967f90e690560eee2c541d03fde9b5eff403f1c7e05e970d8e"),
+    # the report of 123f000 less the config key of the dropped verify --bound
+    ("verify --only fano --json", 0, "27f9d72545e432aabcf5a173a6037ed8b51e8c7422e76625380c904367175ad3"),
     # at n = 6 and 8: a maximal chamber, a face and a class outside Eff
     ("chamber --n 6 --point 1,3,1", 0, "0948fe773a3a1cad7f665288079b5ebf4051b51cf8026a5ca73e201bec7aa967"),
     ("chamber --n 6 --point 2,-1,0 --json", 0,
@@ -453,14 +456,8 @@ def test_byte_identical_reports():
 
 
 def test_verify_restricted_to_one_n():
-    # verify replays its fixed grid (n = 2..8); one n of it is run as `multiplicity --n`
-    code, out = run_cli("verify", "--only", "multiplicity")
+    code, out = run_cli("verify", "--only", "multiplicity", "--n", "4")
     assert code == 0 and "PASS" in out
-    code, out = run_cli("multiplicity", "--n", "4", "--json")
-    assert code == 0
-    rows = [(r["n"], r["k"], r["h"], r["order"], r["expected"])
-            for r in json.loads(out)["results"]]
-    assert rows and rows == [r for r in pfaffian.multiplicity_grid(range(2, 9)) if r[0] == 4]
 
 
 def test_multiplicity_grid_command():
@@ -468,6 +465,9 @@ def test_multiplicity_grid_command():
     assert code == 0
     rows = json.loads(out)["results"]
     assert all(r["order"] == r["expected"] for r in rows)
+    # the rows at n = 4 of the grid that verify replays
+    assert [(r["n"], r["k"], r["h"], r["order"], r["expected"]) for r in rows] == [
+        r for r in pfaffian.multiplicity_grid(range(2, 9)) if r[0] == 4]
 
 
 def test_blowup1_command():
