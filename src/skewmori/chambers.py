@@ -15,7 +15,14 @@ sum of the chamber's other rays.  A class w of the effective cone is read along
 a fixed d on no spanned hyperplane, so the chamber its signs select holds w, and
 the cell of w is its face cut out by the facets through w.  Those signs, facets
 and the signature below read only w's sign vector over the spanned hyperplanes,
-so each answer is memoised per sign vector.
+so each answer is memoised per sign vector.  That vector is read from one
+integer: with the K planes packed into B-bit fields, sum_i w_i (sum_k h_k[i]
+2^(B k)) + sum_k 2^(B - 1) 2^(B k) holds h_k.w + 2^(B - 1) in field k.  Each
+|h_k.w| is at most max|h| sum|w_i|, at most 2^(B - 1) - 1 for the B chosen, so
+every field lies in [1, 2^B) and no carry or borrow crosses a field: its top
+bit is set iff h_k.w >= 0, and after subtracting 1 from every field iff
+h_k.w > 0.  Each facet of the effective cone is +h_k or -h_k, so membership
+is a test of those two masks too.
 
 A set G of generator families is *forced* at w when w is not a nonnegative
 combination of the degrees of the remaining families, and *empty* when it is
@@ -42,7 +49,7 @@ from operator import add, and_, mul, or_
 
 from . import geometry
 from .cones import Cone, hyperplanes_spanned_by
-from .linalg import Record, dot
+from .linalg import Record, clear_denominators, dot
 
 
 class VectorConfiguration:
@@ -63,7 +70,10 @@ class VectorConfiguration:
     such a basis cuts out nothing more; ``facet_bases``, per normal the mask of
     the bases with a facet on it; ``cocircuits``, per normal h the mask of N_h,
     or 0 if it holds an empty stratum; ``direction``, per plane a nonzero value
-    of h_k.p, or else of h_k.(1, m, ..., m^(r-1)): the signs that break h_k.w = 0.
+    of h_k.p, or else of h_k.(1, m, ..., m^(r-1)): the signs that break h_k.w = 0;
+    ``height``, the largest |h_k[i]|; ``effective``, the masks of the planes with
+    +h_k and with -h_k a facet normal of the effective cone, which needs degrees
+    spanning the lattice (else no basis holds any class).
     """
 
     def __init__(self, rank, families, polarization):
@@ -73,6 +83,7 @@ class VectorConfiguration:
         self.vectors = sorted({degree for _, degree in self.families})
         self.ambient = Cone.from_generators(self.vectors, self.rank)
         self._subset_cones, self._chambers, self._faces, self._cells = {}, {}, {}, {}
+        self._packings = {}
         self.labels = tuple(label for label, _ in self.families)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate family labels")
@@ -114,9 +125,15 @@ class VectorConfiguration:
                         self.facet_bases[k] |= 1 << len(self.bases)
                     self.bases.append((sum(1 << i for i in subset), facets))
         # (1, m, ..., m^(r-1)) is on no h_k, as each |h_k| < m/2
-        m = 2 * max(abs(x) for h in planes for x in h) + 1
+        self.height = max(abs(x) for h in planes for x in h)
+        m = 2 * self.height + 1
         self.direction = [a or dot(h, [m ** i for i in range(self.rank)])
                           for a, h in zip(values, planes)]
+        index = {h: k for k, h in enumerate(normals)}
+        if any(f not in index for f in self.ambient.facets):
+            raise ValueError(f"the degrees do not span rank {self.rank}")
+        facets = sum(1 << index[f] for f in self.ambient.facets)
+        self.effective = facets & (1 << len(planes)) - 1, facets >> len(planes)
 
     def subset_cone(self, vectors):
         key = frozenset(vectors)
@@ -341,24 +358,55 @@ def gkz_chambers(config):
         config, plane_values(cone.rays))) for _, cone in order], walls, ray_values)
 
 
+def _packing(config, width):
+    """The planes packed into K fields of B = 8 ``width`` bits, memoised per width:
+    per coordinate i the integer sum_k h_k[i] 2^(B k), the mask of every field's
+    top bit (also the offset 2^(B - 1) per field), the mask of every field's
+    lowest bit, and the top-bit masks of the planes with +h_k and with -h_k a
+    facet normal of the effective cone."""
+    packing = config._packings.get(width)
+    if packing is None:
+        bits, planes = 8 * width, config.planes
+        ones = sum(1 << bits * k for k in range(len(planes)))
+
+        def spread(mask):  # plane mask -> mask of those fields' top bits
+            return sum(1 << bits * k + bits - 1 for k in _bits(mask))
+
+        columns = [sum(h[i] << bits * k for k, h in enumerate(planes)) for i in range(config.rank)]
+        packing = config._packings[width] = (
+            columns, ones << bits - 1, ones, *map(spread, config.effective))
+    return packing
+
+
 def chamber_of(config, w):
     """The chamber (or lower-dimensional face) of the class w, with its signature.
 
     Both depend only on w's sign vector over the spanned hyperplanes h (the
     generic class near w has the sign of h.w, or of ``config.direction`` where
     h.w = 0; the tight facets are the h with h.w = 0; the signature reads the h
-    with h.w < 0), so they are memoised per sign vector: a warm query is one pass
-    over the planes."""
+    with h.w < 0), so they are memoised per sign vector.  A warm query reads that
+    vector from one packed integer (see the module docstring): fields of whole
+    bytes, enough that max|h| sum|w_i| <= 2^(B - 1) - 1, so no field carries, and
+    the key is the top byte of each field of the >= 0 mask or'ed with the > 0 mask
+    shifted down one bit: 0x00, 0x80 or 0xc0 per plane, whatever the width.  A
+    class outside the effective cone fails one test of the two masks."""
     check_query_rank(config.rank)
     w = tuple(w)
-    if not config.ambient.contains(w):  # also refuses an inexact w or one of the wrong length
+    v, _ = clear_denominators(w)  # refuses an inexact w
+    if len(v) != config.rank:
+        raise ValueError("dimension mismatch")
+    width = (config.height * sum(map(abs, v))).bit_length() // 8 + 1
+    columns, half, ones, nonneg_facets, nonpos_facets = _packing(config, width)
+    x = sum(map(mul, v, columns), half)
+    nonneg, pos = x & half, x - ones & half
+    if nonneg & nonneg_facets != nonneg_facets or pos & nonpos_facets:
         raise ValueError("class outside the effective cone")
-    values = [sum(map(mul, h, w)) for h in config.planes]
-    signs = tuple((x > 0) - (x < 0) for x in values)
+    signs = (nonneg | pos >> 1).to_bytes(width * len(config.planes), "little")[width - 1::width]
     if signs not in config._cells:
+        values = [dot(h, v) for h in config.planes]
         held = _held(config, w, values=[a or b for a, b in zip(values, config.direction)])
         cone = _canonical_chamber(config, held)
-        tight = [f for f in cone.facets if not dot(f, w)]
+        tight = [f for f in cone.facets if not dot(f, v)]
         if tight:  # the face of the chamber that holds w in its relative interior
             rays = tuple(r for r in cone.rays if not any(dot(f, r) for f in tight))
             if rays not in config._faces:

@@ -238,29 +238,47 @@ def sub_pfaffian(n, indices):
 
 
 def pfaffian_value(matrix, indices=None):
-    """Exact numeric Pfaffian of a principal minor (whole matrix by default)."""
+    """Exact numeric Pfaffian of a principal minor (whole matrix by default): an int
+    for ``int`` entries, a Fraction otherwise.
+
+    Fraction-free elimination on pivot pairs, by the Pfaffian form of Sylvester's
+    identity (Knuth, "Overlapping Pfaffians", 1996), on the entries scaled by their
+    common denominator s (the Pfaffian of the 2m indices scales by s^m).  Before step
+    k the entry (i, j) of indices i, j >= 2k is pf on the first 2k indices and i, j,
+    and the pivot is the entry (2k, 2k + 1).  A zero pivot swaps in a later index
+    with a nonzero entry in row 2k, which flips the sign, and the Pfaffian is 0 when
+    there is none.  Each later entry becomes (q b_ij - b_ki b_(k+1)j + b_kj b_(k+1)i)
+    / prev, with q the pivot and prev the one before, and the division is exact.
+    """
     if indices is None:
         indices = range(matrix.size)
     idx = _check_index_set(matrix.size - 1, indices)
-    upper = matrix._upper
-    memo = {}
-
-    def pf(I):
-        if not I:
-            return 1
-        if I in memo:
-            return memo[I]
-        i0 = I[0]
-        total = 0
-        for pos in range(1, len(I)):
-            z = upper.get((i0, I[pos]))
-            if z:
-                term = z * pf(I[1:pos] + I[pos + 1:])
-                total += term if pos % 2 else -term
-        memo[I] = total
-        return total
-
-    return pf(idx)
+    m = len(idx)
+    given = [matrix.entry(i, j) for i in idx for j in idx]
+    flat, scale = linalg.clear_denominators(given)
+    b = [list(flat[i * m:(i + 1) * m]) for i in range(m)]
+    sign = prev = 1
+    for k in range(0, m, 2):
+        row = b[k]
+        if not row[k + 1]:
+            j = next((j for j in range(k + 2, m) if row[j]), None)
+            if j is None:
+                prev = 0
+                break
+            b[k + 1], b[j] = b[j], b[k + 1]
+            for r in b:
+                r[k + 1], r[j] = r[j], r[k + 1]
+            sign = -sign
+        q, nxt = row[k + 1], b[k + 1]
+        for i in range(k + 2, m):
+            bi, ri, ni = b[i], row[i], nxt[i]
+            for j in range(i + 1, m):
+                bi[j] = (q * bi[j] - ri * nxt[j] + row[j] * ni) // prev
+                b[j][i] = -bi[j]
+        prev = q
+    if all(type(x) is int for x in given):
+        return sign * prev
+    return Fraction(sign * prev, scale ** (m // 2))
 
 
 def _check_h(n, h):

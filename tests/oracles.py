@@ -1,9 +1,11 @@
 """Exact oracles used only by the tests: a general matrix inverse, against which
-`skew_inverse` is checked, and strict membership in the interior of a cone."""
+`skew_inverse` is checked, strict membership in the interior of a cone, and the
+Pfaffian by first-row expansion, against which `pfaffian_value` is checked."""
 
 from fractions import Fraction
 
 from skewmori import linalg
+from skewmori.pfaffian import _check_index_set
 
 
 def inverse(rows):
@@ -26,3 +28,27 @@ def interior_contains(cone, v):
     if len(v) != cone.ambient_rank:
         raise ValueError("dimension mismatch")
     return all(linalg.dot(f, v) > 0 for f in cone.facets)
+
+
+def pfaffian_by_expansion(matrix, indices=None):
+    """Exact Pfaffian of a principal minor by first-row expansion, memoised per
+    index subset: pf(I) = sum_p (-1)^(p-1) z_(i0, ip) pf(I without i0, ip)."""
+    if indices is None:
+        indices = range(matrix.size)
+    idx = _check_index_set(matrix.size - 1, indices)
+    memo = {}
+
+    def pf(I):
+        if not I:
+            return 1
+        if I not in memo:
+            total = 0
+            for pos in range(1, len(I)):
+                z = matrix.entry(I[0], I[pos])
+                if z:
+                    term = z * pf(I[1:pos] + I[pos + 1:])
+                    total += term if pos % 2 else -term
+            memo[I] = total
+        return memo[I]
+
+    return pf(idx)

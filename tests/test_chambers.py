@@ -2,7 +2,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -527,6 +527,103 @@ def test_chamber_of_refuses_on_a_memoised_sign_vector():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             chamber_of(config, w)
     assert config._cells == cells
+
+
+def test_chamber_of_key_is_independent_of_scale_and_field_width():
+    # w, 3w, 10^40 w and w/3 share one sign vector: the same answer and one memo entry
+    # however wide the packed fields are, and each answer keeps its class as given
+    dec, rng = decomposition_for(8), random.Random("scales")
+    config = configuration_for(8)
+    rays = sorted({r for ch in dec.chambers for r in ch.rays})
+    points = [*rays, *(vector_sum(on) for _, _, on in dec.walls),
+              *(ch.representative for ch in dec.chambers),
+              *(combination(rng.sample(config.vectors, rng.randint(1, 4)), rng, 1, 9)
+                for _ in range(40))]
+    for w in points:
+        want = answer(chamber_of(config, w))
+        for v in (tuple(3 * x for x in w), tuple(10 ** 40 * x for x in w),
+                  tuple(Fraction(x, 3) for x in w)):
+            got = chamber_of(config, v)
+            assert answer(got) == want and got.representative == v, v
+            assert all(type(x) is type(y) for x, y in zip(got.representative, v))
+    assert len(config._cells) == len({sign_vector(config, w) for w in points})
+
+
+def width_edges(config, w):
+    """Per field width of b = 1..8 bytes, its largest bound 2^(8b - 1) - 1 on every
+    |h.w| and the scales t around it, for which max|h| sum|t w_i| bounds every |h.(t w)|."""
+    bound = config.height * sum(map(abs, w))
+    for b in range(1, 9):
+        edge = 2 ** (8 * b - 1) - 1
+        yield edge, range(max(1, edge // bound - 4), edge // bound + 5)
+
+
+def test_chamber_of_next_to_a_field_width_edge():
+    # classes in Eff (on a wall, on a facet of Eff, in a chamber) scaled across each
+    # width edge keep their answers and memo entries; classes with one facet value -1
+    # and the others positive, pushed along that facet across each edge, are refused
+    config = configuration_for(8)
+    height, facets = config.height, config.ambient.facets
+    for w in ((10, -6, -3, -1), (2, -1, 0, 0), (7, -2, -1, 1)):
+        want = answer(chamber_of(config, w))
+        cells = dict(config._cells)
+        for edge, scales in width_edges(config, w):
+            assert height * sum(map(abs, w)) * min(scales) <= edge
+            assert height * sum(map(abs, w)) * max(scales) > edge
+            for t in scales:
+                assert answer(chamber_of(config, tuple(t * x for x in w))) == want, (w, t)
+        assert config._cells == cells
+    assert len(config._cells) == 3
+
+    def one_value_minus_one(w):
+        low, second = sorted(dot(f, w) for f in facets)[:2]
+        return low == -1 and second > 0
+
+    for facet in facets:
+        d = next(d for d in product((-1, 0, 1), repeat=4) if dot(facet, d) == -1)
+        along = vector_sum(r for r in config.ambient.rays if dot(facet, r) == 0)
+        for edge, scales in width_edges(config, along):
+            outside = [w for w in (tuple(x + t * y for x, y in zip(d, along)) for t in scales)
+                       if one_value_minus_one(w)]
+            bounds = [height * sum(map(abs, w)) for w in outside]
+            assert min(bounds) <= edge < max(bounds)
+            for w in outside:
+                with pytest.raises(ValueError, match="^class outside the effective cone$"):
+                    chamber_of(config, w)
+    assert len(config._cells) == 3
+
+
+def locus_within(s, t):
+    """Whether the stable base locus of signature s lies in that of t: each family set
+    of s cuts out a stratum inside one of t's, so it contains one of t's sets."""
+    return all(any(g >= h for h in t) for g in s)
+
+
+@pytest.mark.parametrize("n, facts", [
+    (6, (6, 0, 5, 1)), (7, (12, 0, 11, 1)), (8, (28, 0, 22, 6)), (9, (68, 0, 58, 10)),
+    (10, (149, 0, 112, 37)), (11, (472, 0, 379, 93)), (12, (1018, 0, 739, 279))])
+def test_wall_signatures(n, facts):
+    # toric-model facts at the sum of each wall's rays, which has a zero plane value:
+    # (walls, walls with a signature of neither chamber, walls between two signatures
+    # that take the smaller locus, walls inside a region that take its signature)
+    dec = decomposition_for(n)
+    new = smaller = inside = 0
+    for i, j, on in dec.walls:
+        at = chamber_of(dec.config, vector_sum(on)).signature
+        a, b = dec.chambers[i].signature, dec.chambers[j].signature
+        new += at not in (a, b)
+        if a == b:
+            inside += at == a
+        else:
+            smaller += at == (a if locus_within(a, b) else b if locus_within(b, a) else None)
+    assert (len(dec.walls), new, smaller, inside) == facts
+
+
+def test_degrees_must_span_the_lattice():
+    # chamber_of reads membership in the effective cone off the spanned planes, so every
+    # facet of that cone must be one; degrees in a plane of rank 3 leave facets off them
+    with pytest.raises(ValueError, match="^the degrees do not span rank 3$"):
+        VectorConfiguration(3, [("A", (1, 0, 0)), ("B", (0, 1, 0)), ("C", (1, 1, 0))], (1, 1, 0))
 
 
 def random_configuration(rng):

@@ -11,7 +11,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from oracles import inverse
+from oracles import inverse, pfaffian_by_expansion
 from skewmori import linalg, pfaffian
 from skewmori.pfaffian import (
     Polynomial,
@@ -145,6 +145,26 @@ def test_expansion_matches_elimination():
         size = rng.choice([2, 4, 6, 8])
         z = random_skew(rng, size)
         assert pfaffian_value(z) == pfaffian_by_elimination(z)
+
+
+def test_pivot_pair_elimination_matches_the_expansion():
+    # entry bounds 1 and 2 make zero pivots, index swaps and zero rows common
+    rng = random.Random(29)
+    for bound in (1, 2, 9):
+        for _ in range(150):
+            z = random_skew(rng, rng.choice([2, 4, 6, 8, 10]), bound)
+            value = pfaffian_value(z)
+            assert value == pfaffian_by_expansion(z) and type(value) is int
+        for _ in range(50):
+            z = random_skew(rng, rng.randint(4, 10), bound)
+            indices = rng.sample(range(z.size), 4)
+            assert pfaffian_value(z, indices) == pfaffian_by_expansion(z, indices)
+        for _ in range(30):
+            rows = random_skew(rng, rng.choice([2, 4, 6]), bound).to_rows()
+            d = rng.randint(1, 6)
+            z = SkewMatrix([[Fraction(x, d) for x in row] for row in rows])
+            value = pfaffian_value(z)
+            assert value == pfaffian_by_expansion(z) and type(value) is (Fraction if z._upper else int)
 
 
 def generic_skew(size):
