@@ -403,7 +403,7 @@ def chamber_of(config, w):
         raise ValueError("class outside the effective cone")
     signs = (nonneg | pos >> 1).to_bytes(width * len(config.planes), "little")[width - 1::width]
     if signs not in config._cells:
-        values = [dot(h, v) for h in config.planes]
+        values = [sum(map(mul, h, v)) for h in config.planes]
         held = _held(config, w, values=[a or b for a, b in zip(values, config.direction)])
         cone = _canonical_chamber(config, held)
         tight = [f for f in cone.facets if not dot(f, v)]

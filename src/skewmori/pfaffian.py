@@ -243,12 +243,13 @@ def pfaffian_value(matrix, indices=None):
 
     Fraction-free elimination on pivot pairs, by the Pfaffian form of Sylvester's
     identity (Knuth, "Overlapping Pfaffians", 1996), on the entries scaled by their
-    common denominator s (the Pfaffian of the 2m indices scales by s^m).  Before step
-    k the entry (i, j) of indices i, j >= 2k is pf on the first 2k indices and i, j,
-    and the pivot is the entry (2k, 2k + 1).  A zero pivot swaps in a later index
-    with a nonzero entry in row 2k, which flips the sign, and the Pfaffian is 0 when
-    there is none.  Each later entry becomes (q b_ij - b_ki b_(k+1)j + b_kj b_(k+1)i)
-    / prev, with q the pivot and prev the one before, and the division is exact.
+    common denominator s (the Pfaffian on 2m indices scales by s^m).  Before the step
+    at the pair (k, k + 1), k even, each entry (i, j) with i, j >= k is the Pfaffian
+    on the first k indices and i, j, and q = b_k(k+1) is the pivot.  A zero pivot
+    swaps in a later index with a nonzero entry in row k, which flips the sign; with
+    none, the Pfaffian is 0.  Each entry with i, j > k + 1 becomes
+    (q b_ij - b_ki b_(k+1)j + b_kj b_(k+1)i) / prev, prev the pivot before q (1 at
+    first), and the division is exact.  The last pivot is the Pfaffian.
     """
     if indices is None:
         indices = range(matrix.size)

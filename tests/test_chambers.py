@@ -567,9 +567,7 @@ def test_chamber_of_next_to_a_field_width_edge():
     for w in ((10, -6, -3, -1), (2, -1, 0, 0), (7, -2, -1, 1)):
         want = answer(chamber_of(config, w))
         cells = dict(config._cells)
-        for edge, scales in width_edges(config, w):
-            assert height * sum(map(abs, w)) * min(scales) <= edge
-            assert height * sum(map(abs, w)) * max(scales) > edge
+        for _, scales in width_edges(config, w):
             for t in scales:
                 assert answer(chamber_of(config, tuple(t * x for x in w))) == want, (w, t)
         assert config._cells == cells
