@@ -23,16 +23,18 @@ pointed cones be compared by their rays alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import and_, mul
 
 from . import linalg
 from .linalg import Record, clear_denominators, dot, primitive, sign_normalize
 
 
-def _unit(rank, i):
-    return tuple(int(j == i) for j in range(rank))
+@cache
+def _units(rank):
+    return tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
 
 
 def _both_signs(vectors):
@@ -42,7 +44,7 @@ def _both_signs(vectors):
 def _reduce(v):
     """Primitive form of a nonzero integer vector (no denominators to clear)."""
     g = gcd(*v)
-    return tuple(v) if g == 1 else tuple(x // g for x in v)
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
 
 
 def _double_description(normals, ambient_rank):
@@ -56,7 +58,7 @@ def _double_description(normals, ambient_rank):
     Two rays are adjacent iff no third ray is tight on every normal both are
     tight on (Fukuda-Prodon, "Double description method revisited", 1996).
     """
-    lin = [_unit(ambient_rank, i) for i in range(ambient_rank)]
+    lin = list(_units(ambient_rank))
     rays = []  # (vector, bitmask of tight constraint indices)
     idx = -1  # index of the current normal among the nonzero ones
 
@@ -68,8 +70,8 @@ def _double_description(normals, ambient_rank):
         bit = 1 << idx
 
         values = [sum(map(mul, a, l)) for l in lin]
-        pivot = next((i for i, v in enumerate(values) if v), None)
-        if pivot is not None:
+        if any(values):  # pivot on the first l with a.l != 0
+            pivot = values.index(next(filter(None, values)))
             l0, v0 = lin[pivot], values[pivot]
             if v0 < 0:
                 l0 = tuple(-x for x in l0)
@@ -77,17 +79,17 @@ def _double_description(normals, ambient_rank):
             # a primitive vector with a.l = 0 would combine and reduce to itself
             lin = [l if not vl else _reduce([v0 * x - vl * y for x, y in zip(l, l0)])
                    for i, (l, vl) in enumerate(zip(lin, values)) if i != pivot]
-            new_rays = []
+            new_rays = {}  # deduplicated as they come: the last mask written wins
             for r, tight in rays:
                 vr = sum(map(mul, a, r))
                 if not vr:
-                    new_rays.append((r, tight | bit))
+                    new_rays[r] = tight | bit
                     continue
                 r2 = [v0 * x - vr * y for x, y in zip(r, l0)]
                 if any(r2):
-                    new_rays.append((_reduce(r2), tight | bit))
-            new_rays.append((l0, bit - 1))  # tight on every earlier normal
-            rays = list(dict(new_rays).items())
+                    new_rays[_reduce(r2)] = tight | bit
+            new_rays[l0] = bit - 1  # tight on every earlier normal
+            rays = list(new_rays.items())
             continue
 
         plus, zero, minus = [], [], []
@@ -100,7 +102,7 @@ def _double_description(normals, ambient_rank):
             else:
                 minus.append((r, tight, v))
         need = ambient_rank - len(lin) - 2
-        new_rays = [(r, t) for r, t, _ in plus] + zero
+        new_rays = {r: t for r, t, _ in plus} | dict(zero)
         for rp, tp, vp in plus:
             for rm, tm, vm in minus:
                 common = tp & tm
@@ -114,9 +116,9 @@ def _double_description(normals, ambient_rank):
                         if holders > 2:
                             break
                 else:
-                    w = tuple(vp * x - vm * y for x, y in zip(rm, rp))
-                    new_rays.append((_reduce(w), common | bit))
-        rays = list(dict(new_rays).items())
+                    w = [vp * x - vm * y for x, y in zip(rm, rp)]
+                    new_rays[_reduce(w)] = common | bit
+        rays = list(new_rays.items())
 
     lineality = []
     if lin:
@@ -201,8 +203,7 @@ class Cone(Record):
             raise ValueError("ambient rank required for the zero cone")
         vs = [v for v in vs if any(v)]
         if not vs:
-            units = [_unit(ambient_rank, i) for i in range(ambient_rank)]
-            return cls(ambient_rank, (), sorted(_both_signs(units)), ())
+            return cls(ambient_rank, (), sorted(_both_signs(_units(ambient_rank))), ())
 
         dual_lin, dual_rays, tight = _double_description(vs, ambient_rank)
         facets = sorted(dual_rays + _both_signs(dual_lin))
@@ -361,10 +362,20 @@ def nonneg_combination(vectors, target):
 
 
 def hyperplanes_spanned_by(vectors, ambient_rank):
-    """Normals (sign-normalized) of all hyperplanes spanned by subsets of the vectors."""
-    normals = set()
-    for subset in combinations(vectors, ambient_rank - 1):
-        kernel = linalg.kernel_basis(subset, ambient_rank)
+    """Normals (sign-normalized) of all hyperplanes spanned by subsets of the vectors.
+
+    A subset on a plane found earlier spans at most that plane, so it is skipped
+    with no elimination; bit k of ``on[i]`` is set iff vector i is on plane k.
+    """
+    normals, on = [], [0] * len(vectors)
+    for subset in combinations(range(len(vectors)), ambient_rank - 1):
+        if reduce(and_, map(on.__getitem__, subset), (1 << len(normals)) - 1):
+            continue
+        kernel = linalg.kernel_basis([vectors[i] for i in subset], ambient_rank)
         if len(kernel) == 1:
-            normals.add(sign_normalize(kernel[0]))
+            h = sign_normalize(kernel[0])
+            for i, v in enumerate(vectors):
+                if not dot(h, v):
+                    on[i] |= 1 << len(normals)
+            normals.append(h)
     return sorted(normals)

@@ -1,20 +1,21 @@
 """Small exact linear algebra with one fraction-free elimination kernel.
 
-Vectors are tuples and matrices are sequences of row tuples, with ``int``
-or ``fractions.Fraction`` entries; anything else (a float in particular) is
+Vectors are tuples and matrices are sequences of row tuples, with ``int`` or
+``fractions.Fraction`` entries; anything else (a float in particular) is
 refused with ``ValueError`` rather than rounded.  Every elimination is the
-integer-preserving pass ``rref`` (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
-each row is scaled to integers first (rows the package already holds as
-integers enter unchecked through ``_bareiss``) and every step divides
-exactly by the previous pivot, so ``rank``, ``det`` and ``kernel_basis``
-never leave the integers.  A step rewrites only the rows with a nonzero entry in its pivot
-column: the others would merely be scaled by d/prev, so each row keeps the
-pivot of the step that last rewrote it and is scaled up to date when it
-becomes the pivot row or the reduction ends.  ``rank`` and ``det`` stop at
-echelon form; only ``kernel_basis`` reduces fully.  A quotient only
-appears where it is the answer: ``matmul`` by a fractional matrix and
-``det`` of one.
+integer-preserving pass ``rref`` (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
+scaled to integers first (rows the package already holds as integers enter
+unchecked through ``_bareiss``) and every step divides exactly by the previous
+pivot, so ``rank``, ``det`` and ``kernel_basis`` never leave the integers.  A
+step rewrites only the rows with a nonzero entry in its pivot column: the
+others would merely be scaled by d/prev, so each row keeps the pivot of the
+step that last rewrote it and is scaled up to date when it becomes the pivot
+row or the reduction ends.  ``rank`` and ``det`` stop at echelon form, where a
+rewritten row is zero up to the pivot column and only its tail past it is
+computed; only ``kernel_basis`` reduces fully.  A quotient only appears where
+it is the answer: a non-integral entry of ``matmul`` by a fractional matrix,
+and ``det`` of a fractional matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ def dot(u, v):
 
 def clear_denominators(v):
     """(integer tuple w, positive integer s) with w = s * v and s minimal."""
-    if all(type(x) is int for x in v):
+    for x in v:  # a plain loop: all(<genexpr>) costs twice as much on short vectors
+        if type(x) is not int:
+            break
+    else:
         return tuple(v), 1
     for x in v:
         if not isinstance(x, (int, Fraction)):
@@ -49,10 +53,11 @@ def rref(rows, echelon=False):
     and ``sign`` the sign of the row permutation.  Every pivot entry equals
     the last pivot d, so the rows divided by d are the reduced row echelon
     form, and d is sign times the determinant of the scaled pivot minor.
-    With ``echelon`` only the rows below each pivot are cleared, from the
-    pivot column on (both rows are zero left of it): the pivots, the sign
-    and d are the same, but the pivot entry of row i is the minor on the
-    first i + 1 rows and pivot columns rather than d.  Ragged rows raise.
+    With ``echelon`` only the rows below each pivot are cleared, past the
+    pivot column (both rows are zero left of it, and the cleared row in
+    it): the pivots, the sign and d are the same, but the pivot entry of
+    row i is the minor on the first i + 1 rows and pivot columns rather
+    than d.  Ragged rows raise.
 
     Rows are rescaled lazily.  ``den[i]`` is the pivot of the last step
     that rewrote row i (1 before any step), and after a step with pivot d
@@ -77,8 +82,10 @@ def _bareiss(m, echelon=False):
     for c in range(len(m[0]) if m else 0):
         if r == len(m):
             break
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
+        for p in range(r, len(m)):
+            if m[p][c]:
+                break
+        else:
             continue
         if p != r:
             m[r], m[p] = m[p], m[r]
@@ -87,13 +94,13 @@ def _bareiss(m, echelon=False):
         if den[r] != prev:
             e = den[r]
             m[r] = tuple([x * prev // e for x in m[r]])
-        row, d, lo = m[r], m[r][c], c if echelon else 0
-        den[r], tail = d, row[lo:]
+        row, d, lo = m[r], m[r][c], c + 1 if echelon else 0
+        den[r], head, tail = d, (0,) * lo, row[lo:]
         for i in range(r + 1, len(m)) if echelon else range(len(m)):
             f = m[i][c]
             if f and i != r:
                 e, den[i] = den[i], d
-                m[i] = m[i][:lo] + tuple([(d * x - f * y) // e for x, y in zip(m[i][lo:], tail)])
+                m[i] = head + tuple([(d * x - f * y) // e for x, y in zip(m[i][lo:], tail)])
         pivots.append(c)
         prev = d
         r += 1
@@ -144,9 +151,12 @@ def det(rows):
 
 
 def matmul(a, b):
-    """Exact product; each column of b is scaled to integers once, not per term."""
+    """Exact product; each column of b is scaled to integers once, not per term.
+
+    An entry is an ``int`` where it is integral and a ``Fraction`` only where not.
+    """
     cols = [clear_denominators(col) for col in zip(*b)]
-    return [tuple(dot(row, ints) if s == 1 else Fraction(dot(row, ints), s)
+    return [tuple(x // s if (x := dot(row, ints)) % s == 0 else Fraction(x, s)
                   for ints, s in cols) for row in a]
 
 

@@ -512,8 +512,9 @@ def wedge_power(matrix, k):
     transpose equals (-1)^k times the matrix, and its rank is C(rank, k).
     Minors are Laplace expansions along their first row: each row suffix I
     gets the dict of all its |I|-column minors, built from the dict of I[1:],
-    so all row sets share the minors of their lower rows.  Entries are ints
-    for an integer matrix and Fractions otherwise.
+    so all row sets share the minors of their lower rows.  The terms (j, odd
+    position, J without j) of each column set J are listed once per size and
+    call.  Entries are ints for an integer matrix and Fractions otherwise.
     """
     m = matrix.size
     if not 1 <= k <= m - 1:
@@ -522,18 +523,19 @@ def wedge_power(matrix, k):
     flat, scale = linalg.clear_denominators([x for row in matrix.to_rows() for x in row])
     rows = [flat[i * m:(i + 1) * m] for i in range(m)]
     memo = {(): {(): 1}}
+    laplace = {s: [(J, [(j, p % 2, J[:p] + J[p + 1:]) for p, j in enumerate(J)])
+                   for J in combinations(range(m), s)] for s in range(1, k + 1)}
 
     def minors(I):
         """{J: det of rows I and columns J} over the |I|-subsets J, in combinations order."""
         if I in memo:
             return memo[I]
         row, sub, got = rows[I[0]], minors(I[1:]), {}
-        for J in combinations(range(m), len(I)):
+        for J, terms in laplace[len(I)]:
             total = 0
-            for p, j in enumerate(J):
+            for j, odd, rest in terms:
                 if row[j]:
-                    term = row[j] * sub[J[:p] + J[p + 1:]]
-                    total += -term if p % 2 else term
+                    total += -row[j] * sub[rest] if odd else row[j] * sub[rest]
             got[J] = total
         memo[I] = got
         return got

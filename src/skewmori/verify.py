@@ -178,13 +178,10 @@ def check_properties(cfg):
     rng = random.Random(f"verify-properties:{cfg['seed']}")
 
     def random_skew(size, bound=9):
-        rows = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                v = rng.randint(-bound, bound)
-                rows[i][j] = v
-                rows[j][i] = -v
-        return pfaffian.SkewMatrix(rows)
+        # one draw per pair i < j in row order; skew and integral by construction
+        pairs = pfaffian.var_pairs(size - 1)
+        upper = [rng.randint(-bound, bound) for _ in pairs]
+        return pfaffian.SkewMatrix._make(size, {p: v for p, v in zip(pairs, upper) if v})
 
     def random_cone(rank, count):
         gens = []

@@ -7,7 +7,7 @@ tolerance everywhere is exact equality.  The same checks back the
 
 import pytest
 
-from skewmori import verify
+from skewmori import pfaffian, verify
 
 CONFIG = {"n": None, "seed": 0}
 
@@ -60,6 +60,28 @@ def test_criterion_10_region_conjecture():
 
 def test_criterion_11_property_suites():
     _criterion(11, "exact randomized property suites", verify.check_properties)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_property_suite_matrices_equal_the_checked_construction(seed, monkeypatch):
+    # the suite builds its skew matrices unchecked; each must be the matrix that
+    # SkewMatrix(rows) checks and builds from the same entries
+    made, make = [], pfaffian.SkewMatrix._make.__func__
+
+    def checked_make(cls, size, upper):
+        rows = [[0] * size for _ in range(size)]
+        for (i, j), x in upper.items():
+            rows[i][j], rows[j][i] = x, -x
+        matrix = make(cls, size, upper)
+        assert matrix == pfaffian.SkewMatrix(rows), (size, upper)
+        made.append(all(type(x) is int for x in upper.values()))
+        return matrix
+
+    monkeypatch.setattr(pfaffian.SkewMatrix, "_make", classmethod(checked_make))
+    ok, detail = verify.check_properties({"n": None, "seed": seed})
+    assert ok, detail
+    # 400 or more drawn (integer) matrices, and the skew inverses of 100 of them
+    assert made.count(True) >= 400 and made.count(False) >= 100, len(made)
 
 
 def test_full_verify_run_is_green():

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import interior_contains
 from skewmori.chambers import configuration_for, gkz_chambers
-from skewmori.cones import (Cone, _both_signs, _double_description, _reduce, _unit,
-                            nonneg_combination)
-from skewmori.linalg import clear_denominators, primitive
+from skewmori.cones import (Cone, _both_signs, _double_description, _reduce, _units,
+                            hyperplanes_spanned_by, nonneg_combination)
+from skewmori.linalg import clear_denominators, primitive, sign_normalize
 from skewmori import cones, geometry, linalg
 
 
@@ -379,7 +379,7 @@ def test_walk_makes_one_pass_per_chamber(monkeypatch):
 # shortcuts in the lineality step and adjacency test must reproduce them exactly.
 
 def textbook_double_description(normals, ambient_rank):
-    lin = [_unit(ambient_rank, i) for i in range(ambient_rank)]
+    lin = list(_units(ambient_rank))
     rays = []  # (vector, bitmask of tight constraint indices)
     idx = -1  # index of the current normal among the nonzero ones
 
@@ -479,8 +479,7 @@ def textbook_from_generators(vectors, ambient_rank=None):
         raise ValueError("ambient rank required for the zero cone")
     vs = [v for v in vs if any(v)]
     if not vs:
-        units = [_unit(ambient_rank, i) for i in range(ambient_rank)]
-        return cls(ambient_rank, (), sorted(_both_signs(units)), ())
+        return cls(ambient_rank, (), sorted(_both_signs(_units(ambient_rank))), ())
 
     dual_lin, dual_rays, tight = _double_description(vs, ambient_rank)
     rays = None if dual_lin else _facets(vs, dual_rays, tight)  # the dual's facets
@@ -519,16 +518,16 @@ def shape(vectors, cone):
 
 
 def test_canonical_forms_match_the_textbook_passes(monkeypatch):
-    """2,400 seeded cones: the one-pass canonical form, the double description and
-    from_inequalities all equal the textbook passes, with one pass per pointed
-    cone and two per non-pointed one."""
+    """2,800 seeded cones, 400 at each rank 1..7: the one-pass canonical form, the
+    double description and from_inequalities all equal the textbook passes, with
+    one pass per pointed cone and two per non-pointed one."""
     calls = []
     monkeypatch.setattr(cones, "_double_description",
                         lambda *a: calls.append(a) or _double_description(*a))
     rng = random.Random("textbook-oracle")
     seen = Counter()
-    for i in range(2400):
-        rank = 1 + i % 6
+    for i in range(2800):
+        rank = 1 + i % 7
         vectors = random_vectors(rng, rank)
         calls.clear()
         cone = Cone.from_generators(vectors, rank)
@@ -545,6 +544,17 @@ def test_canonical_forms_match_the_textbook_passes(monkeypatch):
     assert all(seen[k] >= 50 for k in ("zero generator", "repeated generator", "zero cone",
                                        "not pointed", "single ray", "full pointed",
                                        "lower-dimensional pointed")), seen
+
+
+def test_hyperplanes_spanned_by_matches_every_subset():
+    # skipping a subset that lies on a plane already found loses no plane
+    rng = random.Random("spanned-planes")
+    for i in range(300):
+        rank = 1 + i % 5
+        vectors = random_vectors(rng, rank)
+        kernels = (linalg.kernel_basis(list(s), rank) for s in combinations(vectors, rank - 1))
+        want = sorted({sign_normalize(k[0]) for k in kernels if len(k) == 1})
+        assert hyperplanes_spanned_by(vectors, rank) == want, vectors
 
 
 @pytest.mark.parametrize("gens, rank, passes", [

@@ -1,6 +1,7 @@
 """The fraction-free kernel in `skewmori.linalg` against sympy as an oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -249,6 +250,24 @@ def test_rref_matches_the_textbook_elimination(echelon):
         assert linalg.rref(rows, echelon) == textbook_rref(rows, echelon), rows
 
 
+def test_bareiss_on_skipped_rows_and_unit_divisors():
+    # entries in -1..1 give rows a step skips (a zero in its pivot column), echelon
+    # rows cleared behind a zero prefix, and later steps dividing by 1
+    rng = random.Random("unit-divisors")
+    skipped = unit = 0
+    for _ in range(300):
+        nrows, ncols = rng.randint(2, 8), rng.randint(2, 8)
+        rows = [tuple(rng.choice((-1, 0, 0, 1, 2)) for _ in range(ncols)) for _ in range(nrows)]
+        for echelon in (False, True):
+            assert linalg._bareiss(list(rows), echelon) == textbook_rref(rows, echelon), rows
+        ech, pivots, _ = textbook_rref(rows, echelon=True)
+        if pivots:  # a row below the first pivot row with a zero in the first pivot column
+            column = [row[pivots[0]] for row in rows]
+            skipped += 0 in column[column.index(next(filter(None, column))) + 1:]
+        unit += any(row[p] == 1 for row, p in zip(ech[:-1], pivots))
+    assert skipped >= 100 and unit >= 100, (skipped, unit)
+
+
 def pivot_order(rows):
     """The row order rref's pivot rule gives, found by rational elimination."""
     m, order, r = [list(map(Fraction, row)) for row in rows], list(range(len(rows))), 0
@@ -286,6 +305,7 @@ def test_ragged_rows_are_refused(rows):
 
 def test_matmul_against_sympy():
     rng = random.Random(12)
+    types = Counter()
     for i in range(40):
         n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
         a = random_matrix(rng, n, k, rational=i % 2 == 0)
@@ -296,6 +316,12 @@ def test_matmul_against_sympy():
                                               for r in range(n)]
         if i % 2 and i % 3:
             assert all(type(x) is int for row in got for x in row)
+        # an int where the entry is integral, a Fraction only where it is not
+        for x in (x for row in got for x in row):
+            assert type(x) is (int if x.denominator == 1 else Fraction), (a, b)
+            types[type(x), i % 3 == 0] += 1
+    # integral and non-integral entries of products by a fractional matrix both occur
+    assert types[int, True] >= 20 and types[Fraction, True] >= 20, types
     with pytest.raises(ValueError):
         linalg.matmul([(1, 2)], [(1,), (2,), (3,)])
 
