@@ -251,7 +251,7 @@ def test_rref_matches_the_textbook_elimination(echelon):
 
 
 def test_bareiss_on_skipped_rows_and_unit_divisors():
-    # entries in -1..1 give rows a step skips (a zero in its pivot column), echelon
+    # entries in -1..2 give rows a step skips (a zero in its pivot column), echelon
     # rows cleared behind a zero prefix, and later steps dividing by 1
     rng = random.Random("unit-divisors")
     skipped = unit = 0
