@@ -289,9 +289,9 @@ def _add(a, b):
 # A decomposition of v degrees in rank r is priced C(v, r) C(v, r - 1): 2.1e5 at n = 12,
 # 7.3e5 at n = 13, 2.9e6 at n = 14 (rank 7, 292 bases, 2394 chambers), 1.03e7 at n = 15 and
 # 4.0e6 for the single blow-up at its cap n = 400 (rank 2, 201 degrees).  The price bounds
-# the walk: at n = 15 (13532 chambers) it takes 29-38 s in process.  Fresh, with --json,
-# `gkz` takes 1.3-2.2 s at n = 13 and 3.1-4.5 s at n = 14, and `blowup1 --n 400`
-# 0.26-0.44 s (2 vCPUs, CPython 3.11.7).
+# the walk: at n = 15 (13532 chambers) it takes 20-22 s in process.  Fresh, with --json,
+# `gkz` takes 1.0-1.2 s at n = 13 and 2.4-2.7 s at n = 14, and `blowup1 --n 400`
+# 0.24-0.27 s (2 vCPUs, CPython 3.11.7).
 MAX_CHAMBER_WORK = 5_000_000
 
 # `chamber --json` takes 0.3-0.5 s at n = 14, 0.35-0.55 s at n = 15 (rank 7) and 0.1 s there

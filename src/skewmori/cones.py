@@ -29,7 +29,7 @@ from math import gcd
 from operator import and_, mul
 
 from . import linalg
-from .linalg import Record, clear_denominators, dot, primitive, sign_normalize
+from .linalg import Record, clear_denominators, dot, sign_normalize
 
 
 @cache
@@ -69,7 +69,8 @@ def _double_description(normals, ambient_rank):
         idx += 1
         bit = 1 << idx
 
-        values = [sum(map(mul, a, l)) for l in lin]
+        # lin is still the unit basis at the first nonzero normal, whose values are its entries
+        values = a if not idx else [sum(map(mul, a, l)) for l in lin]
         if any(values):  # pivot on the first l with a.l != 0
             pivot = values.index(next(filter(None, values)))
             l0, v0 = lin[pivot], values[pivot]
@@ -79,7 +80,9 @@ def _double_description(normals, ambient_rank):
             # a primitive vector with a.l = 0 would combine and reduce to itself
             lin = [l if not vl else _reduce([v0 * x - vl * y for x, y in zip(l, l0)])
                    for i, (l, vl) in enumerate(zip(lin, values)) if i != pivot]
-            new_rays = {}  # deduplicated as they come: the last mask written wins
+            # deduplicated as they come; a mask is the exact zero set of its ray, so two
+            # rays that reduce to one vector carry one mask and the dict may keep either
+            new_rays = {}
             for r, tight in rays:
                 vr = sum(map(mul, a, r))
                 if not vr:
@@ -123,7 +126,7 @@ def _double_description(normals, ambient_rank):
     lineality = []
     if lin:
         lin_rows, pivots, _ = linalg._bareiss(lin)
-        lineality = [primitive(l if l[p] > 0 else [-x for x in l])
+        lineality = [_reduce(l if l[p] > 0 else [-x for x in l])
                      for l, p in zip(lin_rows, pivots)]
     rays.sort()
     return lineality, [r for r, _ in rays], [t for _, t in rays]
@@ -154,7 +157,7 @@ def _facets(normals, rays, tight):
     for m in sorted(set(masks), key=int.bit_count, reverse=True):
         if all(m & k != m for k in kept):
             kept.add(m)
-    return sorted({primitive(a) for a, m in zip(normals, masks) if m in kept})
+    return sorted({_reduce(a) for a, m in zip(normals, masks) if m in kept})
 
 
 class Cone(Record):

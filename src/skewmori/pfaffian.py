@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations, compress
-from math import comb, isqrt, lcm, prod
+from math import comb, isqrt, prod
 
 from . import linalg
 from .linalg import Record, dot
@@ -165,6 +165,19 @@ class SkewMatrix(Record):
             rows[i][j], rows[j][i] = x, -x
         return [tuple(row) for row in rows]
 
+    def _scaled_rows(self, idx):
+        """(rows, s, exact): the rows of s A on the sorted index list idx as int lists, s the
+        least common denominator of the entries there, exact iff every one is an int."""
+        m, minor = len(idx), self._upper
+        if m < self.size:  # the minor's stored entries, renumbered
+            pos = dict(zip(idx, range(m)))
+            minor = {(pos[i], pos[j]): x for (i, j), x in minor.items() if i in pos and j in pos}
+        ints, s = linalg.clear_denominators(minor.values())
+        rows = [[0] * m for _ in range(m)]
+        for (p, q), x in zip(minor, ints):
+            rows[p][q], rows[q][p] = x, -x
+        return rows, s, all(type(x) is int for x in minor.values())
+
     def is_zero(self):
         return not self._upper
 
@@ -239,11 +252,11 @@ def sub_pfaffian(n, indices):
 
 def pfaffian_value(matrix, indices=None):
     """Exact numeric Pfaffian of a principal minor (whole matrix by default): an int
-    for ``int`` entries, a Fraction otherwise.
+    when every entry of the minor is an ``int``, a Fraction otherwise.
 
     Fraction-free elimination on pivot pairs, by the Pfaffian form of Sylvester's
-    identity (Knuth, "Overlapping Pfaffians", 1996), on the entries scaled by their
-    common denominator s (the Pfaffian on 2m indices scales by s^m).  Before the step
+    identity (Knuth, "Overlapping Pfaffians", 1996), on the minor's entries scaled by
+    their common denominator s (the Pfaffian on 2m indices scales by s^m).  Before the step
     at the pair (k, k + 1), k even, each entry (i, j) with i, j >= k is the Pfaffian
     on the first k indices and i, j, and q = b_k(k+1) is the pivot.  A zero pivot
     swaps in a later index with a nonzero entry in row k, which flips the sign; with
@@ -255,9 +268,7 @@ def pfaffian_value(matrix, indices=None):
         indices = range(matrix.size)
     idx = _check_index_set(matrix.size - 1, indices)
     m = len(idx)
-    given = [matrix.entry(i, j) for i in idx for j in idx]
-    flat, scale = linalg.clear_denominators(given)
-    b = [list(flat[i * m:(i + 1) * m]) for i in range(m)]
+    b, scale, exact = matrix._scaled_rows(idx)
     sign = prev = 1
     for k in range(0, m, 2):
         row = b[k]
@@ -277,7 +288,7 @@ def pfaffian_value(matrix, indices=None):
                 bi[j] = (q * bi[j] - ri * nxt[j] + row[j] * ni) // prev
                 b[j][i] = -bi[j]
         prev = q
-    if all(type(x) is int for x in given):
+    if exact:
         return sign * prev
     return Fraction(sign * prev, scale ** (m // 2))
 
@@ -520,8 +531,7 @@ def wedge_power(matrix, k):
     if not 1 <= k <= m - 1:
         raise ValueError(f"wedge power {k} out of range 1..{m - 1}")
     # one common denominator D: the k x k minors of D * A are D^k times those of A
-    flat, scale = linalg.clear_denominators([x for row in matrix.to_rows() for x in row])
-    rows = [flat[i * m:(i + 1) * m] for i in range(m)]
+    rows, scale, _ = matrix._scaled_rows(range(m))
     memo = {(): {(): 1}}
     laplace = {s: [(J, [(j, p % 2, J[:p] + J[p + 1:]) for p, j in enumerate(J)])
                    for J in combinations(range(m), s)] for s in range(1, k + 1)}
@@ -557,11 +567,9 @@ def skew_inverse(matrix):
     n = matrix.size
     if n % 2 == 1:
         raise ValueError("odd-size skew matrices are singular")
-    s = lcm(*(x.denominator for x in matrix._upper.values()))
-    scaled = SkewMatrix._make(n, {p: x.numerator * (s // x.denominator)
-                                  for p, x in matrix._upper.items()})
-    red, pivots, _ = linalg._bareiss([row + tuple(int(i == j) for j in range(n))
-                                      for i, row in enumerate(scaled.to_rows())])
+    rows, s, _ = matrix._scaled_rows(range(n))
+    red, pivots, _ = linalg._bareiss([tuple(row + [int(i == j) for j in range(n)])
+                                      for i, row in enumerate(rows)])
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     d = red[-1][n - 1] if n else 1

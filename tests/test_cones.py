@@ -546,6 +546,28 @@ def test_canonical_forms_match_the_textbook_passes(monkeypatch):
                                        "lower-dimensional pointed")), seen
 
 
+def test_intersect_matches_the_textbook_pass_over_both_facet_lists():
+    """700 seeded pairs, 100 at each rank 1..7, non-pointed cones and facets shared
+    between the two included: the intersection equals the textbook pass over the
+    concatenated facet lists, repeated normals and all."""
+    rng = random.Random("intersect-oracle")
+    shared = not_pointed = 0
+    for i in range(700):
+        rank = 1 + i % 7
+        a = Cone.from_generators(random_vectors(rng, rank), rank)
+        if i % 2:  # some of a's facets with more normals, so that b shares them
+            kept = rng.sample(a.facets, rng.randint(0, len(a.facets)))
+            b = Cone.from_inequalities(kept + random_vectors(rng, rank)[:2], rank)
+        else:
+            b = Cone.from_generators(random_vectors(rng, rank), rank)
+        shared += bool(set(a.facets) & set(b.facets))
+        not_pointed += not (a.pointed and b.pointed)
+        got = a.intersect(b)
+        assert (got.rays, got.facets, got.lineality) == \
+            textbook_from_inequalities(a.facets + b.facets, rank), (a, b)
+    assert shared >= 150 and not_pointed >= 150, (shared, not_pointed)
+
+
 def test_hyperplanes_spanned_by_matches_every_subset():
     # skipping a subset that lies on a plane already found loses no plane
     rng = random.Random("spanned-planes")

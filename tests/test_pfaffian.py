@@ -165,6 +165,23 @@ def test_pivot_pair_elimination_matches_the_expansion():
             z = SkewMatrix([[Fraction(x, d) for x in row] for row in rows])
             value = pfaffian_value(z)
             assert value == pfaffian_by_expansion(z) and type(value) is (Fraction if z._upper else int)
+        for _ in range(30):
+            # one Fraction outside the minor, inside it, or inside it as x/1: the Pfaffian
+            # of the minor is an int iff every entry of the minor is one
+            rows = random_skew(rng, rng.randint(5, 9), bound).to_rows()
+            indices = sorted(rng.sample(range(len(rows)), 4))
+            outside = [i for i in range(len(rows)) if i not in indices]
+            for inside, x in ((False, Fraction(2 * rng.randint(-bound, bound) + 1, 2)),
+                              (True, Fraction(2 * rng.randint(-bound, bound) + 1, 2)),
+                              (True, Fraction(rng.choice((-1, 1)) * rng.randint(1, bound)))):
+                i, j = sorted(rng.sample(indices, 2) if inside else
+                              (rng.choice(outside), rng.choice(indices)))
+                changed = [list(row) for row in rows]
+                changed[i][j], changed[j][i] = x, -x
+                z = SkewMatrix(changed)
+                value = pfaffian_value(z, indices)
+                assert value == pfaffian_by_expansion(z, indices), (changed, indices)
+                assert type(value) is (Fraction if inside else int)
 
 
 def generic_skew(size):
