@@ -461,20 +461,21 @@ def codim_secant(n, h):
     return num // 2
 
 
-# `secant` takes 10-16 ns per unit of terracini_work at bound 100 (fresh, --json, 2 vCPUs,
-# CPython 3.11.7) on the edge of one h: 4.1 s at (58, 1), 6.4 s at (24, 4), 5.2 s at
-# (17, 8) (4.0e8).  A listing is one elimination for its largest h and is priced so:
-# 4.8 s at n = 17 (4.0e8) and, refused, 9.0 s at n = 18 (5.5e8, as (18, 8)).  At bound
-# 10^6 one h costs 3.7-6.6 times its time at bound 100 ((46, 1) 1.8 -> 6.8 s, (22, 3)
-# 2.2 -> 11.1 s, (19, 4) 2.1 -> 13.3 s), hence the weight (bits / 7)^1.4, 4.35 at 10^6;
-# the edges at 10^6 then take 3.5-6.9 s with --json ((42, 1), (26, 2), (20, 3), (17, 4),
-# (15, 5), (14, 6) and the listing at n = 14), and those at 10^3-10^5 4.4-7.1 s.
+# `secant` takes 6-7 ns per unit of terracini_work at bound 100 (fresh, --json, 2 vCPUs,
+# CPython 3.11.7) on the edge of one h > 1: 2.8 s at (24, 4), 2.4 s at (17, 8) (4.0e8), but
+# 0.7 ns at h = 1: 0.24-0.31 s at (58, 1), as the fit predates the basis of 2n - 1 rows per
+# point.  A listing is one elimination for its largest h and is priced so: 2.4 s at n = 17
+# and, refused, 3.7 s at n = 18 (5.5e8, as (18, 8)).  At bound 10^6 one h costs 1.1-4.5
+# times its time at bound 100 ((46, 1) 0.16 -> 0.18 s, (22, 3) 0.74 -> 3.2 s, (19, 4)
+# 0.92 -> 4.2 s); the weight (bits / 7)^1.4 is 4.35 at 10^6, and the edges there take
+# 0.15-2.2 s with --json ((42, 1), (26, 2), (20, 3), (17, 4), (15, 5), (14, 6) and the
+# listing at n = 14), and those at 10^3-10^5 0.16-2.3 s.
 MAX_TERRACINI_WORK = 450_000_000
 
 
 def terracini_work(n, h, bound):
-    """((rows * rank)^2 * columns)^(3/4) of the tangent rows terracini_dims eliminates
-    for h, weighed by (b / 7)^1.4, b the bound's bits over 7: a fit to its times."""
+    """((rows * rank)^2 * columns)^(3/4), weighed by (b / 7)^1.4, b the bound's bits over 7:
+    a fit to terracini_dims's times on all 2h(n+1) rows x ^ e_m, y ^ e_m, not the h(2n-1) kept."""
     rows, rank = 2 * h * (n + 1), dim_secant(n, h) + 1
     weight = max(1, bound.bit_length() / 7) ** 1.4
     return weight * isqrt(isqrt(((rows * rank) ** 2 * comb(n + 1, 2)) ** 3))
@@ -485,30 +486,44 @@ def terracini_dims(n, h, bound=100, seed=0):
 
     The affine tangent space at [x ^ y] is x ^ V + y ^ V; the projective
     dimension of the join of j of them is the rank of their stacked
-    coordinate vectors minus one.  An attempt draws its pairs in order, so
-    the rows for j pairs are the first 2j(n+1) rows for h, and one
+    coordinate vectors minus one, each space given by _tangent_rows (a basis
+    of 2n - 1 rows when x ^ y != 0).  An attempt draws its pairs in order,
+    so the blocks for j pairs are the first j blocks for h, and one
     fraction-free elimination of the transpose answers every j: a column of
     the transpose is a pivot iff it is independent of the columns before
-    it, so the rank of the first 2j(n+1) rows is the number of pivots below
-    2j(n+1).  Random integer samples only ever undershoot the generic value,
-    so each entry is the maximum over a few attempts.
+    it, so the rank of the first j blocks is the number of pivots before
+    the end of block j.  Random integer samples only ever undershoot the
+    generic value, so each entry is the maximum over a few attempts.
     """
     _check_h(n, h)
     if bound < 1:
         raise ValueError("bound must be positive")
-    best, size, pairs = [0] * h, 2 * (n + 1), var_pairs(n)
-    units = [[int(i == m) for i in range(n + 1)] for m in range(n + 1)]
+    best, pairs = [0] * h, var_pairs(n)
     for attempt in range(3):
         rng = _rng("terracini", f"{seed}:{attempt}")
-        rows = []
+        rows, cuts = [], []
         for _ in range(h):
             x = [rng.randint(-bound, bound) for _ in range(n + 1)]
             y = [rng.randint(-bound, bound) for _ in range(n + 1)]
-            for e in units:
-                rows += [_wedge(pairs, x, e), _wedge(pairs, y, e)]
+            rows += _tangent_rows(pairs, x, y)
+            cuts.append(len(rows))
         pivots = linalg._bareiss(list(zip(*rows)), echelon=True)[1]
-        best = [max(b, sum(p < size * j for p in pivots) - 1) for j, b in enumerate(best, 1)]
+        best = [max(b, sum(p < cut for p in pivots) - 1) for cut, b in zip(cuts, best)]
     return best
+
+
+def _tangent_rows(pairs, x, y):
+    """The rows x ^ e_m, then y ^ e_m, spanning x ^ V + y ^ V, less three dependent ones:
+    x ^ e_a for the first a with x_a != 0, as sum_m x_m (x ^ e_m) = x ^ x = 0; y ^ e_b for
+    the first b with y_b != 0, likewise; and y ^ e_c for the first c with the Pluecker
+    coordinate p_bc = x_b y_c - x_c y_b != 0, as x ^ y, in x ^ V, is the sum over m != b of
+    (p_bm / y_b) (y ^ e_m).  With x ^ y = 0 there is no c, and a zero x (or y) has no a (b)."""
+    a = next((m for m, v in enumerate(x) if v), None)
+    b = next((m for m, v in enumerate(y) if v), None)
+    c = None if b is None else next((m for m, v in enumerate(y) if x[b] * v - x[m] * y[b]), None)
+    # v ^ e_m is v_i at (i, m) and -v_j at (m, j)
+    return [[v[i] if j == m else -v[j] if i == m else 0 for i, j in pairs]
+            for v, skip in ((x, (a,)), (y, (b, c))) for m in range(len(v)) if m not in skip]
 
 
 def terracini_dim(n, h, bound=100, seed=0):
@@ -561,8 +576,8 @@ def skew_inverse(matrix):
 
     With s the common denominator of the entries, one fraction-free pass
     reduces the integer matrix [sA | I] to [dI | (d/s) A^-1], so the inverse
-    is s/d times its right half; only the upper triangle is read off, as
-    Fractions.  Raises ValueError on singular input.
+    is s/d times its right half, read off on the upper triangle: an ``int``
+    where integral, a ``Fraction`` only where not.  Raises ValueError on singular input.
     """
     n = matrix.size
     if n % 2 == 1:
@@ -573,7 +588,8 @@ def skew_inverse(matrix):
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     d = red[-1][n - 1] if n else 1
-    return SkewMatrix._make(n, {(i, j): Fraction(s * red[i][n + j], d)
+    return SkewMatrix._make(n, {(i, j): x // d if (x := s * red[i][n + j]) % d == 0
+                                else Fraction(x, d)
                                 for i in range(n) for j in range(i + 1, n) if red[i][n + j]})
 
 

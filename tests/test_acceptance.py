@@ -77,11 +77,16 @@ def test_property_suite_matrices_equal_the_checked_construction(seed, monkeypatc
         made.append(all(type(x) is int for x in upper.values()))
         return matrix
 
+    inverted = []
     monkeypatch.setattr(pfaffian.SkewMatrix, "_make", classmethod(checked_make))
+    monkeypatch.setattr(pfaffian, "skew_inverse", lambda z, _run=pfaffian.skew_inverse:
+                        inverted.append(z) or _run(z))
     ok, detail = verify.check_properties({"n": None, "seed": seed})
     assert ok, detail
-    # 400 or more drawn (integer) matrices, and the skew inverses of 100 of them
-    assert made.count(True) >= 400 and made.count(False) >= 100, len(made)
+    # 400 or more drawn (integer) matrices, and the skew inverses of 100 of them and of
+    # those inverses; an inverse holds ints where integral, and Fractions reach the check
+    assert len(made) - len(inverted) >= 400 and len(inverted) == 200, len(made)
+    assert made.count(False) > 0
 
 
 def test_full_verify_run_is_green():

@@ -397,6 +397,11 @@ RECORDED_REPORTS = [
     ("secant --n 8", 0, "6c573e7b547b837ded6f17aa6dc0e838b892058c5644231fd847cd26c2f595b1"),
     # recorded at 7b2b616
     ("secant --n 8 --json", 0, "a572b21be96b06de714399fed6e05449d32542d12ce8f927ebd36dc2557bbcd3"),
+    # recorded at b107a55; bound-1 draws with dependent points, y = -x and y = 0
+    ("secant --n 3 --bound 1 --seed 292 --json", 0,
+     "f672fdb8963c07ba03cad4b903a7c9ccc64b4c0e8d45333c408d0660ada8d236"),
+    ("secant --n 5 --bound 1 --seed 25 --json", 0,
+     "43c8b3a9aa523b5ccac32225746e3f6c72e3c63a043ae0483db92f1189500dba"),
     # the report of 123f000 less the config key of the dropped verify --bound
     ("verify --only fano --json", 0, "27f9d72545e432aabcf5a173a6037ed8b51e8c7422e76625380c904367175ad3"),
     # at n = 6 and 8: a maximal chamber, a face and a class outside Eff

@@ -501,12 +501,25 @@ def test_terracini_dims_match_the_per_h_oracle(bound):
             assert terracini_dims(n, top, bound, seed) == want, (n, seed)
 
 
+def terracini_draws(n, h, bound, seed, attempt):
+    """The pairs (x, y) one attempt of terracini_dims draws, in order."""
+    rng = random.Random(f"terracini:{seed}:{attempt}")
+    return [([rng.randint(-bound, bound) for _ in range(n + 1)],
+             [rng.randint(-bound, bound) for _ in range(n + 1)]) for _ in range(h)]
+
+
 def test_terracini_dims_on_degenerate_draws():
     # at bound 1 an attempt may draw dependent points, and then the maximum over the
-    # attempts and the cut at 2j(n+1) rows decide the answer (at seed 292, both do)
-    for seed in range(300):
-        want = [textbook_terracini(3, h, 1, seed) for h in (1, 2)]
-        assert terracini_dims(3, 2, 1, seed) == want, seed
+    # attempts and the cut after each point's rows decide the answer (at n = 3, seed 292,
+    # both do); where a draw has x ^ y = 0, fewer of its rows are provably dependent
+    for n in (3, 4, 5):
+        top = (n + 1) // 2
+        for seed in range(300):
+            want = [textbook_terracini(n, h, 1, seed) for h in range(1, top + 1)]
+            assert terracini_dims(n, top, 1, seed) == want, (n, seed)
+    # the seeds above reach y parallel to x (y = -x) and a zero vector (y = 0)
+    assert any(y == [-v for v in x] and any(x) for x, y in terracini_draws(4, 2, 1, 14, 2))
+    assert any(not any(y) for x, y in terracini_draws(5, 3, 1, 25, 0))
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -633,9 +646,9 @@ def test_skew_inverse_matches_the_general_inverse(size):
                 continue
             want = SkewMatrix(want)
             assert got._upper == want._upper, z.to_rows()
-            assert [type(x) for x in got._upper.values()] == \
-                [type(x) for x in want._upper.values()]
-            assert all(type(x) is Fraction for x in got._upper.values())
+            # an int where the entry is integral, a Fraction only where not
+            assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                       for x in got._upper.values())
     if size % 2:
         assert odd == 48
     elif size:
