@@ -294,9 +294,10 @@ def _add(a, b):
 # 0.24-0.27 s (2 vCPUs, CPython 3.11.7).
 MAX_CHAMBER_WORK = 5_000_000
 
-# `chamber --json` takes 0.3-0.5 s at n = 14, 0.35-0.55 s at n = 15 (rank 7) and 0.1 s there
-# to refuse a class outside Eff, and 1.0-1.1 s at n = 16 (rank 8), fresh (2 vCPUs, CPython
-# 3.11.7).
+# `chamber --json` takes 0.09-0.16 s at n = 14, 0.10-0.14 s at n = 15 (rank 7) and 0.07 s there
+# to refuse a class outside Eff, and with this edge lifted 0.14-0.16 s at n = 16 (rank 8), fresh
+# (2 vCPUs, CPython 3.11.7, pinned to one CPU): the edge is kept, though it no longer pays for
+# itself; a price of the configuration build read from the sizes should replace it.
 MAX_QUERY_RANK = 7
 
 

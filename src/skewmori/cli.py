@@ -72,8 +72,9 @@ def cmd_pfaffian(args):
 
 def cmd_classes(args):
     n = args.n
-    # the report grows as n^2: fresh, with --json, 7.6-8.1 s and 155 MB at n = 2500 and
-    # 11.1-11.2 s at n = 3000 (text: 4.1 s at n = 3000; 2 vCPUs, CPython 3.11.7)
+    # the report grows as n^2: fresh, with --json, 4.5-4.8 s and 155 MB at n = 2500 and
+    # 6.5-6.8 s at n = 3000, to a pipe or to /dev/null alike (text: 3.6-3.7 s at n = 3000;
+    # 2 vCPUs, CPython 3.11.7, pinned to one CPU)
     if n > 2500:
         raise ValueError("classes are supported up to n = 2500")
     rows, r = [], geometry.exceptional_count(n)

@@ -13,12 +13,12 @@ others would merely be scaled by d/prev, so each row keeps the pivot of the
 step that last rewrote it and is scaled up to date when it becomes the pivot
 row or the reduction ends.  ``rank`` and ``det`` stop at echelon form, where a
 rewritten row is zero up to the pivot column and only its tail past it is
-computed.  Full reduction (``kernel_basis``, ``skew_inverse``, the lineality of
-the double description) rewrites whole rows: the rows below the pivot are zero
-left of it there too, but on the small matrices it meets, slicing that prefix
-off costs what it saves.  A quotient only appears where it is the answer: a
-non-integral entry of ``matmul`` by a fractional matrix, and ``det`` of a
-fractional matrix.
+computed.  Full reduction (``kernel_basis``, the lineality of the double
+description) rewrites whole rows: the rows below the pivot are zero left of it
+there too, but on the small matrices it meets, slicing that prefix off costs
+what it saves.  Skew matrices have their own form of the pass, on pivot pairs, in
+``pfaffian``.  A quotient only appears where it is the answer: a non-integral
+entry of ``matmul`` by a fractional matrix, and ``det`` of a fractional matrix.
 """
 
 from __future__ import annotations

@@ -254,29 +254,40 @@ def pfaffian_value(matrix, indices=None):
     """Exact numeric Pfaffian of a principal minor (whole matrix by default): an int
     when every entry of the minor is an ``int``, a Fraction otherwise.
 
-    Fraction-free elimination on pivot pairs, by the Pfaffian form of Sylvester's
-    identity (Knuth, "Overlapping Pfaffians", 1996), on the minor's entries scaled by
-    their common denominator s (the Pfaffian on 2m indices scales by s^m).  Before the step
-    at the pair (k, k + 1), k even, each entry (i, j) with i, j >= k is the Pfaffian
-    on the first k indices and i, j, and q = b_k(k+1) is the pivot.  A zero pivot
-    swaps in a later index with a nonzero entry in row k, which flips the sign; with
-    none, the Pfaffian is 0.  Each entry with i, j > k + 1 becomes
-    (q b_ij - b_ki b_(k+1)j + b_kj b_(k+1)i) / prev, prev the pivot before q (1 at
-    first), and the division is exact.  The last pivot is the Pfaffian.
+    One _eliminate_pairs pass on the minor's entries scaled by their common denominator
+    s (the Pfaffian on 2m indices scales by s^m).  skew_inverse runs the same pass on a
+    bordered matrix, by Pf([[A, B], [-B^t, 0]]) = Pf(A) Pf(B^t A^-1 B) (Schur complement).
     """
     if indices is None:
         indices = range(matrix.size)
     idx = _check_index_set(matrix.size - 1, indices)
-    m = len(idx)
     b, scale, exact = matrix._scaled_rows(idx)
-    sign = prev = 1
-    for k in range(0, m, 2):
+    sign, q = _eliminate_pairs(b, len(idx))
+    return sign * q if exact else Fraction(sign * q, scale ** (len(idx) // 2))
+
+
+def _eliminate_pairs(b, pivots):
+    """(sign, q): fraction-free elimination on pivot pairs, in place, of the integer skew
+    matrix b (both triangles given), by the Pfaffian form of Sylvester's identity (Knuth,
+    "Overlapping Pfaffians", 1996), with pivots among its first ``pivots`` (even) indices.
+
+    Before the step at the pair (k, k + 1), k even, each entry (i, j), k <= i < j, is the
+    Pfaffian on the first k indices and i, j, and q = b_k(k+1) is the pivot.  A zero pivot
+    swaps in a later index j < pivots with b_kj != 0, which flips the sign; with none,
+    q = 0 and the pass stops.  Each entry with k + 1 < i < j becomes
+    (q b_ij - b_ki b_(k+1)j + b_kj b_(k+1)i) / prev, prev the pivot before q (1 at first),
+    an exact division that reads the upper triangle alone: only it is written, and the
+    lower one is rebuilt before a swap.  The last q is sign times the Pfaffian.
+    """
+    m, sign, prev = len(b), 1, 1
+    for k in range(0, pivots, 2):
         row = b[k]
         if not row[k + 1]:
-            j = next((j for j in range(k + 2, m) if row[j]), None)
+            j = next((j for j in range(k + 2, pivots) if row[j]), None)
             if j is None:
-                prev = 0
-                break
+                return sign, 0
+            for i, c in combinations(range(k + 1, m), 2):
+                b[c][i] = -b[i][c]
             b[k + 1], b[j] = b[j], b[k + 1]
             for r in b:
                 r[k + 1], r[j] = r[j], r[k + 1]
@@ -286,11 +297,8 @@ def pfaffian_value(matrix, indices=None):
             bi, ri, ni = b[i], row[i], nxt[i]
             for j in range(i + 1, m):
                 bi[j] = (q * bi[j] - ri * nxt[j] + row[j] * ni) // prev
-                b[j][i] = -bi[j]
         prev = q
-    if exact:
-        return sign * prev
-    return Fraction(sign * prev, scale ** (m // 2))
+    return sign, prev
 
 
 def _check_h(n, h):
@@ -574,23 +582,27 @@ def wedge_power(matrix, k):
 def skew_inverse(matrix):
     """Exact inverse of an invertible skew matrix; skew again, and an involution.
 
-    With s the common denominator of the entries, one fraction-free pass
-    reduces the integer matrix [sA | I] to [dI | (d/s) A^-1], so the inverse
-    is s/d times its right half, read off on the upper triangle: an ``int``
-    where integral, a ``Fraction`` only where not.  Raises ValueError on singular input.
+    With s the common denominator of the entries, _eliminate_pairs runs on the integer
+    bordered matrix M = [[sA, I], [-I, 0]] of size 2n, pivots among A's n indices.  Its
+    entry (n+i, n+j) ends as the Pfaffian of M on A's indices and n+i, n+j, which the
+    Schur-complement identity Pf([[A, B], [-B^t, 0]]) = Pf(A) Pf(B^t A^-1 B) makes
+    Pf(sA) (sA)^-1_ij, and its last pivot q is Pf(sA), both times the sign of the swaps.
+    Those permute A's indices alone, so the sign cancels in A^-1_ij = s M'_(n+i)(n+j) / q:
+    an ``int`` where integral, a ``Fraction`` only where not.  Raises ValueError on
+    singular input.
     """
     n = matrix.size
     if n % 2 == 1:
         raise ValueError("odd-size skew matrices are singular")
     rows, s, _ = matrix._scaled_rows(range(n))
-    red, pivots, _ = linalg._bareiss([tuple(row + [int(i == j) for j in range(n)])
-                                      for i, row in enumerate(rows)])
-    if pivots != list(range(n)):
+    b = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    b += [[-int(i == j) for j in range(n)] + [0] * n for i in range(n)]
+    _, q = _eliminate_pairs(b, n)
+    if not q:
         raise ValueError("singular matrix")
-    d = red[-1][n - 1] if n else 1
-    return SkewMatrix._make(n, {(i, j): x // d if (x := s * red[i][n + j]) % d == 0
-                                else Fraction(x, d)
-                                for i in range(n) for j in range(i + 1, n) if red[i][n + j]})
+    return SkewMatrix._make(n, {(i, j): x // q if (x := s * b[n + i][n + j]) % q == 0
+                                else Fraction(x, q)
+                                for i in range(n) for j in range(i + 1, n) if b[n + i][n + j]})
 
 
 def validate_complete_form(stages):

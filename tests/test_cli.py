@@ -394,6 +394,11 @@ RECORDED_REPORTS = [
     # the report of 123f000 less the config key of the dropped verify --bound
     ("verify --only multiplicity --json --seed 3", 0,
      "f578a2098a5f03f57f4fcd91581a5f3c3c45d7de7c06932e69852fe5e22568fb"),
+    # recorded at 44b6164; the property suites invert their seeded skew draws
+    ("verify --only properties --json --seed 1", 0,
+     "9f032a1d08fe51e06609c1b63312b6cca7e6c6cb1a302222f53c9c5db23db59e"),
+    ("verify --only properties --json --seed 2", 0,
+     "a9f139b68a057faf58709dc0d11e81a29fc56f9fe30624bb49c5512b66a75d76"),
     ("secant --n 8", 0, "6c573e7b547b837ded6f17aa6dc0e838b892058c5644231fd847cd26c2f595b1"),
     # recorded at 7b2b616
     ("secant --n 8 --json", 0, "a572b21be96b06de714399fed6e05449d32542d12ce8f927ebd36dc2557bbcd3"),

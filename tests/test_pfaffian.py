@@ -476,19 +476,25 @@ def unit_wedge(n, x, m):
     return [x[i] if j == m else -x[j] if i == m else 0 for i, j in combinations(range(n + 1), 2)]
 
 
-def textbook_terracini(n, h, bound=100, seed=0):
-    """The per-h oracle: one rank of all 2h(n+1) stacked rows per attempt."""
-    best = 0
+def textbook_terracini(n, top, bound=100, seed=0):
+    """The oracle for every h <= top: each attempt inserts all 2(n+1) rows x ^ e_m, y ^ e_m of
+    its points one at a time into a row echelon basis, and reads the rank after h points."""
+    best = [0] * top
     for attempt in range(3):
         rng = random.Random(f"terracini:{seed}:{attempt}")
-        rows = []
-        for _ in range(h):
+        basis = []  # (pivot column, row), each row zero at the pivots of the rows before it
+        for h in range(top):
             x = [rng.randint(-bound, bound) for _ in range(n + 1)]
             y = [rng.randint(-bound, bound) for _ in range(n + 1)]
             for m in range(n + 1):
-                rows.append(unit_wedge(n, x, m))
-                rows.append(unit_wedge(n, y, m))
-        best = max(best, linalg.rank(rows) - 1)
+                for v in (unit_wedge(n, x, m), unit_wedge(n, y, m)):
+                    for c, row in basis:
+                        if v[c]:
+                            v = [row[c] * a - v[c] * b for a, b in zip(v, row)]
+                    if any(v):
+                        v = linalg.primitive(v)
+                        basis.append((next(c for c, a in enumerate(v) if a), v))
+            best[h] = max(best[h], len(basis) - 1)
     return best
 
 
@@ -497,8 +503,8 @@ def test_terracini_dims_match_the_per_h_oracle(bound):
     for n in range(3, 13):
         top = (n + 1) // 2
         for seed in range(3):
-            want = [textbook_terracini(n, h, bound, seed) for h in range(1, top + 1)]
-            assert terracini_dims(n, top, bound, seed) == want, (n, seed)
+            assert terracini_dims(n, top, bound, seed) == textbook_terracini(n, top, bound, seed), \
+                (n, seed)
 
 
 def terracini_draws(n, h, bound, seed, attempt):
@@ -515,8 +521,7 @@ def test_terracini_dims_on_degenerate_draws():
     for n in (3, 4, 5):
         top = (n + 1) // 2
         for seed in range(300):
-            want = [textbook_terracini(n, h, 1, seed) for h in range(1, top + 1)]
-            assert terracini_dims(n, top, 1, seed) == want, (n, seed)
+            assert terracini_dims(n, top, 1, seed) == textbook_terracini(n, top, 1, seed), (n, seed)
     # the seeds above reach y parallel to x (y = -x) and a zero vector (y = 0)
     assert any(y == [-v for v in x] and any(x) for x, y in terracini_draws(4, 2, 1, 14, 2))
     assert any(not any(y) for x, y in terracini_draws(5, 3, 1, 25, 0))
@@ -628,40 +633,79 @@ def refusal(fn, *args):
         return None, str(exc)
 
 
-@pytest.mark.parametrize("size", range(9))
+def forced_pivot_case(rng, pairs, size):
+    """G^t J G, J the skew matrix with +1 at each of the given pairs and G a seeded integer
+    upper-triangular matrix with nonzero diagonal, divided by a random d: its leading
+    principal Pfaffians are those of J times nonzero factors, so the pair elimination
+    meets its first zero pivot where J's leading Pfaffians first vanish."""
+    j = [[0] * size for _ in range(size)]
+    for a, b in pairs:
+        j[a][b], j[b][a] = 1, -1
+    g = [[rng.choice((1, -1, 2, 3)) if r == c else rng.randint(-3, 3) if r < c else 0
+          for c in range(size)] for r in range(size)]
+    rows = linalg.matmul(list(zip(*g)), linalg.matmul(j, g))
+    d = rng.choice((1, 1, 2, 5))
+    return SkewMatrix([[Fraction(x, d) for x in row] for row in rows])
+
+
+def assert_inverse_matches_the_oracle(z):
+    """skew_inverse against the general inverse of the full matrix: the same entries,
+    each an int where integral and a Fraction only where not, or the same refusal."""
+    got, why = refusal(skew_inverse, z)
+    want, want_why = refusal(inverse, z.to_rows())
+    if z.size % 2:
+        assert why == "odd-size skew matrices are singular" and want_why is not None
+        return why
+    assert why == want_why, z.to_rows()
+    if why is None:
+        assert got._upper == SkewMatrix(want)._upper, z.to_rows()
+        assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                   for x in got._upper.values())
+    return why
+
+
+@pytest.mark.parametrize("size", range(17))
 def test_skew_inverse_matches_the_general_inverse(size):
-    """The one-denominator pass against the general inverse of the full matrix."""
-    odd = singular = 0
-    for seed in range(12):
-        for z in skew_cases(seed, size):
-            got, why = refusal(skew_inverse, z)
-            want, want_why = refusal(inverse, z.to_rows())
-            if size % 2:
-                assert why == "odd-size skew matrices are singular" and want_why is not None
-                odd += 1
-                continue
-            assert why == want_why, z.to_rows()
-            if why is not None:
-                singular += 1
-                continue
-            want = SkewMatrix(want)
-            assert got._upper == want._upper, z.to_rows()
-            # an int where the entry is integral, a Fraction only where not
-            assert all(type(x) is (int if x.denominator == 1 else Fraction)
-                       for x in got._upper.values())
+    """The pivot-pair pass on the bordered matrix against the general inverse."""
+    whys = [assert_inverse_matches_the_oracle(z) for seed in range(12)
+            for z in skew_cases(seed, size)]
     if size % 2:
-        assert odd == 48
+        assert len(whys) == 48
     elif size:
-        assert singular > 0  # the sparse cases reach the singular refusal
+        assert "singular matrix" in whys  # the sparse cases reach the singular refusal
+
+
+@pytest.mark.parametrize("size", range(2, 17, 2))
+def test_skew_inverse_through_forced_swaps_and_late_refusals(size):
+    """A zero pivot, and so a swap, at every pair but the last, and a zero last pivot."""
+    rng = random.Random(f"forced-pivots:{size}")
+    for k in range(0, size - 2, 2):
+        # J pairs k with k + 2 and k + 1 with k + 3: its leading Pfaffians vanish first at k + 2
+        pairs = [(p, p + 1) for p in range(0, size, 2) if p not in (k, k + 2)]
+        for _ in range(3):
+            z = forced_pivot_case(rng, pairs + [(k, k + 2), (k + 1, k + 3)], size)
+            rows = z.to_rows()
+            assert all(linalg.det([r[:p] for r in rows[:p]]) for p in range(0, k + 1, 2))
+            assert linalg.det([r[:k + 2] for r in rows[:k + 2]]) == 0
+            assert assert_inverse_matches_the_oracle(z) is None
+    # J pairs every index but the last two: only the last pivot is zero, with no index left
+    # to swap in, and the border is no place to look for one
+    for _ in range(3):
+        z = forced_pivot_case(rng, [(p, p + 1) for p in range(0, size - 2, 2)], size)
+        rows = z.to_rows()
+        assert linalg.det([r[:size - 2] for r in rows[:size - 2]]) and not linalg.det(rows)
+        assert assert_inverse_matches_the_oracle(z) == "singular matrix"
 
 
 def test_skew_inverse_is_one_elimination_at_size_16(monkeypatch):
-    """No sub-Pfaffian adjugate: one elimination of the 16 x 32 matrix, in well under a second."""
+    """One pivot-pair pass, no Gauss-Jordan and no sub-Pfaffian adjugate, in well under a
+    second."""
     z = next(z for z in skew_cases(0, 16)[::-1] if pfaffian_value(z))
     want = SkewMatrix(inverse(z.to_rows()))
     calls = []
-    monkeypatch.setattr(linalg, "_bareiss", lambda *a, _run=linalg._bareiss: calls.append(a)
-                        or _run(*a))
+    monkeypatch.setattr(pfaffian, "_eliminate_pairs",
+                        lambda *a, _run=pfaffian._eliminate_pairs: calls.append(a) or _run(*a))
+    monkeypatch.setattr(linalg, "_bareiss", lambda *a: pytest.fail("Gauss-Jordan"))
     monkeypatch.setattr(pfaffian, "pfaffian_value", lambda *a: pytest.fail("adjugate"))
     start = time.perf_counter()
     got = skew_inverse(z)
