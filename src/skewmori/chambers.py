@@ -10,19 +10,20 @@ and the bases holding one cut out its chamber.  Each wall inside the effective
 cone is crossed once, just past it.  Classes just past w along d are read in
 sign order (Edelsbrunner-Muecke, "Simulation of Simplicity", 1990): a spanned
 hyperplane h takes the sign of h.w, or of h.d where h.w = 0, the sign of t w + d
-for every large t.  A wall is crossed from the sum of its rays along minus the
-sum of the chamber's other rays.  A class w of the effective cone is read along
-a fixed d on no spanned hyperplane, so the chamber its signs select holds w, and
-the cell of w is its face cut out by the facets through w.  Those signs, facets
-and the signature below read only w's sign vector over the spanned hyperplanes,
-so each answer is memoised per sign vector.  That vector is read from one
-integer: with the K planes packed into B-bit fields, sum_i w_i (sum_k h_k[i]
-2^(B k)) + sum_k 2^(B - 1) 2^(B k) holds h_k.w + 2^(B - 1) in field k.  Each
-|h_k.w| is at most max|h| sum|w_i|, at most 2^(B - 1) - 1 for the B chosen, so
-every field lies in [1, 2^B) and no carry or borrow crosses a field: its top
-bit is set iff h_k.w >= 0, and after subtracting 1 from every field iff
-h_k.w > 0.  Each facet of the effective cone is +h_k or -h_k, so membership
-is a test of those two masks too.
+for every large t, and t = max|h| sum|d_i| + 1 will do, as |h.d| < t.  A wall
+is crossed from the sum of its rays along minus the sum of the chamber's other
+rays.  A class w of the effective cone is read along a fixed class on no
+spanned hyperplane, so the chamber its signs select holds w, and the cell of w
+is its face cut out by the facets through w.  Those signs, facets and the
+signature below read only w's sign vector over the spanned hyperplanes, so each
+answer is memoised per sign vector.  The walk, the queries and the signatures
+read that vector from one integer: with the K planes packed into B-bit fields,
+sum_i w_i (sum_k h_k[i] 2^(B k)) + sum_k 2^(B - 1) 2^(B k) holds h_k.w +
+2^(B - 1) in field k.  Each |h_k.w| is at most max|h| sum|w_i|, at most
+2^(B - 1) - 1 for the B chosen, so every field lies in [1, 2^B) and no carry or
+borrow crosses a field: its top bit is set iff h_k.w >= 0, and after
+subtracting 1 from every field iff h_k.w > 0.  Each facet of the effective cone
+is +h_k or -h_k, so membership is a test of those two masks too.
 
 A set G of generator families is *forced* at w when w is not a nonnegative
 combination of the degrees of the remaining families, and *empty* when it is
@@ -45,7 +46,7 @@ from __future__ import annotations
 from functools import cache, reduce
 from itertools import combinations
 from math import comb
-from operator import add, and_, mul, or_
+from operator import and_, mul, or_
 
 from . import geometry
 from .cones import Cone, hyperplanes_spanned_by
@@ -69,10 +70,10 @@ class VectorConfiguration:
     any generic class it holds, on its boundary if on the first's boundary, so
     such a basis cuts out nothing more; ``facet_bases``, per normal the mask of
     the bases with a facet on it; ``cocircuits``, per normal h the mask of N_h,
-    or 0 if it holds an empty stratum; ``direction``, per plane a nonzero value
-    of h_k.p, or else of h_k.(1, m, ..., m^(r-1)): the signs that break h_k.w = 0;
-    ``height``, the largest |h_k[i]|; ``effective``, the masks of the planes with
-    +h_k and with -h_k a facet normal of the effective cone, which needs degrees
+    or 0 if it holds an empty stratum; ``height``, the largest |h_k[i]|;
+    ``nudge``, the class just past p along (1, m, ..., m^(r-1)), so on no h_k:
+    its signs break h_k.w = 0; ``effective``, the masks of the planes with +h_k
+    and with -h_k a facet normal of the effective cone, which needs degrees
     spanning the lattice (else no basis holds any class).
     """
 
@@ -127,8 +128,7 @@ class VectorConfiguration:
         # (1, m, ..., m^(r-1)) is on no h_k, as each |h_k| < m/2
         self.height = max(abs(x) for h in planes for x in h)
         m = 2 * self.height + 1
-        self.direction = [a or dot(h, [m ** i for i in range(self.rank)])
-                          for a, h in zip(values, planes)]
+        self.nudge = _past(self, self.polarization, [m ** i for i in range(self.rank)])
         index = {h: k for k, h in enumerate(normals)}
         if any(f not in index for f in self.ambient.facets):
             raise ValueError(f"the degrees do not span rank {self.rank}")
@@ -163,9 +163,9 @@ def first_blowup_configuration(n):
     return VectorConfiguration(2, families + [("S1", (0, 1))], (3, -1))
 
 
-def sbl_signature(config, values):
+def sbl_signature(config, signs):
     """Antichain of minimal forced, nonempty family sets at a class w of the
-    effective cone, read off its ``values`` h.w over the spanned hyperplanes h.
+    effective cone, read off its sign key ``signs`` (see ``_signs``).
 
     This is a complete combinatorial invariant of the stable base locus in
     the ambient toric model: singletons are divisorial components, larger
@@ -173,9 +173,9 @@ def sbl_signature(config, values):
     They are the minimal cocircuits N_h with h.w < 0 that hold no empty
     stratum (see the module docstring); w need not be generic.
     """
-    cocircuits, K, found = config.cocircuits, len(values), []
+    cocircuits, K, found = config.cocircuits, len(signs), []
     # the normals negative at w: +h_k (index k) if h_k.w < 0, -h_k (k + K) if h_k.w > 0
-    below = {cocircuits[k + K * (x > 0)] for k, x in enumerate(values) if x}
+    below = {cocircuits[k + K * (s == 0xc0)] for k, s in enumerate(signs) if s != 0x80}
     for c in sorted(below - {0}, key=int.bit_count):
         for f in found:
             if f & c == f:
@@ -216,14 +216,12 @@ class Region(Record):
 
 
 class Decomposition:
-    """Chambers, sorted (i, j, facet rays) walls of chambers i < j, regions, and the
-    ray_values h.r over the planes of each chamber ray r."""
+    """Chambers, sorted (i, j, facet rays) walls of chambers i < j, and regions."""
 
-    def __init__(self, config, chambers, walls, ray_values):
+    def __init__(self, config, chambers, walls):
         self.config = config
         self.chambers = tuple(chambers)
         self.walls = tuple(walls)
-        self.ray_values = ray_values
         self._regions = None
 
     @property
@@ -261,37 +259,36 @@ def _canonical_chamber(config, held):
     return config._chambers[held]
 
 
-def _held(config, w, name="class", values=None):
-    """Mask of the bases holding w (``values`` are its h.w, if known): those with
-    no facet normal h with h.w < 0.  A basis holding w on its boundary puts w in a
-    lower-dimensional subset cone, a wall, and no basis holds a w outside the
-    effective cone; either is a ``ValueError``."""
-    if values is None:
-        values = [dot(h, w) for h in config.planes]
-    facet_bases, cut, tight = config.facet_bases, 0, 0
-    for k, x in enumerate(values):  # normal k is +h_k, normal k + K is -h_k
-        if x < 0:
-            cut |= facet_bases[k]
-        elif x > 0:
-            cut |= facet_bases[k + len(values)]
-        else:
-            tight |= facet_bases[k] | facet_bases[k + len(values)]
+def _past(config, w, d):
+    """The class t w + d, t = max|h| sum|d_i| + 1: just past w along d, in sign order."""
+    t = config.height * sum(map(abs, d)) + 1
+    return tuple(t * a + b for a, b in zip(w, d))
+
+
+def _held(config, w, name="class"):
+    """Mask of the bases holding the integer class w: those with no facet normal h
+    with h.w < 0.  A basis holding w on its boundary puts w in a lower-dimensional
+    subset cone, a wall, and no basis holds a w outside the effective cone; either
+    is a ``ValueError``."""
+    signs, facet_bases, K = _signs(config, w), config.facet_bases, len(config.planes)
+    cut = tight = 0
+    for k, s in enumerate(signs or b""):  # normal k is +h_k, normal k + K is -h_k
+        if s == 0x80:
+            tight |= facet_bases[k] | facet_bases[k + K]
+        else:  # +h_k if h_k.w < 0, -h_k if h_k.w > 0
+            cut |= facet_bases[k + K * (s == 0xc0)]
     held = (1 << len(config.bases)) - 1 & ~cut
-    if not held or held & tight:
+    if signs is None or not held or held & tight:
         raise ValueError(f"{name} {w} is not interior to a chamber")
     return held
-
-
-def _add(a, b):
-    return list(map(add, a, b))
 
 
 # A decomposition of v degrees in rank r is priced C(v, r) C(v, r - 1): 2.1e5 at n = 12,
 # 7.3e5 at n = 13, 2.9e6 at n = 14 (rank 7, 292 bases, 2394 chambers), 1.03e7 at n = 15 and
 # 4.0e6 for the single blow-up at its cap n = 400 (rank 2, 201 degrees).  The price bounds
-# the walk: at n = 15 (13532 chambers) it takes 20-22 s in process.  Fresh, with --json,
-# `gkz` takes 1.0-1.2 s at n = 13 and 2.4-2.7 s at n = 14, and `blowup1 --n 400`
-# 0.24-0.27 s (2 vCPUs, CPython 3.11.7).
+# the walk: at n = 15 (13532 chambers) it takes 15-16 s in process.  Fresh, with --json,
+# `gkz` takes 0.8-1.0 s at n = 13 and 1.9-2.5 s at n = 14, and `blowup1 --n 400`
+# 0.23-0.27 s (2 vCPUs, CPython 3.11.7, pinned to one CPU).
 MAX_CHAMBER_WORK = 5_000_000
 
 # `chamber --json` takes 0.09-0.16 s at n = 14, 0.10-0.14 s at n = 15 (rank 7) and 0.07 s there
@@ -322,18 +319,12 @@ def check_chamber_work(vectors, rank):
 def gkz_chambers(config):
     """All maximal chambers of the configuration, canonically ordered."""
     check_chamber_work(len(config.vectors), config.rank)
-    start, planes = _held(config, config.polarization, "polarization"), config.planes
+    start = _held(config, config.polarization, "polarization")
     found, queue, walls = {start: _canonical_chamber(config, start)}, [start], {}
-    ray_values, boundary = {}, set(config.ambient.facets)  # per ray r, its h.r over the planes
-
-    def plane_values(rays):  # the h.x of x, the sum of the rays; read-only
-        for r in rays:
-            if r not in ray_values:
-                ray_values[r] = [dot(h, r) for h in planes]
-        return reduce(_add, (ray_values[r] for r in rays))
-
+    boundary = set(config.ambient.facets)
     for held in queue:  # grows as the walk finds neighbours
         cone = found[held]
+        total = cone.interior_point()  # the sum of its rays
         for f in cone.facets:
             if f in boundary:
                 continue  # on a facet of the effective cone, which holds the chamber
@@ -342,8 +333,7 @@ def gkz_chambers(config):
                 # p, the sum of the wall's rays, pushed off the chamber along minus the
                 # sum of the rays off the wall, in sign order: just past the wall
                 p = tuple(map(sum, zip(*on)))
-                off = plane_values([r for r in cone.rays if r not in on])
-                nxt = _held(config, p, values=[a or -b for a, b in zip(plane_values(on), off)])
+                nxt = _held(config, _past(config, p, [a - b for a, b in zip(p, total)]))
                 if nxt not in found:
                     found[nxt] = _canonical_chamber(config, nxt)
                     queue.append(nxt)
@@ -355,8 +345,8 @@ def gkz_chambers(config):
     order = sorted(found.items(), key=lambda item: item[1].rays)
     index = {cone.rays: i for i, (_, cone) in enumerate(order)}
     walls = sorted((*sorted((index[a], index[b])), on) for on, (a, b) in walls.items())
-    return Decomposition(config, [GKZChamber(cone, cone.interior_point(), sbl_signature(
-        config, plane_values(cone.rays))) for _, cone in order], walls, ray_values)
+    return Decomposition(config, [GKZChamber(cone, w, sbl_signature(config, _signs(config, w)))
+                                  for _, cone in order for w in [cone.interior_point()]], walls)
 
 
 def _packing(config, width):
@@ -379,41 +369,47 @@ def _packing(config, width):
     return packing
 
 
-def chamber_of(config, w):
-    """The chamber (or lower-dimensional face) of the class w, with its signature.
-
-    Both depend only on w's sign vector over the spanned hyperplanes h (the
-    generic class near w has the sign of h.w, or of ``config.direction`` where
-    h.w = 0; the tight facets are the h with h.w = 0; the signature reads the h
-    with h.w < 0), so they are memoised per sign vector.  A warm query reads that
-    vector from one packed integer (see the module docstring): fields of whole
-    bytes, enough that max|h| sum|w_i| <= 2^(B - 1) - 1, so no field carries, and
-    the key is the top byte of each field of the >= 0 mask or'ed with the > 0 mask
-    shifted down one bit: 0x00, 0x80 or 0xc0 per plane, whatever the width.  A
-    class outside the effective cone fails one test of the two masks."""
-    check_query_rank(config.rank)
-    w = tuple(w)
-    v, _ = clear_denominators(w)  # refuses an inexact w
-    if len(v) != config.rank:
-        raise ValueError("dimension mismatch")
+def _signs(config, v):
+    """The sign key of the integer class v, None outside the effective cone: per
+    plane the top byte of its field of the >= 0 mask or'ed with the > 0 mask shifted
+    down one bit, 0x00, 0x80 or 0xc0 where h_k.v < 0, = 0 or > 0, whatever the
+    width of the whole-byte fields (see the module docstring), which are enough
+    that max|h| sum|v_i| <= 2^(B - 1) - 1, so no field carries."""
     width = (config.height * sum(map(abs, v))).bit_length() // 8 + 1
     columns, half, ones, nonneg_facets, nonpos_facets = _packing(config, width)
     x = sum(map(mul, v, columns), half)
     nonneg, pos = x & half, x - ones & half
     if nonneg & nonneg_facets != nonneg_facets or pos & nonpos_facets:
+        return None
+    return (nonneg | pos >> 1).to_bytes(width * len(config.planes), "little")[width - 1::width]
+
+
+def chamber_of(config, w):
+    """The chamber (or lower-dimensional face) of the class w, with its signature.
+
+    Both depend only on w's sign vector over the spanned hyperplanes h (the
+    generic class just past w along ``config.nudge`` has the sign of h.w, or of
+    h.nudge where h.w = 0; the tight facets are the h with h.w = 0; the signature
+    reads the h with h.w < 0), so they are memoised per sign key (see ``_signs``),
+    which a warm query reads from one packed integer.  A class outside the
+    effective cone has no key."""
+    check_query_rank(config.rank)
+    w = tuple(w)
+    v, _ = clear_denominators(w)  # refuses an inexact w
+    if len(v) != config.rank:
+        raise ValueError("dimension mismatch")
+    signs = _signs(config, v)
+    if signs is None:
         raise ValueError("class outside the effective cone")
-    signs = (nonneg | pos >> 1).to_bytes(width * len(config.planes), "little")[width - 1::width]
     if signs not in config._cells:
-        values = [sum(map(mul, h, v)) for h in config.planes]
-        held = _held(config, w, values=[a or b for a, b in zip(values, config.direction)])
-        cone = _canonical_chamber(config, held)
+        cone = _canonical_chamber(config, _held(config, _past(config, v, config.nudge)))
         tight = [f for f in cone.facets if not dot(f, v)]
         if tight:  # the face of the chamber that holds w in its relative interior
             rays = tuple(r for r in cone.rays if not any(dot(f, r) for f in tight))
             if rays not in config._faces:
                 config._faces[rays] = Cone.from_generators(rays, config.rank)
             cone = config._faces[rays]
-        config._cells[signs] = cone, sbl_signature(config, values)
+        config._cells[signs] = cone, sbl_signature(config, signs)
     cone, signature = config._cells[signs]
     return GKZChamber(cone, w, signature)
 
@@ -475,7 +471,7 @@ def first_blowup_intervals(n):
     """
     dec = blowup_one_decomposition(n)
     rays = [(0, 1)] + [(k + 1, -k) for k in range((n - 1) // 2 + 1)]
-    at = [sbl_signature(dec.config, dec.ray_values[r]) for r in rays]
+    at = [sbl_signature(dec.config, _signs(dec.config, r)) for r in rays]
     intervals = []
     for idx, (left, right) in enumerate(zip(rays, rays[1:])):
         ch = next(ch for ch in dec.chambers if ch.rays == (left, right))

@@ -591,6 +591,114 @@ def test_chamber_of_next_to_a_field_width_edge():
     assert len(config._cells) == 3
 
 
+def key_by_dots(config, x):
+    """The sign key of x from dot products: per plane 0x00, 0x80 or 0xc0 where
+    h.x < 0, = 0 or > 0, or None outside the effective cone."""
+    if any(dot(f, x) < 0 for f in config.ambient.facets):
+        return None
+    return bytes((0x00, 0x80, 0xc0)[s + 1] for s in sign_vector(config, x))
+
+
+def held_by_cones(cones, x):
+    """The mask of the kept bases whose built cones hold x, or None if none holds
+    it or one holds it on its boundary."""
+    held = 0
+    for i, cone in enumerate(cones):
+        if cone.contains(x):
+            if any(dot(f, x) == 0 for f in cone.facets):
+                return None
+            held |= 1 << i
+    return held or None
+
+
+class DotOracle:
+    """Per configuration, the built cone of each kept basis and, per signed plane
+    normal g, the degrees N_g = {v : g.v < 0}, each from dot products."""
+
+    def __init__(self, config):
+        self.config = config
+        self.cones = [Cone.from_generators([config.vectors[i] for i in chambers._bits(mask)])
+                      for mask, _ in config.bases]
+        self.below = [frozenset(i for i, v in enumerate(config.vectors) if dot(g, v) < 0)
+                      for g in config.normals]
+        self.empty = [s for g, s in zip(config.normals, self.below)
+                      if dot(g, config.polarization) < 0]
+
+    def signature(self, x):
+        """The minimal N_g with g.x < 0 that hold no N_h with h.p < 0, as labels."""
+        sets = {s for g, s in zip(self.config.normals, self.below) if dot(g, x) < 0}
+        sets = {s for s in sets if not any(e <= s for e in self.empty)}
+        return frozenset(frozenset().union(*(self.config.owners[i] for i in s))
+                         for s in sets if not any(t < s for t in sets))
+
+
+def assert_sign_helpers(oracle, w, d):
+    """``_signs``, ``_held`` and ``sbl_signature`` at w and at ``_past(w, d)``, and
+    the signs of the latter (those of w, else of d), against dot products.  Returns
+    how many planes have h.w = +-1 and h.d = -+max|h| sum|d_i|, where no smaller
+    push than ``_past``'s reads the sign of w."""
+    config = oracle.config
+    x = chambers._past(config, w, d)
+    assert sign_vector(config, x) == tuple(
+        a or b for a, b in zip(sign_vector(config, w), sign_vector(config, d))), (w, d)
+    for y in (w, x):
+        key = chambers._signs(config, y)
+        assert key == key_by_dots(config, y), y
+        if key is not None:
+            assert chambers.sbl_signature(config, key) == oracle.signature(y), y
+        held = held_by_cones(oracle.cones, y) if key is not None else None
+        if held is None:
+            with pytest.raises(ValueError, match="not interior to a chamber"):
+                chambers._held(config, y)
+        else:
+            assert chambers._held(config, y) == held, y
+    bound = config.height * sum(map(abs, d))
+    return sum(abs(a) == 1 and a * b == -bound
+               for a, b in zip((dot(h, w) for h in config.planes), (dot(h, d) for h in config.planes)))
+
+
+@pytest.mark.parametrize("model, n", [("A", n) for n in range(4, 13)] + [
+    ("blowup", 9), ("blowup", 60)])
+def test_sign_helpers_against_dot_products(model, n):
+    # classes: wall sums, rays and representatives; directions: minus the sum of
+    # the rays off a wall, from either side (the walk's crossing, which must land
+    # strictly inside the other chamber), and signed unit vectors e_i at a
+    # coordinate where some |h[i]| = max|h|; the first wall and the first unit
+    # direction are also scaled, class and direction apart, across every field
+    # width edge
+    dec = decomposition_for(n) if model == "A" else blowup_one_decomposition(n)
+    config = configuration_for(n) if model == "A" else first_blowup_configuration(n)
+    rng = random.Random(f"sign helpers {model}{n}")
+    oracle = DotOracle(config)
+    walls = rng.sample(dec.walls, min(8, len(dec.walls)))
+    rays = sorted({r for ch in dec.chambers for r in ch.rays})
+    classes = [vector_sum(on) for _, _, on in walls] + rng.sample(rays, min(6, len(rays))) + [
+        ch.representative for ch in rng.sample(dec.chambers, min(6, len(dec.chambers)))]
+    tall = [h for h in config.planes if max(map(abs, h)) == config.height]
+    classes += [r for r in rays if any(abs(dot(h, r)) == 1 for h in tall)][:4]
+    units = [tuple(s * (j == i) for j in range(config.rank)) for i in range(config.rank)
+             for s in (1, -1) if any(abs(h[i]) == config.height for h in config.planes)]
+    crossings = []
+    for i, j, on in walls:
+        p = vector_sum(on)
+        for a, b in ((i, j), (j, i)):
+            d = tuple(x - y for x, y in zip(p, dec.chambers[a].representative))
+            crossings.append((p, d))
+            x = chambers._past(config, p, d)
+            assert all(dot(f, x) > 0 for f in dec.chambers[b].cone.facets), (p, d)
+            assert chambers._canonical_chamber(config, chambers._held(config, x)) == (
+                dec.chambers[b].cone)
+    pushes = [(w, d) for w in classes for d in units]
+    cases = crossings + pushes
+    for w, d in (crossings[0], pushes[0]):
+        for _, scales in width_edges(config, w):
+            cases += [(tuple(t * x for x in w), d) for t in scales]
+        for _, scales in width_edges(config, d):
+            cases += [(w, tuple(t * x for x in d)) for t in scales]
+    assert sum(assert_sign_helpers(oracle, w, d) for w, d in cases)
+    assert set(range(1, 10)) <= set(config._packings)
+
+
 def locus_within(s, t):
     """Whether the stable base locus of signature s lies in that of t: each family set
     of s cuts out a stratum inside one of t's, so it contains one of t's sets."""
