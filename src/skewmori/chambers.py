@@ -23,7 +23,9 @@ sum_i w_i (sum_k h_k[i] 2^(B k)) + sum_k 2^(B - 1) 2^(B k) holds h_k.w +
 2^(B - 1) - 1 for the B chosen, so every field lies in [1, 2^B) and no carry or
 borrow crosses a field: its top bit is set iff h_k.w >= 0, and after
 subtracting 1 from every field iff h_k.w > 0.  Each facet of the effective cone
-is +h_k or -h_k, so membership is a test of those two masks too.
+is +h_k or -h_k, so membership is a test of those two masks too.  The held bases
+and the signature are read per chunk of 8 key bytes, and the rays of a wall or a
+face by plane masks: the planes through a ray are its key's 0x80 bytes.
 
 A set G of generator families is *forced* at w when w is not a nonnegative
 combination of the degrees of the remaining families, and *empty* when it is
@@ -52,6 +54,8 @@ from . import geometry
 from .cones import Cone, hyperplanes_spanned_by
 from .linalg import Record, clear_denominators, dot
 
+_ON = bytes.maketrans(b"\x00\x80\xc0", b"010")  # a sign byte to "1" where h.w = 0
+
 
 class VectorConfiguration:
     """Degrees of (label, degree) generator families plus the ambient effective cone.
@@ -74,7 +78,9 @@ class VectorConfiguration:
     ``nudge``, the class just past p along (1, m, ..., m^(r-1)), so on no h_k:
     its signs break h_k.w = 0; ``effective``, the masks of the planes with +h_k
     and with -h_k a facet normal of the effective cone, which needs degrees
-    spanning the lattice (else no basis holds any class).
+    spanning the lattice (else no basis holds any class); ``plane_of``, per
+    normal +-h_k its plane k.  Filled lazily: per chunk of 8 planes a table (see
+    ``_entries``) and per fan ray its plane mask (see ``_through``).
     """
 
     def __init__(self, rank, families, polarization):
@@ -84,7 +90,7 @@ class VectorConfiguration:
         self.vectors = sorted({degree for _, degree in self.families})
         self.ambient = Cone.from_generators(self.vectors, self.rank)
         self._subset_cones, self._chambers, self._faces, self._cells = {}, {}, {}, {}
-        self._packings = {}
+        self._packings, self._through = {}, {}
         self.labels = tuple(label for label, _ in self.families)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate family labels")
@@ -134,6 +140,8 @@ class VectorConfiguration:
             raise ValueError(f"the degrees do not span rank {self.rank}")
         facets = sum(1 << index[f] for f in self.ambient.facets)
         self.effective = facets & (1 << len(planes)) - 1, facets >> len(planes)
+        self.plane_of = {h: k % len(planes) for h, k in index.items()}
+        self._tables = [(j, {}) for j in range(0, len(planes), 8)]
 
     def subset_cone(self, vectors):
         key = frozenset(vectors)
@@ -165,7 +173,8 @@ def first_blowup_configuration(n):
 
 def sbl_signature(config, signs):
     """Antichain of minimal forced, nonempty family sets at a class w of the
-    effective cone, read off its sign key ``signs`` (see ``_signs``).
+    effective cone, read off its sign key ``signs`` (see ``_signs``) as the
+    union of the cocircuit sets of its chunk entries (see ``_entries``).
 
     This is a complete combinatorial invariant of the stable base locus in
     the ambient toric model: singletons are divisorial components, larger
@@ -173,10 +182,9 @@ def sbl_signature(config, signs):
     They are the minimal cocircuits N_h with h.w < 0 that hold no empty
     stratum (see the module docstring); w need not be generic.
     """
-    cocircuits, K, found = config.cocircuits, len(signs), []
-    # the normals negative at w: +h_k (index k) if h_k.w < 0, -h_k (k + K) if h_k.w > 0
-    below = {cocircuits[k + K * (s == 0xc0)] for k, s in enumerate(signs) if s != 0x80}
-    for c in sorted(below - {0}, key=int.bit_count):
+    found = []
+    for c in sorted(set().union(*(entry[2] for entry in _entries(config, signs))),
+                    key=int.bit_count):
         for f in found:
             if f & c == f:
                 break
@@ -193,6 +201,12 @@ def _divisorial(signature):
 class GKZChamber(Record):
     """A cell of the chamber decomposition with its base-locus signature."""
     __slots__ = _fields = ("cone", "representative", "signature")
+
+    def __init__(self, cone, representative, signature):  # one per query: no generic loop
+        set_cone, set_representative, set_signature = self._setters
+        set_cone(self, cone)
+        set_representative(self, representative)
+        set_signature(self, signature)
 
     @property
     def forced(self):
@@ -265,18 +279,42 @@ def _past(config, w, d):
     return tuple(t * a + b for a, b in zip(w, d))
 
 
+def _entries(config, signs):
+    """Per chunk of 8 planes, the entry of its bytes of the sign key: the masks of
+    the bases with a facet normal negative there (cut) and with a facet plane
+    through the class there (tight), and the set of the nonzero cocircuits of the
+    normals negative there; a pure function of the bytes, filled in lazily."""
+    return [table.get(signs[j:j + 8]) or _entry(config, j, table, signs[j:j + 8])
+            for j, table in config._tables]
+
+
+def _entry(config, j, table, key):
+    facet_bases, K = config.facet_bases, len(config.planes)  # normal k + K is -h_k
+    # the normals negative at the class: +h_k if h_k.w < 0, -h_k if h_k.w > 0
+    below = [k + K * (s == 0xc0) for k, s in enumerate(key, j) if s != 0x80]
+    entry = table[key] = (reduce(or_, (facet_bases[k] for k in below), 0),
+                          reduce(or_, (facet_bases[k] | facet_bases[k + K]
+                                       for k, s in enumerate(key, j) if s == 0x80), 0),
+                          frozenset(config.cocircuits[k] for k in below) - {0})
+    return entry
+
+
+def _through(config, rays):
+    """Per ray, the mask of the planes through it, read once from its sign key."""
+    return [config._through.get(r) or config._through.setdefault(
+        r, int(_signs(config, r)[::-1].translate(_ON), 2)) for r in rays]
+
+
 def _held(config, w, name="class"):
     """Mask of the bases holding the integer class w: those with no facet normal h
-    with h.w < 0.  A basis holding w on its boundary puts w in a lower-dimensional
-    subset cone, a wall, and no basis holds a w outside the effective cone; either
-    is a ``ValueError``."""
-    signs, facet_bases, K = _signs(config, w), config.facet_bases, len(config.planes)
-    cut = tight = 0
-    for k, s in enumerate(signs or b""):  # normal k is +h_k, normal k + K is -h_k
-        if s == 0x80:
-            tight |= facet_bases[k] | facet_bases[k + K]
-        else:  # +h_k if h_k.w < 0, -h_k if h_k.w > 0
-            cut |= facet_bases[k + K * (s == 0xc0)]
+    with h.w < 0, none cut in the chunk entries of w's key.  A basis holding w on
+    its boundary puts w in a lower-dimensional subset cone, a wall, and no basis
+    holds a w outside the effective cone; either is a ``ValueError``."""
+    signs, cut, tight = _signs(config, w), 0, 0
+    if signs is not None:
+        for entry in _entries(config, signs):
+            cut |= entry[0]
+            tight |= entry[1]
     held = (1 << len(config.bases)) - 1 & ~cut
     if signs is None or not held or held & tight:
         raise ValueError(f"{name} {w} is not interior to a chamber")
@@ -286,9 +324,9 @@ def _held(config, w, name="class"):
 # A decomposition of v degrees in rank r is priced C(v, r) C(v, r - 1): 2.1e5 at n = 12,
 # 7.3e5 at n = 13, 2.9e6 at n = 14 (rank 7, 292 bases, 2394 chambers), 1.03e7 at n = 15 and
 # 4.0e6 for the single blow-up at its cap n = 400 (rank 2, 201 degrees).  The price bounds
-# the walk: at n = 15 (13532 chambers) it takes 15-16 s in process.  Fresh, with --json,
-# `gkz` takes 0.8-1.0 s at n = 13 and 1.9-2.5 s at n = 14, and `blowup1 --n 400`
-# 0.23-0.27 s (2 vCPUs, CPython 3.11.7, pinned to one CPU).
+# the walk: at n = 15 (13532 chambers) it takes 12.5 s in process.  Fresh, with --json,
+# `gkz` takes 0.70-0.85 s at n = 13 and 1.6-1.9 s at n = 14, and `blowup1 --n 400`
+# 0.21-0.23 s (2 vCPUs, CPython 3.11.7, pinned to one CPU).
 MAX_CHAMBER_WORK = 5_000_000
 
 # `chamber --json` takes 0.09-0.16 s at n = 14, 0.10-0.14 s at n = 15 (rank 7) and 0.07 s there
@@ -321,14 +359,15 @@ def gkz_chambers(config):
     check_chamber_work(len(config.vectors), config.rank)
     start = _held(config, config.polarization, "polarization")
     found, queue, walls = {start: _canonical_chamber(config, start)}, [start], {}
-    boundary = set(config.ambient.facets)
+    boundary, plane_of = set(config.ambient.facets), config.plane_of
     for held in queue:  # grows as the walk finds neighbours
         cone = found[held]
         total = cone.interior_point()  # the sum of its rays
+        through = _through(config, cone.rays)
         for f in cone.facets:
             if f in boundary:
                 continue  # on a facet of the effective cone, which holds the chamber
-            on = tuple(r for r in cone.rays if dot(f, r) == 0)
+            on = tuple(r for r, m in zip(cone.rays, through) if m >> plane_of[f] & 1)
             if on not in walls:  # cross it; the walls dict maps it to its two chambers
                 # p, the sum of the wall's rays, pushed off the chamber along minus the
                 # sum of the rays off the wall, in sign order: just past the wall
@@ -355,17 +394,15 @@ def _packing(config, width):
     top bit (also the offset 2^(B - 1) per field), the mask of every field's
     lowest bit, and the top-bit masks of the planes with +h_k and with -h_k a
     facet normal of the effective cone."""
-    packing = config._packings.get(width)
-    if packing is None:
-        bits, planes = 8 * width, config.planes
-        ones = sum(1 << bits * k for k in range(len(planes)))
+    bits, planes = 8 * width, config.planes
+    ones = sum(1 << bits * k for k in range(len(planes)))
 
-        def spread(mask):  # plane mask -> mask of those fields' top bits
-            return sum(1 << bits * k + bits - 1 for k in _bits(mask))
+    def spread(mask):  # plane mask -> mask of those fields' top bits
+        return sum(1 << bits * k + bits - 1 for k in _bits(mask))
 
-        columns = [sum(h[i] << bits * k for k, h in enumerate(planes)) for i in range(config.rank)]
-        packing = config._packings[width] = (
-            columns, ones << bits - 1, ones, *map(spread, config.effective))
+    columns = [sum(h[i] << bits * k for k, h in enumerate(planes)) for i in range(config.rank)]
+    packing = config._packings[width] = (
+        columns, ones << bits - 1, ones, *map(spread, config.effective))
     return packing
 
 
@@ -376,12 +413,14 @@ def _signs(config, v):
     width of the whole-byte fields (see the module docstring), which are enough
     that max|h| sum|v_i| <= 2^(B - 1) - 1, so no field carries."""
     width = (config.height * sum(map(abs, v))).bit_length() // 8 + 1
-    columns, half, ones, nonneg_facets, nonpos_facets = _packing(config, width)
+    columns, half, ones, nonneg_facets, nonpos_facets = (config._packings.get(width)
+                                                         or _packing(config, width))
     x = sum(map(mul, v, columns), half)
     nonneg, pos = x & half, x - ones & half
     if nonneg & nonneg_facets != nonneg_facets or pos & nonpos_facets:
         return None
-    return (nonneg | pos >> 1).to_bytes(width * len(config.planes), "little")[width - 1::width]
+    key = (nonneg | pos >> 1).to_bytes(width * len(config.planes), "little")
+    return key if width == 1 else key[width - 1::width]
 
 
 def chamber_of(config, w):
@@ -389,10 +428,11 @@ def chamber_of(config, w):
 
     Both depend only on w's sign vector over the spanned hyperplanes h (the
     generic class just past w along ``config.nudge`` has the sign of h.w, or of
-    h.nudge where h.w = 0; the tight facets are the h with h.w = 0; the signature
-    reads the h with h.w < 0), so they are memoised per sign key (see ``_signs``),
-    which a warm query reads from one packed integer.  A class outside the
-    effective cone has no key."""
+    h.nudge where h.w = 0; the tight facets are the h with h.w = 0, the facet
+    planes among the 0x80 bytes of w's key, and the face's rays those whose
+    plane masks hold them all; the signature reads the h with h.w < 0), so they
+    are memoised per sign key (see ``_signs``), which a warm query reads from
+    one packed integer.  A class outside the effective cone has no key."""
     check_query_rank(config.rank)
     w = tuple(w)
     v, _ = clear_denominators(w)  # refuses an inexact w
@@ -401,17 +441,19 @@ def chamber_of(config, w):
     signs = _signs(config, v)
     if signs is None:
         raise ValueError("class outside the effective cone")
-    if signs not in config._cells:
+    cell = config._cells.get(signs)
+    if cell is None:
         cone = _canonical_chamber(config, _held(config, _past(config, v, config.nudge)))
-        tight = [f for f in cone.facets if not dot(f, v)]
+        tight = int(signs[::-1].translate(_ON), 2) & sum(1 << config.plane_of[f]
+                                                         for f in cone.facets)
         if tight:  # the face of the chamber that holds w in its relative interior
-            rays = tuple(r for r in cone.rays if not any(dot(f, r) for f in tight))
+            rays = tuple(r for r, m in zip(cone.rays, _through(config, cone.rays))
+                         if m & tight == tight)
             if rays not in config._faces:
                 config._faces[rays] = Cone.from_generators(rays, config.rank)
             cone = config._faces[rays]
-        config._cells[signs] = cone, sbl_signature(config, signs)
-    cone, signature = config._cells[signs]
-    return GKZChamber(cone, w, signature)
+        cell = config._cells[signs] = cone, sbl_signature(config, signs)
+    return GKZChamber(cell[0], w, cell[1])
 
 
 @cache

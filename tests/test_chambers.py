@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from oracles import interior_contains
+from oracles import DotOracle, interior_contains, planes_through
 from skewmori import chambers, geometry
 from skewmori.chambers import (
     VectorConfiguration,
@@ -454,7 +454,10 @@ def answer(ch):
 def test_chamber_of_independent_of_cache_state_and_order(n):
     # each class on a fresh configuration, then all of them twice on one warm
     # configuration in shuffled order: the sign-vector, chamber and face memos
-    # change no answer, and the second pass adds no cell, face or chamber
+    # change no answer, and the second pass adds no cell, face or chamber; then
+    # the walk after those queries, and the queries after a walk on a fresh
+    # configuration: the chunk tables and ray masks each fills change no answer
+    # of the other, and equal keys hold equal entries
     dec, rng = decomposition_for(n), random.Random(f"order{n}")
     rays = sorted({r for ch in dec.chambers for r in ch.rays})
     points = sorted({*rng.sample([vector_sum(on) for _, _, on in dec.walls], 20),
@@ -472,6 +475,13 @@ def test_chamber_of_independent_of_cache_state_and_order(n):
         assert answer(chamber_of(warm, w)) == fresh[w], w
     for memo, before in zip((warm._cells, warm._faces, warm._chambers), memos):
         assert memo == before and all(memo[k] is v for k, v in before.items())
+    assert chamber_digest(gkz_chambers(warm)) == chamber_digest(dec)
+    walked = configuration_for(n)
+    gkz_chambers(walked)
+    for w in points:
+        assert answer(chamber_of(walked, w)) == fresh[w], w
+    for (_, a), (_, b) in zip(warm._tables, walked._tables):
+        assert a and b and all(a[key] == b[key] for key in a.keys() & b.keys())
 
 
 def sign_vector(config, w):
@@ -611,30 +621,10 @@ def held_by_cones(cones, x):
     return held or None
 
 
-class DotOracle:
-    """Per configuration, the built cone of each kept basis and, per signed plane
-    normal g, the degrees N_g = {v : g.v < 0}, each from dot products."""
-
-    def __init__(self, config):
-        self.config = config
-        self.cones = [Cone.from_generators([config.vectors[i] for i in chambers._bits(mask)])
-                      for mask, _ in config.bases]
-        self.below = [frozenset(i for i, v in enumerate(config.vectors) if dot(g, v) < 0)
-                      for g in config.normals]
-        self.empty = [s for g, s in zip(config.normals, self.below)
-                      if dot(g, config.polarization) < 0]
-
-    def signature(self, x):
-        """The minimal N_g with g.x < 0 that hold no N_h with h.p < 0, as labels."""
-        sets = {s for g, s in zip(self.config.normals, self.below) if dot(g, x) < 0}
-        sets = {s for s in sets if not any(e <= s for e in self.empty)}
-        return frozenset(frozenset().union(*(self.config.owners[i] for i in s))
-                         for s in sets if not any(t < s for t in sets))
-
-
 def assert_sign_helpers(oracle, w, d):
-    """``_signs``, ``_held`` and ``sbl_signature`` at w and at ``_past(w, d)``, and
-    the signs of the latter (those of w, else of d), against dot products.  Returns
+    """``_signs``, the chunk entries of its key, ``_held`` and ``sbl_signature`` at w
+    and at ``_past(w, d)``, and the signs of the latter (those of w, else of d),
+    against dot products and the built basis cones.  Returns
     how many planes have h.w = +-1 and h.d = -+max|h| sum|d_i|, where no smaller
     push than ``_past``'s reads the sign of w."""
     config = oracle.config
@@ -645,6 +635,8 @@ def assert_sign_helpers(oracle, w, d):
         key = chambers._signs(config, y)
         assert key == key_by_dots(config, y), y
         if key is not None:
+            assert chambers._entries(config, key) == [
+                oracle.entry(j, key[j:j + 8]) for j in range(0, len(key), 8)], y
             assert chambers.sbl_signature(config, key) == oracle.signature(y), y
         held = held_by_cones(oracle.cones, y) if key is not None else None
         if held is None:
@@ -697,6 +689,12 @@ def test_sign_helpers_against_dot_products(model, n):
             cases += [(w, tuple(t * x for x in d)) for t in scales]
     assert sum(assert_sign_helpers(oracle, w, d) for w, d in cases)
     assert set(range(1, 10)) <= set(config._packings)
+    # the plane of each normal, and the planes through each fan ray, as the walk and
+    # chamber_of read them from the rays' sign keys
+    assert sorted(config.plane_of.items()) == sorted(
+        (g, k) for k, h in enumerate(config.planes) for g in (h, tuple(-x for x in h)))
+    assert chambers._through(config, rays) == [planes_through(config, r) for r in rays]
+    assert set(config._through) == set(rays)
 
 
 def locus_within(s, t):

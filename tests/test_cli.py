@@ -422,6 +422,9 @@ RECORDED_REPORTS = [
      "216274d01c6395cf50a7f2c96330c7ec3154dc5ac6addf34c4dfa4ebdd5f41d9"),
     ("chamber --n 8 --point=-1,0,0,0 --json", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # recorded at 01a50df; a class on a face of a rank-6 chamber, its planes in 12 chunks of 8
+    ("chamber --n 12 --point 51,-39,-27,-17,-11,0 --json", 0,
+     "09d3c17beed484ceeef8e5a2d0c83d3abc7f56c88e805b7a1e8b4c3d2708b120"),
 ]
 
 
