@@ -55,6 +55,7 @@ from .cones import Cone, hyperplanes_spanned_by
 from .linalg import Record, clear_denominators, dot
 
 _ON = bytes.maketrans(b"\x00\x80\xc0", b"010")  # a sign byte to "1" where h.w = 0
+_ZERO = bytes.maketrans(b"\x80\xc0", b"\xff\x00")  # a sign byte to 0xff where h.w = 0
 
 
 class VectorConfiguration:
@@ -80,7 +81,7 @@ class VectorConfiguration:
     and with -h_k a facet normal of the effective cone, which needs degrees
     spanning the lattice (else no basis holds any class); ``plane_of``, per
     normal +-h_k its plane k.  Filled lazily: per chunk of 8 planes a table (see
-    ``_entries``) and per fan ray its plane mask (see ``_through``).
+    ``_entries``), per fan ray its plane mask (``_through``), per cocircuit its labels.
     """
 
     def __init__(self, rank, families, polarization):
@@ -90,7 +91,7 @@ class VectorConfiguration:
         self.vectors = sorted({degree for _, degree in self.families})
         self.ambient = Cone.from_generators(self.vectors, self.rank)
         self._subset_cones, self._chambers, self._faces, self._cells = {}, {}, {}, {}
-        self._packings, self._through = {}, {}
+        self._packings, self._through, self._labels = {}, {}, {}
         self.labels = tuple(label for label, _ in self.families)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate family labels")
@@ -142,6 +143,7 @@ class VectorConfiguration:
         self.effective = facets & (1 << len(planes)) - 1, facets >> len(planes)
         self.plane_of = {h: k % len(planes) for h, k in index.items()}
         self._tables = [(j, {}) for j in range(0, len(planes), 8)]
+        self._nudged = int.from_bytes(_signs(self, self.nudge), "big")  # see _lift
 
     def subset_cone(self, vectors):
         key = frozenset(vectors)
@@ -173,8 +175,8 @@ def first_blowup_configuration(n):
 
 def sbl_signature(config, signs):
     """Antichain of minimal forced, nonempty family sets at a class w of the
-    effective cone, read off its sign key ``signs`` (see ``_signs``) as the
-    union of the cocircuit sets of its chunk entries (see ``_entries``).
+    effective cone, read off its sign key ``signs`` as the union of the cocircuit
+    sets of its chunk entries (see ``_entries``), each one's labels memoised per mask.
 
     This is a complete combinatorial invariant of the stable base locus in
     the ambient toric model: singletons are divisorial components, larger
@@ -190,7 +192,8 @@ def sbl_signature(config, signs):
                 break
         else:
             found.append(c)
-    return frozenset(frozenset().union(*(config.owners[i] for i in _bits(c))) for c in found)
+    return frozenset(config._labels.get(c) or config._labels.setdefault(
+        c, frozenset().union(*(config.owners[i] for i in _bits(c)))) for c in found)
 
 
 def _divisorial(signature):
@@ -299,22 +302,27 @@ def _entry(config, j, table, key):
     return entry
 
 
+def _lift(config, signs):
+    """The key of t w + nudge from w's key: its 0x80 bytes the nudge's, on no plane."""
+    on = int.from_bytes(signs.translate(_ZERO), "big")  # 0xff where h.w = 0
+    return (int.from_bytes(signs, "big") & ~on | config._nudged & on).to_bytes(len(signs), "big")
+
+
 def _through(config, rays):
     """Per ray, the mask of the planes through it, read once from its sign key."""
     return [config._through.get(r) or config._through.setdefault(
         r, int(_signs(config, r)[::-1].translate(_ON), 2)) for r in rays]
 
 
-def _held(config, w, name="class"):
+def _held(config, w, name="class", signs=None):
     """Mask of the bases holding the integer class w: those with no facet normal h
-    with h.w < 0, none cut in the chunk entries of w's key.  A basis holding w on
-    its boundary puts w in a lower-dimensional subset cone, a wall, and no basis
-    holds a w outside the effective cone; either is a ``ValueError``."""
-    signs, cut, tight = _signs(config, w), 0, 0
-    if signs is not None:
-        for entry in _entries(config, signs):
-            cut |= entry[0]
-            tight |= entry[1]
+    with h.w < 0, none cut in the chunk entries of its key (``signs``, if given).
+    A basis holding w on its boundary puts w in a lower-dimensional subset cone, a
+    wall, and no basis holds a w outside Eff; either is a ``ValueError``."""
+    signs, cut, tight = signs or _signs(config, w), 0, 0
+    for entry in _entries(config, signs) if signs else ():
+        cut |= entry[0]
+        tight |= entry[1]
     held = (1 << len(config.bases)) - 1 & ~cut
     if signs is None or not held or held & tight:
         raise ValueError(f"{name} {w} is not interior to a chamber")
@@ -331,8 +339,8 @@ MAX_CHAMBER_WORK = 5_000_000
 
 # `chamber --json` takes 0.09-0.16 s at n = 14, 0.10-0.14 s at n = 15 (rank 7) and 0.07 s there
 # to refuse a class outside Eff, and with this edge lifted 0.14-0.16 s at n = 16 (rank 8), fresh
-# (2 vCPUs, CPython 3.11.7, pinned to one CPU): the edge is kept, though it no longer pays for
-# itself; a price of the configuration build read from the sizes should replace it.
+# (2 vCPUs, CPython 3.11.7, pinned to one CPU).  The CLI checks it before building, `chamber_of`
+# on a memo miss, as each first query is; a price of the build from the sizes should replace it.
 MAX_QUERY_RANK = 7
 
 
@@ -426,24 +434,26 @@ def _signs(config, v):
 def chamber_of(config, w):
     """The chamber (or lower-dimensional face) of the class w, with its signature.
 
-    Both depend only on w's sign vector over the spanned hyperplanes h (the
-    generic class just past w along ``config.nudge`` has the sign of h.w, or of
-    h.nudge where h.w = 0; the tight facets are the h with h.w = 0, the facet
-    planes among the 0x80 bytes of w's key, and the face's rays those whose
-    plane masks hold them all; the signature reads the h with h.w < 0), so they
-    are memoised per sign key (see ``_signs``), which a warm query reads from
-    one packed integer.  A class outside the effective cone has no key."""
-    check_query_rank(config.rank)
+    Both depend only on w's sign vector over the spanned hyperplanes h (the class
+    just past w along ``config.nudge`` has the sign of h.w, or of h.nudge where
+    h.w = 0, see ``_lift``; the tight facets are the facet planes among the 0x80
+    bytes of w's key; the signature reads the h with h.w < 0), so they are
+    memoised per sign key, read from one packed integer with no denominator pass
+    for an all-int w.  A class outside Eff has no key; a miss, as every
+    configuration's first query is, refuses a rank past ``MAX_QUERY_RANK``."""
     w = tuple(w)
-    v, _ = clear_denominators(w)  # refuses an inexact w
-    if len(v) != config.rank:
+    try:  # an all-int w needs no denominator pass; other entries fail in _signs
+        signs = _signs(config, w)
+    except (AttributeError, TypeError, ArithmeticError):
+        signs = _signs(config, clear_denominators(w)[0])  # refuses an inexact w
+    if len(w) != config.rank:
         raise ValueError("dimension mismatch")
-    signs = _signs(config, v)
     if signs is None:
         raise ValueError("class outside the effective cone")
     cell = config._cells.get(signs)
     if cell is None:
-        cone = _canonical_chamber(config, _held(config, _past(config, v, config.nudge)))
+        check_query_rank(config.rank)
+        cone = _canonical_chamber(config, _held(config, w, signs=_lift(config, signs)))
         tight = int(signs[::-1].translate(_ON), 2) & sum(1 << config.plane_of[f]
                                                          for f in cone.facets)
         if tight:  # the face of the chamber that holds w in its relative interior

@@ -80,6 +80,12 @@ class DotOracle:
             for f in cone.facets:
                 self.bases_on[f] = self.bases_on.get(f, 0) | 1 << i
 
+    @cache
+    def labels(self, mask):
+        """The labels of the families whose degrees the degree mask holds."""
+        return frozenset(label for label, degree in self.config.families
+                         if mask >> self.config.vectors.index(degree) & 1)
+
     def nonempty(self, s):
         return bool(s) and not any(e <= s for e in self.empty)
 

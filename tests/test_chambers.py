@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -258,6 +259,12 @@ def test_rank_guard():
         decomposition_for(15)
     with pytest.raises(ValueError, match="exceeds the work budget"):
         gkz_chambers(configuration_for(15))
+    # chamber_of refuses rank 8 on a memo miss: the first query, and its repeat
+    config = configuration_for(16)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^chamber queries supported up to rank 7$"):
+            chamber_of(config, config.polarization)
+    assert not config._cells
 
 
 def test_work_guard_reads_the_sizes_of_the_degree_list():
@@ -456,8 +463,8 @@ def test_chamber_of_independent_of_cache_state_and_order(n):
     # configuration in shuffled order: the sign-vector, chamber and face memos
     # change no answer, and the second pass adds no cell, face or chamber; then
     # the walk after those queries, and the queries after a walk on a fresh
-    # configuration: the chunk tables and ray masks each fills change no answer
-    # of the other, and equal keys hold equal entries
+    # configuration: the chunk tables, ray masks and label memos each fills change
+    # no answer of the other, and equal keys hold equal entries
     dec, rng = decomposition_for(n), random.Random(f"order{n}")
     rays = sorted({r for ch in dec.chambers for r in ch.rays})
     points = sorted({*rng.sample([vector_sum(on) for _, _, on in dec.walls], 20),
@@ -482,6 +489,8 @@ def test_chamber_of_independent_of_cache_state_and_order(n):
         assert answer(chamber_of(walked, w)) == fresh[w], w
     for (_, a), (_, b) in zip(warm._tables, walked._tables):
         assert a and b and all(a[key] == b[key] for key in a.keys() & b.keys())
+    a, b = warm._labels, walked._labels
+    assert a and b and all(a[mask] == b[mask] for mask in a.keys() & b.keys())
 
 
 def sign_vector(config, w):
@@ -530,6 +539,8 @@ def test_chamber_of_refuses_on_a_memoised_sign_vector():
     cells = dict(config._cells)
     assert len(cells) == 1
     for w, message in (((10.0, -6, -3, -1), "inexact entry 10.0: use int or Fraction"),
+                       ((10, Decimal(-6), -3, -1), "inexact entry Decimal('-6'): use int or Fraction"),
+                       (("10", -6, -3, -1), "inexact entry '10': use int or Fraction"),
                        ((-10, 6, 3, 1), "class outside the effective cone"),
                        ((0, 0, 0, -1), "class outside the effective cone"),
                        ((10, -6, -3), "dimension mismatch"),
@@ -622,8 +633,9 @@ def held_by_cones(cones, x):
 
 
 def assert_sign_helpers(oracle, w, d):
-    """``_signs``, the chunk entries of its key, ``_held`` and ``sbl_signature`` at w
-    and at ``_past(w, d)``, and the signs of the latter (those of w, else of d),
+    """``_signs``, the chunk entries of its key, the key lifted along the nudge,
+    ``_held`` and ``sbl_signature`` at w and at ``_past(w, d)``, the signs of the
+    latter (those of w, else of d), and the labels memoised per cocircuit mask,
     against dot products and the built basis cones.  Returns
     how many planes have h.w = +-1 and h.d = -+max|h| sum|d_i|, where no smaller
     push than ``_past``'s reads the sign of w."""
@@ -638,12 +650,16 @@ def assert_sign_helpers(oracle, w, d):
             assert chambers._entries(config, key) == [
                 oracle.entry(j, key[j:j + 8]) for j in range(0, len(key), 8)], y
             assert chambers.sbl_signature(config, key) == oracle.signature(y), y
+            assert chambers._lift(config, key) == key_by_dots(
+                config, chambers._past(config, y, config.nudge)), y
         held = held_by_cones(oracle.cones, y) if key is not None else None
         if held is None:
             with pytest.raises(ValueError, match="not interior to a chamber"):
                 chambers._held(config, y)
         else:
             assert chambers._held(config, y) == held, y
+    assert set(config._labels) <= set(config.cocircuits)
+    assert all(labels == oracle.labels(mask) for mask, labels in config._labels.items())
     bound = config.height * sum(map(abs, d))
     return sum(abs(a) == 1 and a * b == -bound
                for a, b in zip((dot(h, w) for h in config.planes), (dot(h, d) for h in config.planes)))
@@ -694,7 +710,7 @@ def test_sign_helpers_against_dot_products(model, n):
     assert sorted(config.plane_of.items()) == sorted(
         (g, k) for k, h in enumerate(config.planes) for g in (h, tuple(-x for x in h)))
     assert chambers._through(config, rays) == [planes_through(config, r) for r in rays]
-    assert set(config._through) == set(rays)
+    assert set(config._through) == set(rays) and config._labels
 
 
 def locus_within(s, t):

@@ -425,6 +425,9 @@ RECORDED_REPORTS = [
     # recorded at 01a50df; a class on a face of a rank-6 chamber, its planes in 12 chunks of 8
     ("chamber --n 12 --point 51,-39,-27,-17,-11,0 --json", 0,
      "09d3c17beed484ceeef8e5a2d0c83d3abc7f56c88e805b7a1e8b4c3d2708b120"),
+    # recorded at b6f0436; a class on a 2-ray face whose key has 2-byte fields and 3 zero planes
+    ("chamber --n 8 --point 90,-30,0,0 --json", 0,
+     "83e314152b13c1127fafcac23c0913d83ce282296e4af717cb0f5942504281f9"),
 ]
 
 
